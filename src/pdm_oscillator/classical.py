@@ -1,10 +1,13 @@
 """Classical dynamics: Hamiltonian, constants of motion, orbits, closure.
 
 The system carries the maximal set of 2N-1 functionally independent
-constants of motion, so every bounded orbit is closed; the integrator is
-a plain adaptive embedded Runge-Kutta pair (not symplectic), which makes
-conservation along trajectories a genuine numerical test rather than an
-artifact of the scheme.
+constants of motion, so every bounded orbit is closed. Its period comes in
+closed form from the flat-time change dt = (1 + lam q^2) d tau, which turns
+the motion into a flat oscillator. The integrator is a plain adaptive
+embedded Runge-Kutta pair (not symplectic) that never reads the closed-form
+orbit, which makes conservation along trajectories a genuine numerical test
+rather than an artifact of the scheme. It integrates one orbit or a batch of
+orbits as one stacked system.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ __all__ = [
     "conserved_set",
     "conserved_series",
     "hamilton_rhs",
+    "integrate_orbits",
     "integrate_orbit",
     "estimate_radial_period",
     "closure_check",
@@ -170,19 +174,110 @@ def hamilton_rhs(params: ModelParams):
 
     qdot = p / (1 + lam q^2)
     pdot = lam q (p^2 + omega^2 q^2)/(1 + lam q^2)^2 - omega^2 q/(1 + lam q^2)
+
+    The state is one or more orbits stacked end to end, each laid out as
+    [q, p], so its length is a multiple of 2N.
     """
     n = params.dim
     lam, omega_sq = params.lam, params.omega**2
 
     def rhs(_t, y):
-        q, p = y[:n], y[n:]
-        q_sq = q @ q
-        m = 1.0 + lam * q_sq
-        qdot = p / m
-        pdot = lam * q * (p @ p + omega_sq * q_sq) / m**2 - omega_sq * q / m
-        return np.concatenate([qdot, pdot])
+        z = y.reshape(-1, 2 * n)
+        q, p = z[:, :n], z[:, n:]
+        q_sq = (q * q).sum(axis=1, keepdims=True)
+        p_sq = (p * p).sum(axis=1, keepdims=True)
+        inv_m = 1.0 / (1.0 + lam * q_sq)
+        pdot = q * (inv_m * (lam * inv_m * (p_sq + omega_sq * q_sq) - omega_sq))
+        return np.concatenate([p * inv_m, pdot], axis=1).ravel()
 
     return rhs
+
+
+_CONTROL_FLOOR = 2.5e-14
+
+
+def integrate_orbits(
+    states,
+    params: ModelParams,
+    t_ends,
+    tol: float = 1e-10,
+    samples: int = 2001,
+    dense: bool = True,
+) -> list[Trajectory]:
+    """Integrate M orbits as one stacked system with an adaptive RK 5(4) pair.
+
+    Orbit i runs from its own start time t0_i to t_ends[i]. Its time is
+    rescaled to s in [0, 1] by dt = (t_ends[i] - t0_i) ds, so one grid of
+    `samples` equispaced s values serves every orbit. With `dense`, each
+    trajectory also carries an interpolant in its own time; it stores every
+    step of the whole batch, so callers that only read the samples skip it.
+
+    Steps are accepted a safety decade below tol, so the local error per
+    step genuinely stays under tol even after accumulation of the
+    controller's slack. solve_ivp accepts a step when the RMS of the
+    scaled error over all 2NM components is at most 1; the control is
+    divided by sqrt(M) so that each orbit's own error is held as tightly
+    as if it were integrated alone.
+    """
+    states = list(states)
+    t_ends = np.asarray(t_ends, dtype=float)
+    if not states or len(t_ends) != len(states):
+        raise DomainError("need one t_end per initial state, and at least one state")
+    if tol <= 0:
+        raise DomainError("tol must be > 0")
+    if samples < 2:
+        raise DomainError(f"samples must be >= 2, got {samples}")
+    n = params.dim
+    for state in states:
+        if len(state.q) != n:
+            raise DomainError(f"state has {len(state.q)} components, expected {n}")
+    t0 = np.array([state.t for state in states])
+    spans = t_ends - t0
+    if not np.all(np.isfinite(spans) & (spans > 0)):
+        raise DomainError("t_end must be finite and exceed the initial time")
+    control = max(0.1 * tol, _CONTROL_FLOOR) / math.sqrt(len(states))
+    if control < _CONTROL_FLOOR:
+        raise DomainError(
+            f"{len(states)} orbits at tol {tol} need a step control below "
+            f"{_CONTROL_FLOOR}; integrate fewer orbits per call"
+        )
+
+    rhs = hamilton_rhs(params)
+    scale = np.repeat(spans, 2 * n)
+
+    def stacked_rhs(s, y):
+        return scale * rhs(s, y)
+
+    y0 = np.concatenate([np.concatenate([state.q, state.p]) for state in states])
+    sol = solve_ivp(
+        stacked_rhs,
+        (0.0, 1.0),
+        y0,
+        method="RK45",
+        rtol=control,
+        atol=control,
+        dense_output=dense,
+        t_eval=np.linspace(0.0, 1.0, samples),
+    )
+    if not sol.success:
+        raise ConvergenceError(f"integration failed: {sol.message}")
+
+    def interpolant(i):
+        if not dense:
+            return None
+        rows = slice(2 * n * i, 2 * n * (i + 1))
+        return lambda time: sol.sol((time - t0[i]) / spans[i])[rows]
+
+    return [
+        Trajectory(
+            t=np.linspace(t0[i], t_ends[i], samples),
+            q=sol.y[2 * n * i : 2 * n * i + n].T.copy(),
+            p=sol.y[2 * n * i + n : 2 * n * (i + 1)].T.copy(),
+            params=params,
+            dense=interpolant(i),
+        )
+        for i in range(len(states))
+    ]
 
 
 def integrate_orbit(
@@ -192,89 +287,27 @@ def integrate_orbit(
     tol: float = 1e-10,
     samples: int = 2001,
 ) -> Trajectory:
-    """Integrate Hamilton's equations with an adaptive embedded RK 5(4) pair.
-
-    Returns the orbit sampled at `samples` equispaced times plus a dense
-    interpolant. Steps are accepted a safety decade below tol so the local
-    error per step genuinely stays under tol even after accumulation of
-    the controller's slack.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
-    if t_end <= initial.t:
-        raise DomainError("t_end must exceed the initial time")
-    if len(initial.q) != params.dim:
-        raise DomainError(
-            f"state has {len(initial.q)} components, expected {params.dim}"
-        )
-    y0 = np.concatenate([initial.q, initial.p])
-    t_eval = np.linspace(initial.t, t_end, samples)
-    control = max(0.1 * tol, 2.5e-14)
-    sol = solve_ivp(
-        hamilton_rhs(params),
-        (initial.t, t_end),
-        y0,
-        method="RK45",
-        rtol=control,
-        atol=control,
-        dense_output=True,
-        t_eval=t_eval,
-    )
-    if not sol.success:
-        raise ConvergenceError(f"integration failed: {sol.message}")
-    n = params.dim
-    return Trajectory(
-        t=sol.t,
-        q=sol.y[:n].T.copy(),
-        p=sol.y[n:].T.copy(),
-        params=params,
-        dense=sol.sol,
-    )
-
-
-def _radial_minima(traj: Trajectory) -> list[float]:
-    """Times of local minima of |q(t)|, refined by quadratic interpolation."""
-    r = np.linalg.norm(traj.q, axis=1)
-    t = traj.t
-    minima = []
-    for i in range(1, len(r) - 1):
-        if r[i] <= r[i - 1] and r[i] < r[i + 1]:
-            denom = r[i - 1] - 2.0 * r[i] + r[i + 1]
-            shift = 0.0 if denom <= 0 else 0.5 * (r[i - 1] - r[i + 1]) / denom
-            minima.append(t[i] + shift * (t[i + 1] - t[i]))
-    return minima
+    """One orbit through `integrate_orbits`: `samples` equispaced times plus a
+    dense interpolant."""
+    return integrate_orbits([initial], params, [t_end], tol=tol, samples=samples)[0]
 
 
 def estimate_radial_period(initial: PhaseState, params: ModelParams) -> float:
-    """Radial oscillation period from a short probe integration.
+    """Radial period T/2 of the closed orbit through `initial`, in closed form.
 
-    For circular orbits (no radial oscillation) the angular period
-    2 pi (1 + lam r^2) r^2 / L is returned instead.
+    The flat-time change dt = (1 + lam q^2) d tau turns the motion into a
+    flat oscillator of frequency Omega(E) = sqrt(omega^2 - 2 lam E); the full
+    period is T = (2 pi / Omega)(1 + lam E / Omega^2). Circular orbits are
+    no special case: they too close after T.
     """
     energy = hamiltonian(initial, params)
     omega_eff_sq = params.omega**2 - 2.0 * params.lam * energy
     if omega_eff_sq <= 0:
         raise DomainError("energy at or above the escape threshold")
+    if energy == 0:
+        raise DomainError("degenerate orbit: rest at the origin")
     omega_eff = math.sqrt(omega_eff_sq)
-    r_turn_sq = 2.0 * energy / omega_eff_sq
-    horizon = 4.0 * math.pi / omega_eff * (1.0 + params.lam * r_turn_sq)
-    probe = integrate_orbit(initial, params, initial.t + horizon, tol=1e-10, samples=4001)
-
-    r = np.linalg.norm(probe.q, axis=1)
-    if r.mean() == 0:
-        raise DomainError("degenerate orbit at the origin")
-    if (r.max() - r.min()) < 1e-8 * r.mean():
-        l_total = math.sqrt(
-            float(np.sum(_angular_squares(initial.q, initial.p))) / 2.0
-        )
-        if l_total == 0:
-            raise DomainError("degenerate orbit: constant radius with zero L")
-        r0 = float(r.mean())
-        return 2.0 * math.pi * (1.0 + params.lam * r0 * r0) * r0 * r0 / l_total
-    minima = _radial_minima(probe)
-    if len(minima) < 2:
-        raise ConvergenceError("probe orbit shows fewer than two radial minima")
-    return float(np.mean(np.diff(minima)))
+    return math.pi / omega_eff * (1.0 + params.lam * energy / omega_eff_sq)
 
 
 def closure_check(
@@ -282,9 +315,11 @@ def closure_check(
 ) -> tuple[bool, float | None]:
     """Detect orbit closure: smallest T with |z(t0+T) - z(t0)| < tol.
 
-    Scans multiples (up to max_multiples) of the radial period, refining
-    each candidate against the dense interpolant. Unbounded trajectories
-    report (False, None).
+    Scans multiples (up to max_multiples) of the closed-form radial period
+    at the trajectory's first point, refining each candidate against the
+    dense interpolant. Unbounded trajectories report (False, None); a
+    trajectory shorter than one full period (two radial periods) cannot
+    show its first return and raises DomainError.
     """
     params = traj.params
     z0 = np.concatenate([traj.q[0], traj.p[0]])
@@ -293,24 +328,14 @@ def closure_check(
     if params.lam > 0 and energy >= continuum_threshold(params):
         return False, None
 
-    r = np.linalg.norm(traj.q, axis=1)
-    circular = (r.max() - r.min()) < 1e-8 * r.mean()
-    if circular:
-        l_total = math.sqrt(float(np.sum(_angular_squares(traj.q[0], traj.p[0]))) / 2.0)
-        if l_total == 0:
-            return False, None
-        r0 = float(r.mean())
-        radial_period = 2.0 * math.pi * (1.0 + params.lam * r0 * r0) * r0 * r0 / l_total
-    else:
-        minima = _radial_minima(traj)
-        if len(minima) < 2:
-            raise DomainError("trajectory too short: fewer than two radial minima")
-        radial_period = float(np.mean(np.diff(minima)))
+    radial_period = estimate_radial_period(traj.state(0), params)
+    t_last = float(traj.t[-1])
+    if t_last - t0 < 2.0 * radial_period:
+        raise DomainError("trajectory too short to reach its first return")
 
     def miss(t_return):
         return float(np.linalg.norm(traj.phase_point(t_return) - z0))
 
-    t_last = float(traj.t[-1])
     for mult in range(1, max_multiples + 1):
         candidate = t0 + mult * radial_period
         window = 0.2 * radial_period

@@ -172,7 +172,13 @@ def _cmd_oracle(args, params) -> tuple[str, str, int]:
     return _table_artifact(table, args), summary, 0
 
 
+def _check_grid_points(args) -> None:
+    if args.grid_points < 1:
+        raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
+
+
 def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
+    _check_grid_points(args)
     f = normalize(RadialEigenfunction.from_quantum_numbers(args.k, args.l, params))
     r_max = args.r_max if args.r_max is not None else 10.0 / f.beta
     r = np.linspace(0.0, r_max, args.grid_points)
@@ -247,6 +253,7 @@ def _cmd_classical(args, params) -> tuple[str, str, int]:
 
 
 def _cmd_effective_potential(args, params) -> tuple[str, str, int]:
+    _check_grid_points(args)
     spec = EffectivePotentialSpec(params, args.cn)
     start = 0.0 if args.cn == 0 else args.r_max / (10.0 * args.grid_points)
     r = np.linspace(start, args.r_max, args.grid_points)
@@ -272,6 +279,7 @@ def _cmd_geometry(args, params) -> tuple[str, str, int]:
         "curvature": scalar_curvature,
         "potential": potential,
     }
+    _check_grid_points(args)
     r = np.linspace(0.0, args.r_max, args.grid_points)
     values = fns[args.quantity](r, params)
     cols = ["r", "value"]
@@ -289,6 +297,8 @@ def _cmd_geometry(args, params) -> tuple[str, str, int]:
 
 
 def _cmd_deform(args, params) -> tuple[str, str, int]:
+    if args.n_max < 0:
+        raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
     base = harmonic_base(params)
     levels = np.arange(args.n_max + 1)
     fixed = np.array(

@@ -23,7 +23,7 @@ def report(result):
     status = "PASS" if result.passed else "FAIL"
     print(
         f"[{status}] {result.name}: measured={result.measured:.3e} "
-        f"tolerance={result.tolerance:.1e} runtime={result.runtime_s:.2f}s"
+        f"tolerance={result.tolerance:.1e}"
     )
     assert result.passed, f"{result.name}: {result.measured} vs {result.tolerance}; {result.details}"
 

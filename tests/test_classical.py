@@ -17,6 +17,7 @@ from pdm_oscillator import (
     hamiltonian,
     integrate_orbit,
 )
+from pdm_oscillator.classical import hamilton_rhs, integrate_orbits
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
 P2 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=2)
@@ -164,6 +165,108 @@ class TestIntegrateOrbit:
             integrate_orbit(state, P3, t_end=-1.0)
         with pytest.raises(DomainError):
             integrate_orbit(state, P3, t_end=1.0, tol=0.0)
+        for t_end in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                integrate_orbit(state, P3, t_end=t_end)
+
+
+class TestRadialPeriod:
+    @pytest.mark.parametrize("lam", [0.0, 1e-3, 0.1])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_half_the_analytic_period(self, lam, dim):
+        params = ModelParams(lam=lam, omega=1.0, dim=dim)
+        # energy scale: the escape threshold, or a finite stand-in at lam = 0
+        scale = continuum_threshold(params) if lam > 0 else 5.0
+        rng = np.random.default_rng(dim)
+        for fraction in (0.01, 0.3, 0.6, 0.9):
+            q = rng.normal(size=dim)
+            q *= 0.1 / np.linalg.norm(q)
+            u = rng.normal(size=dim)
+            u /= np.linalg.norm(u)
+            # pick |p| so that H = fraction * scale
+            speed = math.sqrt(2.0 * fraction * scale * (1.0 + lam * 0.01) - 0.01)
+            state = PhaseState(q=q, p=speed * u)
+            energy = hamiltonian(state, params)
+            assert energy == pytest.approx(fraction * scale, rel=1e-12)
+            assert estimate_radial_period(state, params) == pytest.approx(
+                0.5 * analytic_full_period(energy, params), rel=1e-12
+            )
+
+    def test_circular_orbit(self):
+        c_n, lam = 9.0, 0.05
+        p = ModelParams(lam=lam, omega=1.0, dim=2)
+        r_min, _ = effective_minimum(EffectivePotentialSpec(p, c_n))
+        state = PhaseState(
+            q=np.array([r_min, 0.0]), p=np.array([0.0, math.sqrt(c_n) / r_min])
+        )
+        t_ang = 2.0 * math.pi * (1.0 + lam * r_min**2) * r_min**2 / math.sqrt(c_n)
+        half = estimate_radial_period(state, p)
+        energy = hamiltonian(state, p)
+        assert half == pytest.approx(0.5 * analytic_full_period(energy, p), rel=1e-12)
+        assert half == pytest.approx(0.5 * t_ang, rel=1e-12)
+
+    def test_threshold_and_rest_rejected(self):
+        p = ModelParams(lam=0.25, omega=1.0, dim=2)  # threshold exactly 2
+        at_threshold = PhaseState(q=np.zeros(2), p=np.array([2.0, 0.0]))
+        assert hamiltonian(at_threshold, p) == continuum_threshold(p)
+        above = PhaseState(q=np.zeros(2), p=np.array([2.0, 0.5]))
+        rest = PhaseState(q=np.zeros(2), p=np.zeros(2))
+        for state in (at_threshold, above, rest):
+            with pytest.raises(DomainError):
+                estimate_radial_period(state, p)
+
+
+class TestStackedIntegration:
+    def test_rhs_on_stacked_state(self):
+        rng = np.random.default_rng(3)
+        for dim in (1, 2, 3):
+            rhs = hamilton_rhs(ModelParams(lam=0.07, omega=1.3, dim=dim))
+            orbits = rng.normal(size=(5, 2 * dim))
+            stacked = rhs(0.0, orbits.ravel())
+            single = np.concatenate([rhs(0.0, z) for z in orbits])
+            np.testing.assert_allclose(stacked, single, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_matches_single_orbits(self, dim):
+        params = ModelParams(lam=0.05, omega=1.0, dim=dim)
+        rng = np.random.default_rng(11 + dim)
+        tol = 1e-10
+        states, t_ends = [], []
+        for t0, periods in ((0.0, 3.0), (-2.0, 5.5), (1.5, 1.2), (10.0, 4.0)):
+            state = PhaseState(
+                q=rng.uniform(-2.0, 2.0, dim), p=rng.uniform(-1.0, 1.0, dim), t=t0
+            )
+            states.append(state)
+            t_ends.append(t0 + periods * estimate_radial_period(state, params))
+        batch = integrate_orbits(states, params, t_ends, tol=tol, samples=301)
+        assert len(batch) == len(states)
+        samples_only = integrate_orbits(
+            states, params, t_ends, tol=tol, samples=301, dense=False
+        )
+        for traj, plain in zip(batch, samples_only):
+            np.testing.assert_array_equal(plain.q, traj.q)
+            np.testing.assert_array_equal(plain.p, traj.p)
+            with pytest.raises(DomainError):
+                plain.phase_point(plain.t[1])
+        for state, t_end, traj in zip(states, t_ends, batch):
+            alone = integrate_orbit(state, params, t_end, tol=tol, samples=301)
+            np.testing.assert_allclose(traj.t, alone.t, rtol=0, atol=1e-12 * abs(t_end))
+            assert np.max(np.abs(traj.q - alone.q)) < 10 * tol
+            assert np.max(np.abs(traj.p - alone.p)) < 10 * tol
+            for time in rng.uniform(state.t, t_end, 7):
+                gap = traj.phase_point(time) - alone.phase_point(time)
+                assert np.max(np.abs(gap)) < 10 * tol
+
+    def test_invalid_batches(self):
+        state = PhaseState(q=np.array([1.0, 0.0]), p=np.array([0.0, 1.0]))
+        with pytest.raises(DomainError):
+            integrate_orbits([state, state], P2, [5.0])
+        with pytest.raises(DomainError):
+            integrate_orbits([state], P2, [5.0], samples=1)
+        # a batch of two would need a step control under the 2.5e-14 floor
+        integrate_orbits([state], P2, [1.0], tol=1e-13)
+        with pytest.raises(DomainError):
+            integrate_orbits([state, state], P2, [1.0, 1.0], tol=1e-13)
 
 
 class TestClosure:

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import pdm_oscillator.cli as cli
+from pdm_oscillator import verify
 from pdm_oscillator.verify import CheckResult
 
 
@@ -137,12 +138,21 @@ class TestOracleCommand:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["spectrum", "--n-max", "50", "--out"]
-        assert cli.run(argv + [str(a)]) == 0
-        assert cli.run(argv + [str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
+        # verify-all runs the real battery code on its sub-second checks
+        monkeypatch.setattr(verify, "ALL_CHECKS", (
+            verify.check_effective_minimum,
+            verify.check_spectrum_self_consistency,
+            verify.check_degeneracy,
+            verify.check_generic_deformation,
+        ))
+        out = tmp_path / "artifact"
+        for command in (["spectrum", "--n-max", "50"], ["verify-all"]):
+            argv = command + ["--out", str(out)]
+            assert cli.run(argv) == 0
+            first = out.read_bytes()
+            assert cli.run(argv) == 0
+            assert out.read_bytes() == first
 
 
 class TestErrorPaths:
@@ -163,6 +173,24 @@ class TestErrorPaths:
             ["spectrum", "--n-max", "1", "--out", "/nonexistent-dir/out.csv"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["effective-potential", "--grid-points", "0"],
+            ["geometry", "--grid-points", "0"],
+            ["wavefunction", "--grid-points", "0"],
+            ["deform", "--n-max", "-1"],
+            ["classical", "--samples", "0"],
+        ],
+        ids=["effective-potential", "geometry", "wavefunction", "deform", "classical"],
+    )
+    def test_bad_count_is_one_error_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert cli.run(argv + ["--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
 
 
 class TestVerifyAll:
