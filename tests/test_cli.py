@@ -139,20 +139,25 @@ class TestOracleCommand:
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
-        # verify-all runs the real battery code on its sub-second checks
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["spectrum", "--n-max", "50", "--out"]
+        assert cli.run(argv + [str(a)]) == 0
+        assert cli.run(argv + [str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+        # verify-all runs the real battery code on its sub-second checks.
+        # Both runs write to one path because the JSON config embeds --out.
         monkeypatch.setattr(verify, "ALL_CHECKS", (
             verify.check_effective_minimum,
             verify.check_spectrum_self_consistency,
             verify.check_degeneracy,
             verify.check_generic_deformation,
         ))
-        out = tmp_path / "artifact"
-        for command in (["spectrum", "--n-max", "50"], ["verify-all"]):
-            argv = command + ["--out", str(out)]
-            assert cli.run(argv) == 0
-            first = out.read_bytes()
-            assert cli.run(argv) == 0
-            assert out.read_bytes() == first
+        out = tmp_path / "verify.json"
+        assert cli.run(["verify-all", "--out", str(out)]) == 0
+        first = out.read_bytes()
+        assert cli.run(["verify-all", "--out", str(out)]) == 0
+        assert out.read_bytes() == first
 
 
 class TestErrorPaths:
