@@ -4,6 +4,10 @@ Closed-form spectrum and eigenfunctions of the quantum model, an
 independent finite-difference eigensolver, the underlying hyperbolic
 geometry, the superintegrable classical dynamics, and a CLI that emits
 reproducible CSV/JSON artifacts.
+
+Each scipy submodule is imported inside the function that calls it, so
+importing the package, and the CLI commands that only evaluate closed
+forms, load numpy and no scipy.
 """
 
 from .classical import (

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceError, DomainError
 from .geometry import ModelParams
@@ -248,6 +246,8 @@ def integrate_orbits(
     def stacked_rhs(s, y):
         return scale * rhs(s, y)
 
+    from scipy.integrate import solve_ivp
+
     y0 = np.concatenate([np.concatenate([state.q, state.p]) for state in states])
     sol = solve_ivp(
         stacked_rhs,
@@ -332,6 +332,8 @@ def closure_check(
     t_last = float(traj.t[-1])
     if t_last - t0 < 2.0 * radial_period:
         raise DomainError("trajectory too short to reach its first return")
+
+    from scipy.optimize import minimize_scalar
 
     def miss(t_return):
         return float(np.linalg.norm(traj.phase_point(t_return) - z0))

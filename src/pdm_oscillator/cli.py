@@ -118,24 +118,24 @@ def build_parser() -> _Parser:
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items())}
-    return cfg
+    """The invocation's flags, less the output path, which does not change the
+    artifact's content."""
+    return {k: v for k, v in sorted(vars(args).items()) if k != "out"}
 
 
-def _curve_csv(columns: list[str], arrays: list[np.ndarray]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in zip(*arrays):
-        buf.write(",".join(_fmt(float(v)) for v in row) + "\n")
-    return buf.getvalue()
-
-
-def _curve_json(columns, arrays, config) -> str:
+def _curve_artifact(columns: list[str], arrays: list[np.ndarray], args) -> str:
+    """Sampled columns as CSV, or as JSON rows under the invocation's config."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        buf.write(",".join(columns) + "\n")
+        for row in zip(*arrays):
+            buf.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        return buf.getvalue()
     rows = [
         {c: (float(v) if math.isfinite(float(v)) else None) for c, v in zip(columns, row)}
         for row in zip(*arrays)
     ]
-    return json.dumps({"config": config, "rows": rows}, indent=2)
+    return json.dumps({"config": _config_dict(args), "rows": rows}, indent=2)
 
 
 def _table_artifact(table, args) -> str:
@@ -186,11 +186,7 @@ def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
     weight = (1.0 + params.lam * r**2) * r ** (params.dim - 1)
     cols = ["r", "value", "weight_factor"]
     arrays = [r, np.atleast_1d(values), weight]
-    artifact = (
-        _curve_csv(cols, arrays)
-        if args.format == "csv"
-        else _curve_json(cols, arrays, _config_dict(args))
-    )
+    artifact = _curve_artifact(cols, arrays, args)
     summary = (
         f"wavefunction: k={args.k} l={args.l}, E={_fmt(f.energy)}, "
         f"beta={_fmt(f.beta)}, {args.grid_points} samples"
@@ -239,11 +235,7 @@ def _cmd_classical(args, params) -> tuple[str, str, int]:
         + [series["energy"]]
         + [series[label] - series[label][0] for label in series]
     )
-    artifact = (
-        _curve_csv(cols, arrays)
-        if args.format == "csv"
-        else _curve_json(cols, arrays, _config_dict(args))
-    )
+    artifact = _curve_artifact(cols, arrays, args)
     drift = max(float(np.max(np.abs(series[label] - series[label][0]))) for label in series)
     summary = (
         f"classical: {args.samples} samples to t={args.t_end}, "
@@ -260,11 +252,7 @@ def _cmd_effective_potential(args, params) -> tuple[str, str, int]:
     values = effective_potential(r, spec)
     cols = ["r", "value"]
     arrays = [r, np.atleast_1d(values)]
-    artifact = (
-        _curve_csv(cols, arrays)
-        if args.format == "csv"
-        else _curve_json(cols, arrays, _config_dict(args))
-    )
+    artifact = _curve_artifact(cols, arrays, args)
     if args.cn > 0 and params.omega > 0:
         r_min, u_min = effective_minimum(spec)
         summary = f"effective-potential: minimum {_fmt(u_min)} at r={_fmt(r_min)}"
@@ -284,11 +272,7 @@ def _cmd_geometry(args, params) -> tuple[str, str, int]:
     values = fns[args.quantity](r, params)
     cols = ["r", "value"]
     arrays = [r, np.atleast_1d(values)]
-    artifact = (
-        _curve_csv(cols, arrays)
-        if args.format == "csv"
-        else _curve_json(cols, arrays, _config_dict(args))
-    )
+    artifact = _curve_artifact(cols, arrays, args)
     summary = (
         f"geometry: {args.quantity} sampled at {args.grid_points} points, "
         f"value({_fmt(args.r_max)})={_fmt(float(np.atleast_1d(values)[-1]))}"
@@ -308,11 +292,7 @@ def _cmd_deform(args, params) -> tuple[str, str, int]:
     diff = np.abs(fixed - closed)
     cols = ["n", "energy_fixed_point", "energy_closed_form", "abs_diff"]
     arrays = [levels.astype(float), fixed, closed, diff]
-    artifact = (
-        _curve_csv(cols, arrays)
-        if args.format == "csv"
-        else _curve_json(cols, arrays, _config_dict(args))
-    )
+    artifact = _curve_artifact(cols, arrays, args)
     summary = f"deform: {len(levels)} levels, max |fixed-point - closed| = {diff.max():.3e}"
     return artifact, summary, 0
 
@@ -382,7 +362,7 @@ def run(argv: list[str]) -> int:
             sys.stdout.write(artifact)
             print(summary, file=sys.stderr)
         return code
-    except (DomainError, ConvergenceError, BracketingError) as exc:
+    except (DomainError, ConvergenceError, BracketingError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack
 
 from .errors import ConvergenceError, DomainError
 from .geometry import ModelParams
@@ -177,6 +176,8 @@ def solve_generalized_eigen(
         raise DomainError(f"count must be in [1, {size // 4}] for {size} nodes")
     if np.any(op.weight <= 0):
         raise DomainError("mass weight must be positive")
+
+    from scipy.linalg import eigh_tridiagonal, lapack
 
     inv_sqrt_w = 1.0 / np.sqrt(op.weight)
     d = op.diag * inv_sqrt_w**2

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 
 from .errors import ConvergenceError, DomainError
 
@@ -157,12 +156,14 @@ def integrate(
     if math.isinf(a):
         a = -_truncation_radius(lambda x: f(-x), 1.0, cutoff)
 
+    from scipy.integrate import IntegrationWarning, quad
+
     limit = 50
     value = err = math.nan
     for _ in range(spec.max_refinements):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", _sci_integrate.IntegrationWarning)
-            value, err = _sci_integrate.quad(
+            warnings.simplefilter("ignore", IntegrationWarning)
+            value, err = quad(
                 f, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=limit
             )
         if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):

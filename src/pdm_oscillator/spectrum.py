@@ -42,11 +42,12 @@ def continuum_threshold(params: ModelParams) -> float:
     """Bottom omega^2/(2*lam) of the continuous spectrum.
 
     Returns math.inf for lam = 0 (undeformed oscillator: purely discrete
-    spectrum, no finite threshold).
+    spectrum, no finite threshold). Never forms omega^2, which may overflow
+    where the threshold itself fits in a double.
     """
     if params.lam == 0:
         return math.inf
-    return params.omega**2 / (2.0 * params.lam)
+    return params.omega / (2.0 * params.lam) * params.omega
 
 
 def effective_frequency(energy, params: ModelParams):
@@ -78,19 +79,20 @@ def _check_levels(n) -> np.ndarray:
 def energy_closed_form(n, params: ModelParams):
     """Bound-state energy of level n (accepts scalar or array n).
 
-    Evaluated as hbar*nu*omega^2 / (sqrt((hbar*lam*nu)^2 + omega^2)
-    + hbar*lam*nu) with nu = n + N/2, which is the cancellation-free
+    Evaluated as hbar*nu * omega/(hypot(hbar*lam*nu, omega) + hbar*lam*nu)
+    * omega with nu = n + N/2, which is the cancellation-free
     rearrangement of the textbook root and reduces to hbar*omega*nu
-    at lam = 0. Strictly increasing in n and always below the continuum
-    threshold.
+    at lam = 0. No intermediate exceeds max(hbar*nu, E_n), so omega^2
+    is never formed and the result is finite wherever those are.
+    Strictly increasing in n and always below the continuum threshold.
     """
     if params.omega <= 0:
         raise DomainError("discrete spectrum requires omega > 0")
     n = _check_levels(n)
     nu = n + params.dim / 2.0
     a = params.hbar * params.lam * nu
-    s = np.sqrt(a * a + params.omega**2)
-    out = params.hbar * nu * params.omega**2 / (s + a)
+    s = np.hypot(a, params.omega)
+    out = params.hbar * nu * (params.omega / (s + a)) * params.omega
     return out if out.ndim else float(out)
 
 
@@ -99,7 +101,9 @@ def threshold_gap(n, params: ModelParams):
 
     Equals omega^4 / (2*lam*(sqrt((hbar*lam*nu)^2+omega^2) + hbar*lam*nu)^2),
     which avoids the catastrophic cancellation of threshold - E_n near the
-    accumulation point. Returns +inf for lam = 0.
+    accumulation point. It is evaluated as threshold * (omega/root)^2, with
+    root the bracketed sum above, so omega^4 is never formed. Returns +inf
+    for lam = 0.
     """
     if params.omega <= 0:
         raise DomainError("discrete spectrum requires omega > 0")
@@ -109,8 +113,8 @@ def threshold_gap(n, params: ModelParams):
         return out if out.ndim else math.inf
     nu = n + params.dim / 2.0
     a = params.hbar * params.lam * nu
-    s = np.sqrt(a * a + params.omega**2)
-    out = params.omega**4 / (2.0 * params.lam * (s + a) ** 2)
+    ratio = params.omega / (np.hypot(a, params.omega) + a)
+    out = continuum_threshold(params) * ratio * ratio
     return out if out.ndim else float(out)
 
 
@@ -422,7 +426,9 @@ def spectrum_table(n_max: int, params: ModelParams) -> SpectrumTable:
     energy = np.atleast_1d(energy_closed_form(levels, params))
     gap = np.atleast_1d(threshold_gap(levels, params))
     nu = levels + params.dim / 2.0
-    omega_eff = np.sqrt(params.omega**2 - 2.0 * params.lam * energy)
+    omega_eff = params.omega * np.sqrt(
+        1.0 - 2.0 * (params.lam / params.omega) * (energy / params.omega)
+    )
     residual = np.abs(energy - params.hbar * omega_eff * nu)
     degen = [degeneracy(int(n), params.dim) for n in levels]
     return SpectrumTable(

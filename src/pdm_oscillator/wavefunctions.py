@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 
 from .errors import DomainError
 from .geometry import ModelParams
@@ -185,13 +184,15 @@ def weighted_inner_product(
         integrand = lambda q: f(q) * g(q) * (1.0 + lam * q * q)
         return integrate(integrand, (-math.inf, math.inf), spec).value
 
+    from scipy.integrate import nquad
+
     box = _decay_radius(f, params, "cartesian", spec.abs_tol * 1e-2)
 
     def integrand(*xs):
         q = np.array(xs)
         return f(q) * g(q) * (1.0 + lam * float(q @ q))
 
-    value, err = _sci_integrate.nquad(
+    value, err = nquad(
         integrand,
         [[-box, box]] * params.dim,
         opts={"epsabs": spec.abs_tol, "epsrel": spec.rel_tol},

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +52,24 @@ class TestSpectrumCommand:
         payload = json.loads(out.read_text())
         assert payload["config"]["lam"] == 0.02
         assert payload["config"]["command"] == "spectrum"
+        assert "out" not in payload["config"]
         assert len(payload["rows"]) == 4
+
+    def test_huge_scale_fits_in_double(self, tmp_path):
+        # omega^2 = 1e320 overflows, but every energy and gap is finite
+        out = tmp_path / "huge.csv"
+        code = cli.run(
+            ["spectrum", "--omega", "1e160", "--lambda", "1e20", "--n-max", "10",
+             "--out", str(out)]
+        )
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 11
+        for n, row in enumerate(rows):
+            # g = lam*hbar/omega = 1e-140, so E_n = omega*(n + 3/2) to rounding
+            assert float(row["energy"]) == pytest.approx(1e160 * (n + 1.5), rel=1e-15)
+            assert float(row["gap_to_threshold"]) == pytest.approx(5e299, rel=1e-15)
+            assert float(row["residual"]) <= 1e-15 * float(row["energy"])
 
 
 class TestEffectivePotentialCommand:
@@ -146,18 +167,16 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
         # verify-all runs the real battery code on its sub-second checks.
-        # Both runs write to one path because the JSON config embeds --out.
         monkeypatch.setattr(verify, "ALL_CHECKS", (
             verify.check_effective_minimum,
             verify.check_spectrum_self_consistency,
             verify.check_degeneracy,
             verify.check_generic_deformation,
         ))
-        out = tmp_path / "verify.json"
-        assert cli.run(["verify-all", "--out", str(out)]) == 0
-        first = out.read_bytes()
-        assert cli.run(["verify-all", "--out", str(out)]) == 0
-        assert out.read_bytes() == first
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.run(["verify-all", "--out", str(a)]) == 0
+        assert cli.run(["verify-all", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestErrorPaths:
@@ -197,6 +216,15 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["deform", "oracle"])
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        argv = [command, "--omega", "1e160", "--lambda", "1e20", "--out", str(out)]
+        assert cli.run(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
 
 class TestVerifyAll:
     def test_failure_sets_exit_code_two(self, tmp_path, monkeypatch):
@@ -227,3 +255,28 @@ class TestVerifyAll:
         assert payload["all_passed"] is True
         # non-finite detail values are serialized as null for strict JSON
         assert payload["results"][0]["details"]["extra"] is None
+
+
+class TestImportHygiene:
+    SCRIPT = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import pdm_oscillator
+import pdm_oscillator.cli
+assert not scipy_modules(), f"import loads {scipy_modules()}"
+assert pdm_oscillator.cli.run(["spectrum", "--n-max", "5", "--out", sys.argv[1]]) == 0
+assert not scipy_modules(), f"spectrum loads {scipy_modules()}"
+"""
+
+    def test_closed_form_commands_load_no_scipy(self, tmp_path):
+        # a fresh interpreter: this test process has loaded scipy long ago
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "s.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -92,6 +92,17 @@ class TestClosedForm:
         assert np.all(energy > 0)
         assert np.all(energy < continuum_threshold(P3))
 
+    def test_huge_scale_stays_finite(self):
+        # omega^2 and hbar*nu*omega overflow, but g = lam*hbar/omega = 1e50
+        # puts every level at the threshold omega^2/(2 lam) = 5e299, with a
+        # gap omega^4/(8 lam^3 hbar^2 nu^2) = 1e200/(8 nu^2)
+        p = ModelParams(lam=1e100, omega=1e200, hbar=1e150, dim=3)
+        levels = np.arange(4)
+        nu = levels + 1.5
+        assert continuum_threshold(p) == pytest.approx(5e299, rel=1e-15)
+        np.testing.assert_allclose(energy_closed_form(levels, p), 5e299, rtol=1e-15)
+        np.testing.assert_allclose(threshold_gap(levels, p), 1e200 / (8.0 * nu**2), rtol=1e-14)
+
     def test_rejects_zero_omega(self):
         with pytest.raises(DomainError):
             energy_closed_form(0, ModelParams(lam=0.1, omega=0.0))
