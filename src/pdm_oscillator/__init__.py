@@ -44,14 +44,7 @@ from .oracle import (
     oracle_report,
     solve_generalized_eigen,
 )
-from .specfun import (
-    QuadKind,
-    QuadratureSpec,
-    hermite,
-    hermite_function,
-    integrate,
-    laguerre,
-)
+from .specfun import hermite_function, integrate, laguerre
 from .spectrum import (
     BaseSpectrum,
     QuantumState,

@@ -1,11 +1,12 @@
 """Command-line front end emitting reproducible CSV/JSON artifacts.
 
-Every command takes the shared model flags (--lambda --omega --hbar --dim)
-plus command-specific options, writes one artifact (CSV by default), and
-prints a one-line summary. Exit codes: 0 success, 1 parse/domain error,
-2 verification failure (verify-all only). Outputs contain no timestamps
-and all randomness is seed-fixed, so identical invocations produce
-byte-identical artifacts.
+Every command but verify-all takes the shared model flags (--lambda
+--omega --hbar --dim --out --format) plus command-specific options;
+verify-all takes only --out. Each command writes one artifact (CSV by
+default; JSON for verify-all) and prints a one-line summary. Exit codes:
+0 success, 1 parse/domain error, 2 verification failure (verify-all only).
+Outputs contain no timestamps and all randomness is seed-fixed, so
+identical invocations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -52,18 +53,20 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseError(message)
 
 
+def _add_out_flag(p: _Parser) -> None:
+    p.add_argument("--out", type=str, default=None,
+                   help="output path (default: artifact to stdout)")
+
+
 def _add_model_flags(p: _Parser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=0.02,
                    help="deformation strength (default 0.02)")
     p.add_argument("--omega", type=float, default=1.0, help="frequency (default 1)")
     p.add_argument("--hbar", type=float, default=1.0, help="action quantum (default 1)")
     p.add_argument("--dim", type=int, default=3, help="spatial dimension (default 3)")
-    p.add_argument("--out", type=str, default=None,
-                   help="output path (default: artifact to stdout)")
+    _add_out_flag(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="artifact format (default csv)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="solver tolerance override")
 
 
 def build_parser() -> _Parser:
@@ -94,6 +97,8 @@ def build_parser() -> _Parser:
     p.add_argument("--p0", type=str, default=None, help="comma-separated momenta")
     p.add_argument("--t-end", type=float, default=20.0)
     p.add_argument("--samples", type=int, default=2001)
+    p.add_argument("--tol", type=float, default=None,
+                   help="integrator tolerance (default 1e-10)")
 
     p = sub.add_parser("effective-potential", help="sample the radial effective potential")
     _add_model_flags(p)
@@ -111,9 +116,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("deform", help="generic fixed-point solver vs closed form")
     _add_model_flags(p)
     p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--tol", type=float, default=None,
+                   help="fixed-point tolerance (default 1e-12 omega^2)")
 
     p = sub.add_parser("verify-all", help="run the full acceptance battery")
-    _add_model_flags(p)
+    _add_out_flag(p)
     return parser
 
 
@@ -297,7 +304,7 @@ def _cmd_deform(args, params) -> tuple[str, str, int]:
     return artifact, summary, 0
 
 
-def _cmd_verify_all(args, params) -> tuple[str, str, int]:
+def _cmd_verify_all(args) -> tuple[str, str, int]:
     results = run_all()
     all_passed = all(r.passed for r in results)
     payload = {
@@ -321,7 +328,6 @@ _COMMANDS = {
     "effective-potential": _cmd_effective_potential,
     "geometry": _cmd_geometry,
     "deform": _cmd_deform,
-    "verify-all": _cmd_verify_all,
 }
 
 
@@ -348,13 +354,13 @@ def run(argv: list[str]) -> int:
         return 1
 
     try:
-        params = ModelParams(
-            lam=args.lam, omega=args.omega, hbar=args.hbar, dim=args.dim
-        )
-        # verify-all is JSON-only
         if args.command == "verify-all":
-            args.format = "json"
-        artifact, summary, code = _COMMANDS[args.command](args, params)
+            artifact, summary, code = _cmd_verify_all(args)
+        else:
+            params = ModelParams(
+                lam=args.lam, omega=args.omega, hbar=args.hbar, dim=args.dim
+            )
+            artifact, summary, code = _COMMANDS[args.command](args, params)
         if args.out is not None:
             _write_atomic(args.out, artifact)
             print(summary)

@@ -6,15 +6,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine failed to reach the requested tolerance.
-
-    Carries the last estimate so callers can still inspect it.
-    """
-
-    def __init__(self, message, estimate=None, error=None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error = error
+    """An iterative routine failed to reach the requested tolerance."""
 
 
 class BracketingError(RuntimeError):

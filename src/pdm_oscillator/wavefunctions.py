@@ -6,6 +6,11 @@ one width and distinct levels have distinct widths. Normalization is
 taken in the weighted space L^2((1 + lam*q^2) dq) where the Hamiltonian
 is self-adjoint; the measure for the radial family is
 (1 + lam*r^2) r^(N-1) dr with the angular factor assumed orthonormal.
+
+`normalize` uses the closed-form weighted norms. `weighted_inner_product`
+never reads them: it integrates the product of two states, a polynomial
+times a Gaussian, with an exact Gauss rule, so a Gram matrix of normalized
+states is an independent check on the closed forms.
 """
 
 from __future__ import annotations
@@ -18,47 +23,24 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import ModelParams
-from .specfun import (
-    QuadKind,
-    QuadratureSpec,
-    hermite,
-    hermite_function,
-    integrate,
-    laguerre,
-)
+from .specfun import hermite_function, integrate, laguerre
 from .spectrum import QuantumState, continuum_threshold
 
 __all__ = [
     "CartesianEigenfunction",
     "RadialEigenfunction",
-    "cartesian_factor",
     "weighted_inner_product",
     "normalize",
 ]
 
-# Above this order the bare polynomial-times-Gaussian product overflows,
-# so factors switch to the orthonormal Hermite-function recurrence (same
-# shape, different constant; normalize() fixes the physical scale).
-_PLAIN_ORDER_MAX = 50
-
-_DEFAULT_SPEC = QuadratureSpec(kind=QuadKind.HALF_LINE_DECAY)
-
-
-def cartesian_factor(n: int, x):
-    """One-dimensional factor H_n(x) exp(-x^2/2), overflow-safe for large n."""
-    if n <= _PLAIN_ORDER_MAX:
-        x = np.asarray(x, dtype=float)
-        out = hermite(n, x) * np.exp(-0.5 * x * x)
-        return out if np.ndim(out) else float(out)
-    return hermite_function(n, x)
-
 
 @dataclass(frozen=True)
 class CartesianEigenfunction:
-    """Product eigenfunction prod_i H_{n_i}(beta q_i) exp(-beta^2 q_i^2 / 2).
+    """Product eigenfunction prod_i h_{n_i}(beta q_i).
 
-    norm_constant multiplies the raw product; call `normalize` to fix it so
-    the weighted norm is 1.
+    h_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)) is the orthonormal
+    Hermite function. norm_constant multiplies the raw product; call
+    `normalize` to fix it so the weighted norm is 1.
     """
 
     state: QuantumState
@@ -88,7 +70,7 @@ class CartesianEigenfunction:
         q = self._positions(q)
         out = np.full(q.shape[:-1], self.norm_constant)
         for i, n_i in enumerate(self.state.n_tuple):
-            out = out * cartesian_factor(n_i, self.state.beta * q[..., i])
+            out = out * hermite_function(n_i, self.state.beta * q[..., i])
         return out if out.ndim else float(out)
 
 
@@ -135,102 +117,78 @@ class RadialEigenfunction:
         return out if out.ndim else float(out)
 
 
-def _decay_radius(f, params: ModelParams, kind: str, cutoff: float) -> float:
-    if kind == "radial":
-        probe = lambda r: f(r) ** 2 * (1.0 + params.lam * r * r) * r ** (params.dim - 1)
-    else:
-        probe = lambda r: sum(
-            f(r * e) ** 2 * (1.0 + params.lam * r * r)
-            for e in np.eye(params.dim)
-        )
-    r = 1.0
-    for _ in range(64):
-        if abs(probe(r)) < cutoff and abs(probe(1.4 * r)) < cutoff:
-            return 2.0 * r
-        r *= 2.0
-    raise DomainError("integrand does not appear to decay")
-
-
-def weighted_inner_product(
-    f,
-    g,
-    params: ModelParams,
-    kind: str | None = None,
-    spec: QuadratureSpec | None = None,
-) -> float:
+def weighted_inner_product(f, g, params: ModelParams) -> float:
     """Scalar product <f|g> in the weighted space where H is self-adjoint.
 
-    kind "cartesian": integral of f*g*(1 + lam*|q|^2) over R^N (iterated
-    adaptive quadrature for N >= 2, so keep N small there);
-    kind "radial": integral of f*g*(1 + lam*r^2) r^(N-1) over (0, inf).
-    When kind is None it is inferred from the operand types.
+    Both operands are eigenfunctions of one family. Cartesian: the integral
+    of f*g*(1 + lam*|q|^2) over R^N, taken as sums and products of
+    one-dimensional Gauss-Hermite integrals. Radial: the integral of
+    f*g*(1 + lam*r^2) r^(N-1) over (0, inf) by one generalized Gauss-Laguerre
+    rule. Each rule is scaled to the combined width s^2 = (beta_f^2 +
+    beta_g^2)/2 and sized from the polynomial degrees, so it is exact.
     """
-    if spec is None:
-        spec = _DEFAULT_SPEC
-    if kind is None:
-        if isinstance(f, RadialEigenfunction) or isinstance(g, RadialEigenfunction):
-            kind = "radial"
-        else:
-            kind = "cartesian"
-
-    lam = params.lam
-    if kind == "radial":
-        integrand = lambda r: f(r) * g(r) * (1.0 + lam * r * r) * r ** (params.dim - 1)
-        return integrate(integrand, (0.0, math.inf), spec).value
-    if kind != "cartesian":
-        raise DomainError(f"unknown inner-product kind {kind!r}")
-
-    if params.dim == 1:
-        integrand = lambda q: f(q) * g(q) * (1.0 + lam * q * q)
-        return integrate(integrand, (-math.inf, math.inf), spec).value
-
-    from scipy.integrate import nquad
-
-    box = _decay_radius(f, params, "cartesian", spec.abs_tol * 1e-2)
-
-    def integrand(*xs):
-        q = np.array(xs)
-        return f(q) * g(q) * (1.0 + lam * float(q @ q))
-
-    value, err = nquad(
-        integrand,
-        [[-box, box]] * params.dim,
-        opts={"epsabs": spec.abs_tol, "epsrel": spec.rel_tol},
-    )
-    return value
-
-
-def _weighted_norm_squared(f, spec: QuadratureSpec) -> float:
-    """Weighted norm^2, using the product structure for Cartesian states."""
-    params = f.params
+    if type(f) is not type(g) or not isinstance(f, (CartesianEigenfunction, RadialEigenfunction)):
+        raise DomainError("the inner product needs two eigenfunctions of one family")
     lam = params.lam
     if isinstance(f, RadialEigenfunction):
-        return weighted_inner_product(f, f, params, kind="radial", spec=spec)
+        s_sq = 0.5 * (f.beta**2 + g.beta**2)
 
-    beta = f.state.beta
-    flat = []
-    second = []
-    for n_i in f.state.n_tuple:
-        h = lambda q, n_i=n_i: cartesian_factor(n_i, beta * q) ** 2
-        flat.append(integrate(h, (-math.inf, math.inf), spec).value)
-        second.append(
-            integrate(lambda q: q * q * h(q), (-math.inf, math.inf), spec).value
+        def integrand(x):
+            # x = s^2 r^2, and dr/dx = 1 / (2 s^2 r)
+            r = np.sqrt(x / s_sq)
+            return f(r) * g(r) * (1.0 + lam * r * r) * r ** (params.dim - 2) / (2.0 * s_sq)
+
+        alpha = 0.5 * (f.l + g.l + params.dim - 2)
+        return integrate(integrand, f.k + g.k + 1, alpha)
+
+    beta_f, beta_g = f.state.beta, g.state.beta
+    s = math.sqrt(0.5 * (beta_f**2 + beta_g**2))
+    flat = []  # integral of the factor pair over q_i
+    second = []  # the same with q_i^2
+    for n_f, n_g in zip(f.state.n_tuple, g.state.n_tuple):
+        # x = s q
+        pair = lambda x, n_f=n_f, n_g=n_g: (
+            hermite_function(n_f, beta_f / s * x) * hermite_function(n_g, beta_g / s * x) / s
         )
-    total = float(np.prod(flat))
-    for j in range(len(flat)):
-        total += lam * second[j] * float(np.prod(flat[:j] + flat[j + 1 :]))
-    return f.norm_constant**2 * total
+        flat.append(integrate(pair, n_f + n_g))
+        second.append(integrate(lambda x, pair=pair: (x / s) ** 2 * pair(x), n_f + n_g + 2))
+    total = math.prod(flat)
+    for j, b in enumerate(second):
+        total += lam * b * math.prod(flat[:j] + flat[j + 1 :])
+    return f.norm_constant * g.norm_constant * total
 
 
-def normalize(f, spec: QuadratureSpec | None = None):
+def _log_norm_squared(f) -> float:
+    """Log of the closed-form weighted norm^2 of f, at norm_constant 1.
+
+    With orthonormal Hermite factors a Cartesian state has norm^2
+    beta^-N (1 + (lam/beta^2) sum(n_i + 1/2)); a radial state with
+    alpha = l + (N-2)/2 has Gamma(k+alpha+1) / (2 k! beta^(2 alpha+2))
+    * (1 + lam (2k+alpha+1)/beta^2).
+    """
+    lam = f.params.lam
+    if isinstance(f, RadialEigenfunction):
+        alpha = f.laguerre_parameter
+        return (
+            math.lgamma(f.k + alpha + 1)
+            - math.lgamma(f.k + 1)
+            - math.log(2.0)
+            - (2 * alpha + 2) * math.log(f.beta)
+            + math.log1p(lam * (2 * f.k + alpha + 1) / f.beta**2)
+        )
+    beta = f.state.beta
+    return -f.params.dim * math.log(beta) + math.log1p(
+        lam / beta**2 * sum(n + 0.5 for n in f.state.n_tuple)
+    )
+
+
+def normalize(f):
     """Return a copy of the eigenfunction with unit weighted norm.
 
-    Idempotent up to quadrature tolerance; raises DomainError for an
-    identically zero function.
+    The norm is the closed form of `_log_norm_squared`, with no quadrature.
+    Raises DomainError for a zero or non-finite norm_constant.
     """
-    if spec is None:
-        spec = _DEFAULT_SPEC
-    norm_sq = _weighted_norm_squared(f, spec)
-    if not math.isfinite(norm_sq) or norm_sq <= 0:
-        raise DomainError("cannot normalize a function with vanishing norm")
-    return dataclasses.replace(f, norm_constant=f.norm_constant / math.sqrt(norm_sq))
+    if f.norm_constant == 0 or not math.isfinite(f.norm_constant):
+        raise DomainError("cannot normalize a function with vanishing or non-finite norm")
+    scale = math.exp(-0.5 * _log_norm_squared(f))
+    return dataclasses.replace(f, norm_constant=math.copysign(scale, f.norm_constant))

@@ -52,7 +52,7 @@ class TestSpectrumCommand:
         payload = json.loads(out.read_text())
         assert payload["config"]["lam"] == 0.02
         assert payload["config"]["command"] == "spectrum"
-        assert "out" not in payload["config"]
+        assert "out" not in payload["config"] and "tol" not in payload["config"]
         assert len(payload["rows"]) == 4
 
     def test_huge_scale_fits_in_double(self, tmp_path):
@@ -216,6 +216,17 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "--tol", "1e-3"], ["verify-all", "--lambda", "0.5"]],
+        ids=["spectrum-tol", "verify-all-lambda"],
+    )
+    def test_unread_flag_is_one_error_line(self, capsys, argv):
+        # --tol is read by classical and deform only; verify-all takes --out alone
+        assert cli.run(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     @pytest.mark.parametrize("command", ["deform", "oracle"])
     def test_overflow_is_one_error_line(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"
@@ -269,6 +280,8 @@ import pdm_oscillator.cli
 assert not scipy_modules(), f"import loads {scipy_modules()}"
 assert pdm_oscillator.cli.run(["spectrum", "--n-max", "5", "--out", sys.argv[1]]) == 0
 assert not scipy_modules(), f"spectrum loads {scipy_modules()}"
+assert pdm_oscillator.cli.run(["wavefunction", "--k", "2", "--l", "1", "--out", sys.argv[2]]) == 0
+assert not scipy_modules(), f"wavefunction loads {scipy_modules()}"
 """
 
     def test_closed_form_commands_load_no_scipy(self, tmp_path):
@@ -276,7 +289,7 @@ assert not scipy_modules(), f"spectrum loads {scipy_modules()}"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "s.csv")],
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "s.csv"), str(tmp_path / "w.csv")],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,11 @@
 import math
+import timeit
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pdm_oscillator import (
@@ -12,6 +16,8 @@ from pdm_oscillator import (
     RadialEigenfunction,
     effective_frequency,
     normalize,
+    verify,
+    wavefunctions,
     weighted_inner_product,
 )
 from pdm_oscillator.oracle import second_derivative
@@ -136,8 +142,55 @@ class TestWeightedInnerProduct:
 
     def test_unknown_kind_rejected(self):
         f = normalize(CartesianEigenfunction.from_occupations((0,), P1))
+        g = normalize(RadialEigenfunction.from_quantum_numbers(0, 0, P1))
         with pytest.raises(DomainError):
-            weighted_inner_product(f, f, P1, kind="angular")
+            weighted_inner_product(f, g, P1)
+        with pytest.raises(DomainError):
+            weighted_inner_product(f, lambda q: np.exp(-q * q), P1)
+
+    @pytest.mark.parametrize(
+        "lam,omega,hbar,dim,k,l",
+        [(5.0, 0.05, 12.0, 3, 3, 3), (1.0, 0.1, 10.0, 8, 1, 2)],
+    )
+    def test_narrow_radial_state_unit_norm(self, lam, omega, hbar, dim, k, l):
+        # beta ~ 4e-4 for the first state: the integrand is ~1e-38 at r = 1,
+        # so a quadrature that truncates where it falls below an absolute
+        # cutoff returns ~1e-36 instead of 1
+        p = ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim)
+        f = normalize(RadialEigenfunction.from_quantum_numbers(k, l, p))
+        assert weighted_inner_product(f, f, p) == pytest.approx(1.0, abs=1e-12)
+
+    def test_gauss_rule_matches_high_precision_quadrature(self):
+        # near the continuum edge (lam*hbar/omega ~ 2000) states of distinct
+        # levels built from float beta overlap by ~6e-8; a 50-digit adaptive
+        # quadrature of the same states confirms the Gauss rule's value
+        p = ModelParams(lam=8.0, omega=0.015, hbar=4.0, dim=4)
+        f = normalize(RadialEigenfunction.from_quantum_numbers(1, 1, p))
+        g = normalize(RadialEigenfunction.from_quantum_numbers(3, 1, p))
+
+        def state(h, r):
+            x = (mpmath.mpf(h.beta) * r) ** 2
+            return (
+                mpmath.mpf(h.norm_constant) * r**h.l * mpmath.exp(-x / 2)
+                * mpmath.laguerre(h.k, h.laguerre_parameter, x)
+            )
+
+        with mpmath.workdps(50):
+            s = mpmath.sqrt((mpmath.mpf(f.beta) ** 2 + mpmath.mpf(g.beta) ** 2) / 2)
+            exact = mpmath.quad(
+                lambda r: state(f, r) * state(g, r) * (1 + mpmath.mpf(p.lam) * r * r)
+                * r ** (p.dim - 1),
+                [0, 1 / s, 3 / s, 6 / s, 10 / s, mpmath.inf],
+            )
+        value = weighted_inner_product(f, g, p)
+        assert abs(float(exact)) > 1e-8
+        assert value == pytest.approx(float(exact), abs=1e-14)
+
+    def test_high_order_self_product_is_fast(self):
+        f = CartesianEigenfunction.from_occupations((200,), P1)
+        run = lambda: weighted_inner_product(normalize(f), normalize(f), P1)
+        assert run() == pytest.approx(1.0, abs=1e-12)
+        assert min(timeit.repeat(run, number=1, repeat=3)) < 0.1
 
 
 class TestNormalize:
@@ -150,7 +203,7 @@ class TestNormalize:
         p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=1)
         f = normalize(CartesianEigenfunction.from_occupations((0,), p))
         beta = f.state.beta
-        assert f.norm_constant == pytest.approx((beta**2 / math.pi) ** 0.25, rel=1e-10)
+        assert f(0.0) == pytest.approx((beta**2 / math.pi) ** 0.25, rel=1e-10)
 
     def test_radial_unit_norm(self):
         f = normalize(RadialEigenfunction.from_quantum_numbers(1, 2, P3))
@@ -192,3 +245,77 @@ class TestFactorEquation:
             psi[interior]
         )
         assert residual < 1e-6
+
+
+class TestGramIndependence:
+    def test_orthonormality_check_catches_a_wrong_norm(self, monkeypatch):
+        # the Gram check integrates the states itself, so a closed-form norm
+        # that is 1% off shows up as a diagonal entry 1% away from 1
+        closed_form = wavefunctions._log_norm_squared
+        monkeypatch.setattr(
+            wavefunctions, "_log_norm_squared", lambda f: closed_form(f) + math.log(1.01)
+        )
+        result = verify.check_orthonormality()
+        assert not result.passed
+        assert result.measured == pytest.approx(0.01 / 1.01, rel=1e-6)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+MODELS = st.builds(
+    ModelParams,
+    lam=log_uniform(1e-3, 10.0),
+    omega=log_uniform(1e-2, 10.0),
+    hbar=log_uniform(1e-2, 10.0),
+    dim=st.integers(1, 8),
+)
+QUANTA = st.integers(0, 3)
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def same_family_pairs(draw):
+    """Two unnormalized states of one family at one set of parameters."""
+    p = draw(MODELS)
+    if draw(st.booleans()):
+        occupations = st.tuples(*[QUANTA] * p.dim)
+        return p, [CartesianEigenfunction.from_occupations(draw(occupations), p) for _ in "fg"]
+    l = draw(QUANTA)
+    return p, [RadialEigenfunction.from_quantum_numbers(draw(QUANTA), l, p) for _ in "fg"]
+
+
+def level_width(f) -> float:
+    return f.beta if isinstance(f, RadialEigenfunction) else f.state.beta
+
+
+def level_energy(f) -> float:
+    return f.energy if isinstance(f, RadialEigenfunction) else f.state.energy
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(same_family_pairs())
+    def test_normalized_self_product_is_one(self, pair):
+        p, (f, _) = pair
+        f = normalize(f)
+        assert weighted_inner_product(f, f, p) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(same_family_pairs())
+    def test_distinct_levels_are_orthogonal(self, pair):
+        # The bound is 64 eps (omega/Omega)^2, Omega = hbar beta^2 taken at the
+        # narrower of the two levels. States carry beta = sqrt(Omega/hbar) with
+        # Omega = sqrt(omega^2 - 2 lam E), which cancels near the continuum
+        # edge: its relative error is about eps (omega/Omega)^2, and the overlap
+        # of two normalized states moves by about that much times their order.
+        # Near lam*hbar/omega ~ 2000 that is ~1e-7, a true overlap of the float-
+        # beta states (see test_gauss_rule_matches_high_precision_quadrature).
+        # Away from the edge what remains is the rounding of the Gauss sums,
+        # which stays under 15 eps for random pairs over these ranges.
+        p, (f, g) = pair
+        assume(level_energy(f) != level_energy(g))
+        f, g = normalize(f), normalize(g)
+        omega_ratio = p.omega / (p.hbar * min(level_width(f), level_width(g)) ** 2)
+        assert abs(weighted_inner_product(f, g, p)) < 64 * EPS * omega_ratio**2
