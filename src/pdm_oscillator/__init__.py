@@ -18,6 +18,7 @@ from .classical import (
     conserved_series,
     conserved_set,
     estimate_radial_period,
+    exact_orbit,
     hamiltonian,
     integrate_orbit,
 )

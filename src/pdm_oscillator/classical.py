@@ -7,7 +7,8 @@ the motion into a flat oscillator. The integrator is a plain adaptive
 embedded Runge-Kutta pair (not symplectic) that never reads the closed-form
 orbit, which makes conservation along trajectories a genuine numerical test
 rather than an artifact of the scheme. It integrates one orbit or a batch of
-orbits as one stacked system.
+orbits as one stacked system. The exact orbit, also from the flat-time
+change, is there for cross-checks only.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "integrate_orbits",
     "integrate_orbit",
     "estimate_radial_period",
+    "exact_orbit",
     "closure_check",
 ]
 
@@ -192,6 +194,8 @@ def hamilton_rhs(params: ModelParams):
 
 
 _CONTROL_FLOOR = 2.5e-14
+_EPS = float(np.finfo(float).eps)
+_NEWTON_ITERATIONS = 100
 
 
 def integrate_orbits(
@@ -310,16 +314,67 @@ def estimate_radial_period(initial: PhaseState, params: ModelParams) -> float:
     return math.pi / omega_eff * (1.0 + params.lam * energy / omega_eff_sq)
 
 
-def closure_check(
-    traj: Trajectory, tol: float = 1e-6, max_multiples: int = 8
-) -> tuple[bool, float | None]:
-    """Detect orbit closure: smallest T with |z(t0+T) - z(t0)| < tol.
+def exact_orbit(
+    state: PhaseState, params: ModelParams, times
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact orbit through `state`: positions and momenta at `times`.
 
-    Scans multiples (up to max_multiples) of the closed-form radial period
-    at the trajectory's first point, refining each candidate against the
-    dense interpolant. Unbounded trajectories report (False, None); a
-    trajectory shorter than one full period (two radial periods) cannot
-    show its first return and raises DomainError.
+    In flat time tau, dt = (1 + lam q^2) d tau, the orbit is the flat
+    oscillator q(tau) = q0 cos(Omega tau) + (p0 / Omega) sin(Omega tau) of
+    frequency Omega = sqrt(omega^2 - 2 lam E), and p = dq/d tau. With
+    A = |q0|^2, B = |p0|^2 / Omega^2 and C = q0.p0 / Omega,
+
+        t(tau) = tau (1 + lam (A + B) / 2)
+                 + lam ((A - B) / (4 Omega) sin(2 Omega tau)
+                        + C / (2 Omega) (1 - cos(2 Omega tau))).
+
+    Its slope 1 + lam |q(tau)|^2 is at least 1, so Newton's method, kept
+    inside a bracket, inverts it. Only cross-checks read this; the
+    integrator never does.
+    """
+    energy = hamiltonian(state, params)
+    omega_eff_sq = params.omega**2 - 2.0 * params.lam * energy
+    if omega_eff_sq <= 0:
+        raise DomainError("energy at or above the escape threshold")
+    w = math.sqrt(omega_eff_sq)
+    q0, p0, lam = state.q, state.p, params.lam
+    a, b, c = q0 @ q0, (p0 @ p0) / omega_eff_sq, (q0 @ p0) / w
+    rate = 1.0 + 0.5 * lam * (a + b)
+    u, v = (a - b) / (4.0 * w), c / (2.0 * w)
+    # t(tau) - rate tau = lam (u sin 2 w tau + v (1 - cos 2 w tau)) lies within
+    # lam (v -+ amp), which brackets the root
+    amp = math.hypot(u, v)
+    s = np.asarray(times, dtype=float) - state.t
+    lo = (s - lam * (v + amp)) / rate
+    hi = (s - lam * (v - amp)) / rate
+    tau = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_ITERATIONS):
+        sin2, cos2 = np.sin(2.0 * w * tau), np.cos(2.0 * w * tau)
+        resid = rate * tau + lam * (u * sin2 + 2.0 * v * np.sin(w * tau) ** 2) - s
+        lo = np.where(resid < 0, tau, lo)
+        hi = np.where(resid > 0, tau, hi)
+        newton = tau - resid / (rate + 2.0 * w * lam * (u * cos2 + v * sin2))
+        step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
+        done = np.all(np.abs(step - tau) <= 4.0 * _EPS * (np.abs(step) + 1.0 / w))
+        tau = step
+        if done:
+            break
+    else:
+        raise ConvergenceError("flat-time inversion did not converge")
+    cos1, sin1 = np.cos(w * tau), np.sin(w * tau)
+    q = np.multiply.outer(cos1, q0) + np.multiply.outer(sin1, p0 / w)
+    p = np.multiply.outer(cos1, p0) - np.multiply.outer(sin1, w * q0)
+    return q, p
+
+
+def closure_check(traj: Trajectory, tol: float = 1e-6) -> tuple[bool, float | None]:
+    """Detect orbit closure: the return time near the closed-form period T.
+
+    Minimizes |z(t0 + t) - z(t0)| over t in [0.9 T, 1.1 T] against the dense
+    interpolant, with T the full period at the trajectory's first point;
+    the orbit is closed when that minimum is under tol. Unbounded
+    trajectories report (False, None); a trajectory shorter than T cannot
+    show its return and raises DomainError.
     """
     params = traj.params
     z0 = np.concatenate([traj.q[0], traj.p[0]])
@@ -328,9 +383,9 @@ def closure_check(
     if params.lam > 0 and energy >= continuum_threshold(params):
         return False, None
 
-    radial_period = estimate_radial_period(traj.state(0), params)
+    period = 2.0 * estimate_radial_period(traj.state(0), params)
     t_last = float(traj.t[-1])
-    if t_last - t0 < 2.0 * radial_period:
+    if t_last - t0 < period:
         raise DomainError("trajectory too short to reach its first return")
 
     from scipy.optimize import minimize_scalar
@@ -338,15 +393,12 @@ def closure_check(
     def miss(t_return):
         return float(np.linalg.norm(traj.phase_point(t_return) - z0))
 
-    for mult in range(1, max_multiples + 1):
-        candidate = t0 + mult * radial_period
-        window = 0.2 * radial_period
-        hi = min(candidate + window, t_last)
-        lo = candidate - window
-        if lo >= hi:
-            break
-        res = minimize_scalar(miss, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-12 * max(1.0, radial_period)})
-        if res.fun < tol:
-            return True, float(res.x - t0)
+    res = minimize_scalar(
+        miss,
+        bounds=(t0 + 0.9 * period, min(t0 + 1.1 * period, t_last)),
+        method="bounded",
+        options={"xatol": 1e-12 * max(1.0, period)},
+    )
+    if res.fun < tol:
+        return True, float(res.x - t0)
     return False, None

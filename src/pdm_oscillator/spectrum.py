@@ -160,9 +160,7 @@ def energy_implicit(n, params: ModelParams, tol: float | None = None):
     floor = 8.0 * np.finfo(float).eps * threshold * slope
     if np.any(resid > np.maximum(tol, floor)):
         raise ConvergenceError(
-            f"bisection residual {float(np.max(resid)):.3e} above tol {tol:.3e}",
-            estimate=root,
-            error=float(np.max(resid)),
+            f"bisection residual {float(np.max(resid)):.3e} above tol {tol:.3e}"
         )
     return root if root.ndim else float(root)
 
@@ -324,11 +322,7 @@ def solve_deformed_spectrum(
     ) / (min(root + delta, e_hi) - max(root - delta, 0.0))
     floor = 8.0 * np.finfo(float).eps * threshold * max(1.0, slope)
     if resid > max(tol, floor):
-        raise ConvergenceError(
-            f"fixed-point residual {resid:.3e} above tol {tol:.3e}",
-            estimate=root,
-            error=resid,
-        )
+        raise ConvergenceError(f"fixed-point residual {resid:.3e} above tol {tol:.3e}")
     return root
 
 

@@ -2,20 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdm_oscillator import (
     DomainError,
     EffectivePotentialSpec,
     ModelParams,
     PhaseState,
+    Trajectory,
+    classical,
     closure_check,
     conserved_series,
     conserved_set,
     continuum_threshold,
     effective_minimum,
     estimate_radial_period,
+    exact_orbit,
     hamiltonian,
     integrate_orbit,
+    verify,
 )
 from pdm_oscillator.classical import hamilton_rhs, integrate_orbits
 
@@ -318,6 +324,120 @@ class TestClosure:
         traj = integrate_orbit(state, P2, t_end=0.5, tol=1e-9, samples=101)
         with pytest.raises(DomainError):
             closure_check(traj, tol=1e-6)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def bounded_states(draw):
+    """A model over six decades of lam, omega and hbar, and a state on it
+    with energy up to 0.9 of the escape threshold, starting at a time within
+    ten periods of 0."""
+    params = ModelParams(
+        lam=draw(log_uniform(1e-3, 1e3)),
+        omega=draw(log_uniform(1e-3, 1e3)),
+        hbar=draw(log_uniform(1e-3, 1e3)),
+        dim=draw(st.integers(1, 8)),
+    )
+    energy = draw(st.floats(1e-3, 0.9)) * continuum_threshold(params)
+    omega_eff_sq = params.omega**2 - 2.0 * params.lam * energy
+    # |q0| up to the turning radius, where all energy is potential
+    radius = draw(st.floats(0.0, 1.0)) * math.sqrt(2.0 * energy / omega_eff_sq)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, v = rng.normal(size=(2, params.dim))
+    speed_sq = 2.0 * energy * (1.0 + params.lam * radius**2) - (params.omega * radius) ** 2
+    q = radius * u / np.linalg.norm(u)
+    p = math.sqrt(max(speed_sq, 0.0)) * v / np.linalg.norm(v)
+    # the start time is given in periods, so that t0 + T rounds no worse than T
+    period = 2.0 * estimate_radial_period(PhaseState(q=q, p=p), params)
+    return params, PhaseState(q=q, p=p, t=draw(st.floats(-10.0, 10.0)) * period)
+
+
+class TestExactOrbit:
+    def test_flat_limit(self):
+        omega = 1.7
+        p = ModelParams(lam=0.0, omega=omega, dim=3)
+        state = PhaseState(q=np.array([0.5, -1.0, 2.0]), p=np.array([1.0, 0.2, -0.7]))
+        t = np.linspace(0.0, 50.0, 997)
+        q, mom = exact_orbit(state, p, t)
+        c, s = np.cos(omega * t)[:, None], np.sin(omega * t)[:, None]
+        np.testing.assert_allclose(q, c * state.q + s * state.p / omega, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(mom, c * state.p - s * omega * state.q, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 0.3])
+    def test_returns_after_closed_form_period(self, lam):
+        p = ModelParams(lam=lam, omega=1.0, dim=2)
+        state = PhaseState(q=np.array([1.3, 0.2]), p=np.array([-0.1, 0.9]), t=1.5)
+        period = 2.0 * estimate_radial_period(state, p)
+        q, mom = exact_orbit(state, p, [state.t, state.t + period])
+        z0 = np.concatenate([state.q, state.p])
+        for z in (np.concatenate([q[0], mom[0]]), np.concatenate([q[1], mom[1]])):
+            assert np.linalg.norm(z - z0) < 1e-12 * np.linalg.norm(z0)
+
+    def test_escape_energy_rejected(self):
+        p = ModelParams(lam=0.25, omega=1.0, dim=2)  # threshold exactly 2
+        for speed in (2.0, 2.5):
+            state = PhaseState(q=np.zeros(2), p=np.array([speed, 0.0]))
+            with pytest.raises(DomainError):
+                exact_orbit(state, p, [1.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(bounded_states())
+    def test_conserved_along_orbit_and_closed(self, case):
+        params, state = case
+        period = 2.0 * estimate_radial_period(state, params)
+        t = state.t + np.linspace(0.0, period, 65)
+        q, mom = exact_orbit(state, params, t)
+        series = conserved_series(Trajectory(t=t, q=q, p=mom, params=params), params)
+        energy = hamiltonian(state, params)
+        r_max = np.max(np.linalg.norm(q, axis=1))
+        p_max = np.max(np.linalg.norm(mom, axis=1))
+        # scale of each constant: H; angular momenta squared; the I_i sum to 2H
+        scales = {"energy": energy, "c": (r_max * p_max) ** 2, "i": 2.0 * energy}
+        # H, C^(m) and C_(m) for m = 2..N, and I_1..I_N: they hold 2N-1
+        # independent constants
+        assert len(series) == 3 * params.dim - 1
+        for name, values in series.items():
+            scale = scales[name.split("_")[0]]
+            assert np.max(np.abs(values - values[0])) <= 1e-11 * scale, name
+        assert np.linalg.norm(q[-1] - state.q) <= 1e-12 * r_max
+        assert np.linalg.norm(mom[-1] - state.p) <= 1e-12 * p_max
+
+
+class TestCrossCheckIndependence:
+    def test_closure_criterion_sees_a_wrong_period(self, monkeypatch):
+        true_period = verify.estimate_radial_period
+        monkeypatch.setattr(
+            verify, "estimate_radial_period", lambda s, p: 1.001 * true_period(s, p)
+        )
+        result = verify.check_orbit_closure()
+        assert not result.passed
+        assert result.measured > 0
+
+    def test_integrator_never_reads_exact_orbit(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the exact orbit was read")
+
+        monkeypatch.setattr(classical, "exact_orbit", forbidden)
+        monkeypatch.setattr(verify, "exact_orbit", forbidden)
+        state = PhaseState(q=np.array([1.3, 0.2]), p=np.array([-0.1, 0.9]))
+        period = 2.0 * estimate_radial_period(state, P2)
+        (traj,) = integrate_orbits([state], P2, [period], tol=1e-11, samples=2)
+        assert np.linalg.norm(traj.q[-1] - state.q) < 1e-8
+        assert verify.check_orbit_closure().passed
+
+    def test_global_error_criterion_sees_a_shifted_orbit(self, monkeypatch):
+        def shifted(state, params, times):
+            q, p = exact_orbit(state, params, times)
+            return q + 1e-6, p
+
+        monkeypatch.setattr(verify, "exact_orbit", shifted)
+        conservation, global_error = verify.check_classical_conservation()
+        assert global_error.name == "classical-global-error"
+        assert conservation.passed
+        assert not global_error.passed
 
 
 class TestFunctionalIndependence:

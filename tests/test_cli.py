@@ -237,6 +237,18 @@ class TestErrorPaths:
         assert not out.exists()
 
 
+    def test_unconverged_solve_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        import pdm_oscillator.spectrum as spectrum_module
+
+        monkeypatch.setattr(spectrum_module, "_BISECT_ITERATIONS", 3)
+        out = tmp_path / "x.csv"
+        assert cli.run(["deform", "--n-max", "3", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "residual" in lines[0]
+        assert not out.exists()
+
+
 class TestVerifyAll:
     def test_failure_sets_exit_code_two(self, tmp_path, monkeypatch):
         fake = [

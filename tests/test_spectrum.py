@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import pdm_oscillator.spectrum as spectrum_module
 from pdm_oscillator import (
     BaseSpectrum,
     BracketingError,
+    ConvergenceError,
     DomainError,
     ModelParams,
     QuantumState,
@@ -284,6 +286,19 @@ class TestGenericDeformation:
             e = np.linspace(0.0, top, 2000)
             g = base.eval(np.sqrt(1.0 - 0.04 * e), n) - e
             assert int(np.sum(np.diff(np.sign(g)) != 0)) == 1
+
+
+class TestBisectionFailure:
+    # three halvings leave the bracket far wider than the residual tolerance
+    def test_implicit_solver_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum_module, "_BISECT_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError, match="residual"):
+            energy_implicit(np.arange(5), P3)
+
+    def test_fixed_point_solver_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum_module, "_BISECT_ITERATIONS", 3)
+        with pytest.raises(ConvergenceError, match="residual"):
+            solve_deformed_spectrum(harmonic_base(P3), 2, P3)
 
 
 class TestSpectrumTable:
