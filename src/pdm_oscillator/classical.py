@@ -9,12 +9,18 @@ orbit, which makes conservation along trajectories a genuine numerical test
 rather than an artifact of the scheme. It integrates one orbit or a batch of
 orbits as one stacked system. The exact orbit, also from the flat-time
 change, is there for cross-checks only.
+
+The pair is Dormand-Prince 5(4) (Dormand & Prince 1980) with Shampine's
+quartic dense output (Shampine 1986), written here in numpy with the
+tableau, error estimate and step-size controller of scipy's RK45, so that
+it takes the same steps while the classical layer loads no scipy module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +31,7 @@ from .spectrum import continuum_threshold
 __all__ = [
     "PhaseState",
     "ConservedSet",
+    "RKStats",
     "Trajectory",
     "hamiltonian",
     "conserved_set",
@@ -128,14 +135,30 @@ def conserved_set(state: PhaseState, params: ModelParams) -> ConservedSet:
 
 
 @dataclass(frozen=True)
+class RKStats:
+    """Work of one Runge-Kutta integration: right-hand side evaluations and
+    accepted and rejected steps. Each attempted step costs 6 evaluations,
+    and the start costs 2."""
+
+    nfev: int
+    accepted: int
+    rejected: int
+
+
+@dataclass(frozen=True)
 class Trajectory:
-    """Sampled orbit with optional dense interpolant for refinement."""
+    """Sampled orbit with optional dense interpolant for refinement.
+
+    `stats` is the work of the integration that produced the orbit; for an
+    orbit from a batch it covers the whole batch.
+    """
 
     t: np.ndarray
     q: np.ndarray
     p: np.ndarray
     params: ModelParams
     dense: object = None
+    stats: RKStats | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -170,7 +193,7 @@ def conserved_series(traj: Trajectory, params: ModelParams) -> dict[str, np.ndar
 
 
 def hamilton_rhs(params: ModelParams):
-    """Right-hand side of Hamilton's equations as a solve_ivp-compatible callable.
+    """Right-hand side of Hamilton's equations as a callable rhs(t, y).
 
     qdot = p / (1 + lam q^2)
     pdot = lam q (p^2 + omega^2 q^2)/(1 + lam q^2)^2 - omega^2 q/(1 + lam q^2)
@@ -197,6 +220,139 @@ _CONTROL_FLOOR = 2.5e-14
 _EPS = float(np.finfo(float).eps)
 _NEWTON_ITERATIONS = 100
 
+# Dormand-Prince 5(4): nodes, stage matrix, fifth-order weights, the
+# difference to the embedded fourth-order weights, and Shampine's quartic
+# dense-output matrix, as in scipy's RK45.
+_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+])
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([
+    -71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
+])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5  # the embedded error is of order 4 + 1
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _dense_powers(x):
+    """Rows x, x^2, x^3, x^4 of the quartic dense output."""
+    return np.cumprod(np.array((x, x, x, x)), axis=0)
+
+
+def _dopri45(fun, y0, grid, tol, dense):
+    """Integrate y' = fun(t, y) from grid[0] to grid[-1] by Dormand-Prince 5(4).
+
+    A step is accepted when the RMS of its error estimate, scaled by
+    tol + max(|y|, |y_new|) tol, is below 1. The next step is the current one
+    times 0.9 err^(-1/5), clamped to [0.2, 10], and never grows right after
+    a rejection; the first step follows Hairer, Norsett & Wanner, Sec. II.4.
+    A NaN error counts as a rejection, so a right-hand side that returns NaN
+    or inf shrinks the step until it falls below 10 ulp(t), where this
+    raises ConvergenceError; so does a NaN first step.
+
+    Returns the solution at `grid`, shape (len(y0), len(grid)), each sample
+    from the quartic of the step that contains it; with `dense`, the step
+    start times (plus the end), start states and quartics for
+    `_dense_value`, else None; and the work done.
+    """
+    t, t_end = float(grid[0]), float(grid[-1])
+    y = y0
+    samples = np.empty((len(y0), len(grid)))
+    k = np.empty((7, len(y0)))
+    f = fun(t, y)
+    scale = tol + np.abs(y) * tol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
+    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    h_abs = min(100 * h0, h1, t_end - t)
+    nfev, accepted, rejected = 2, 0, 0
+    steps = [] if dense else None
+    next_sample = 0
+    while t < t_end:
+        min_step = 10 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        step_rejected = False
+        while True:
+            if not h_abs >= min_step:  # also true of a NaN step
+                raise ConvergenceError(
+                    f"integration failed: step size fell below {min_step:.3g} "
+                    f"at {t:.6g} of [0, 1]"
+                )
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            k[0] = f
+            for s in range(1, 6):
+                k[s] = fun(t + _C[s] * h, y + np.dot(k[:s].T, _A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:-1].T, _B)
+            f_new = fun(t + h, y_new)
+            k[-1] = f_new
+            nfev += 6
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            error_norm = _rms(np.dot(k.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = (
+                    _MAX_FACTOR
+                    if error_norm == 0
+                    else min(_MAX_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+                )
+                h_abs *= min(1.0, factor) if step_rejected else factor
+                accepted += 1
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_ERROR_EXPONENT)
+            step_rejected = True
+            rejected += 1
+        stop = int(np.searchsorted(grid, t_new, side="right"))
+        if dense or stop > next_sample:
+            quartic = k.T.dot(_P)
+        if stop > next_sample:
+            powers = _dense_powers((grid[next_sample:stop] - t) / h)
+            samples[:, next_sample:stop] = h * np.dot(quartic, powers) + y[:, None]
+            next_sample = stop
+        if dense:
+            steps.append((t, y, quartic))
+        t, y, f = t_new, y_new, f_new
+    if dense:
+        times, starts, quartics = zip(*steps)
+        steps = (np.array(times + (t,)), np.array(starts), np.array(quartics))
+    return samples, steps, RKStats(nfev, accepted, rejected)
+
+
+def _dense_value(steps, rows, t0, span, time):
+    """Phase point of one orbit of a batch at `time`, from the quartic of the
+    step that contains it (the earlier step at a step boundary)."""
+    times, starts, quartics = steps
+    s = (time - t0) / span
+    i = min(max(int(np.searchsorted(times, s, side="left")) - 1, 0), len(starts) - 1)
+    h = times[i + 1] - times[i]
+    return h * np.dot(quartics[i, rows], _dense_powers((s - times[i]) / h)) + starts[i, rows]
+
 
 def integrate_orbits(
     states,
@@ -216,10 +372,11 @@ def integrate_orbits(
 
     Steps are accepted a safety decade below tol, so the local error per
     step genuinely stays under tol even after accumulation of the
-    controller's slack. solve_ivp accepts a step when the RMS of the
-    scaled error over all 2NM components is at most 1; the control is
-    divided by sqrt(M) so that each orbit's own error is held as tightly
-    as if it were integrated alone.
+    controller's slack. A step is accepted when the RMS of the scaled
+    error over all 2NM components is below 1; the control is divided by
+    sqrt(M) so that each orbit's own error is held as tightly as if it were
+    integrated alone. Every trajectory carries the work of the whole batch
+    as `stats`.
     """
     states = list(states)
     t_ends = np.asarray(t_ends, dtype=float)
@@ -250,38 +407,24 @@ def integrate_orbits(
     def stacked_rhs(s, y):
         return scale * rhs(s, y)
 
-    from scipy.integrate import solve_ivp
-
     y0 = np.concatenate([np.concatenate([state.q, state.p]) for state in states])
-    sol = solve_ivp(
-        stacked_rhs,
-        (0.0, 1.0),
-        y0,
-        method="RK45",
-        rtol=control,
-        atol=control,
-        dense_output=dense,
-        t_eval=np.linspace(0.0, 1.0, samples),
+    ys, steps, stats = _dopri45(
+        stacked_rhs, y0, np.linspace(0.0, 1.0, samples), control, dense
     )
-    if not sol.success:
-        raise ConvergenceError(f"integration failed: {sol.message}")
-
-    def interpolant(i):
-        if not dense:
-            return None
+    trajs = []
+    for i in range(len(states)):
         rows = slice(2 * n * i, 2 * n * (i + 1))
-        return lambda time: sol.sol((time - t0[i]) / spans[i])[rows]
-
-    return [
-        Trajectory(
-            t=np.linspace(t0[i], t_ends[i], samples),
-            q=sol.y[2 * n * i : 2 * n * i + n].T.copy(),
-            p=sol.y[2 * n * i + n : 2 * n * (i + 1)].T.copy(),
-            params=params,
-            dense=interpolant(i),
+        trajs.append(
+            Trajectory(
+                t=np.linspace(t0[i], t_ends[i], samples),
+                q=ys[rows][:n].T.copy(),
+                p=ys[rows][n:].T.copy(),
+                params=params,
+                dense=partial(_dense_value, steps, rows, t0[i], spans[i]) if dense else None,
+                stats=stats,
+            )
         )
-        for i in range(len(states))
-    ]
+    return trajs
 
 
 def integrate_orbit(

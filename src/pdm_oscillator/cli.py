@@ -21,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from .classical import PhaseState, conserved_series, integrate_orbit
+from .classical import PhaseState, conserved_series, integrate_orbits
 from .errors import BracketingError, ConvergenceError, DomainError
 from .geometry import (
     EffectivePotentialSpec,
@@ -224,8 +224,13 @@ def _cmd_classical(args, params) -> tuple[str, str, int]:
         p0 = np.zeros(dim)
         p0[min(1, dim - 1)] = 1.0
     tol = args.tol if args.tol is not None else 1e-10
-    traj = integrate_orbit(
-        PhaseState(q=q0, p=p0), params, t_end=args.t_end, tol=tol, samples=args.samples
+    (traj,) = integrate_orbits(
+        [PhaseState(q=q0, p=p0)],
+        params,
+        [args.t_end],
+        tol=tol,
+        samples=args.samples,
+        dense=False,
     )
     series = conserved_series(traj, params)
     cols = (

@@ -222,8 +222,10 @@ class QuantumState:
             raise DomainError("occupation numbers must be >= 0")
         n = sum(n_tuple)
         energy = energy_closed_form(n, params)
-        beta = math.sqrt(effective_frequency(energy, params) / params.hbar)
-        return cls(mode="cartesian", n=n, energy=energy, beta=beta, n_tuple=n_tuple)
+        return cls(
+            mode="cartesian", n=n, energy=energy, beta=_width(n, energy, params),
+            n_tuple=n_tuple,
+        )
 
     @classmethod
     def radial(cls, k: int, l: int, params: ModelParams) -> "QuantumState":
@@ -231,8 +233,20 @@ class QuantumState:
             raise DomainError("radial quantum numbers k, l must be integers >= 0")
         n = 2 * int(k) + int(l)
         energy = energy_closed_form(n, params)
-        beta = math.sqrt(effective_frequency(energy, params) / params.hbar)
-        return cls(mode="radial", n=n, energy=energy, beta=beta, k=int(k), l=int(l))
+        return cls(
+            mode="radial", n=n, energy=energy, beta=_width(n, energy, params),
+            k=int(k), l=int(l),
+        )
+
+
+def _width(n: int, energy: float, params: ModelParams) -> float:
+    """Gaussian width sqrt(Omega/hbar) of level n.
+
+    Omega = E/(hbar (n + N/2)) holds exactly by the self-consistent equation
+    and involves no cancellation; sqrt(omega^2 - 2 lam E) loses a relative
+    eps (omega/Omega)^2 near the continuum edge.
+    """
+    return math.sqrt(energy / (params.hbar * (n + params.dim / 2.0)) / params.hbar)
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,15 @@ def check_eigenfunction_residual() -> CheckResult:
     )
 
 
+def _rk_work(*stats) -> dict:
+    """Summed Runge-Kutta work of the given integrations, as detail entries."""
+    return {
+        "rk_nfev": sum(s.nfev for s in stats),
+        "rk_accepted_steps": sum(s.accepted for s in stats),
+        "rk_rejected_steps": sum(s.rejected for s in stats),
+    }
+
+
 def check_classical_conservation() -> list[CheckResult]:
     """Drift of all five constants plus the pointwise sum identity, N=3; and
     the same RK45 orbits against the exact flat-time orbit."""
@@ -309,7 +318,11 @@ def check_classical_conservation() -> list[CheckResult]:
             measured=worst_drift,
             expected="relative drift of 2N-1 constants and H over 10 radial periods",
             tolerance=1e-8,
-            details={"worst_identity": worst_identity, "identity_tolerance": 1e-12},
+            details={
+                "worst_identity": worst_identity,
+                "identity_tolerance": 1e-12,
+                **_rk_work(trajs[0].stats),
+            },
         ),
         CheckResult(
             name="classical-global-error",
@@ -326,7 +339,7 @@ def check_orbit_closure() -> CheckResult:
     """Random bounded N=2 orbits return to their start after the closed-form
     period; the flat control's measured period is 2*pi."""
     rng = np.random.default_rng(_CLOSURE_SEED)
-    misses = []
+    misses, batch_stats = [], []
     for lam in (0.01, 0.1):
         p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=2)
         states = [
@@ -335,6 +348,7 @@ def check_orbit_closure() -> CheckResult:
         ]
         periods = [2.0 * estimate_radial_period(state, p) for state in states]
         trajs = integrate_orbits(states, p, periods, tol=1e-11, samples=2, dense=False)
+        batch_stats.append(trajs[0].stats)
         for state, traj in zip(states, trajs):
             gap = np.concatenate([traj.q[-1] - state.q, traj.p[-1] - state.p])
             misses.append(float(np.linalg.norm(gap)))
@@ -342,7 +356,8 @@ def check_orbit_closure() -> CheckResult:
 
     p0 = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=2)
     control = PhaseState(q=np.array([1.2, 0.1]), p=np.array([-0.2, 0.8]))
-    traj0 = integrate_orbit(control, p0, t_end=5.0 * math.pi, tol=1e-11, samples=4001)
+    # closure_check searches [0.9 T, 1.1 T], so the orbit need not run past 1.1 T
+    traj0 = integrate_orbit(control, p0, t_end=2.2 * math.pi, tol=1e-11, samples=2)
     closed0, detected0 = closure_check(traj0, tol=1e-6)
     control_err = abs(detected0 - 2.0 * math.pi) if closed0 else math.inf
     return CheckResult(
@@ -355,6 +370,7 @@ def check_orbit_closure() -> CheckResult:
         details={
             "flat_control_period_error": control_err,
             "worst_miss": max(misses),
+            **_rk_work(*batch_stats, traj0.stats),
         },
     )
 

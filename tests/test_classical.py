@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdm_oscillator import (
+    ConvergenceError,
     DomainError,
     EffectivePotentialSpec,
     ModelParams,
@@ -273,6 +274,101 @@ class TestStackedIntegration:
         integrate_orbits([state], P2, [1.0], tol=1e-13)
         with pytest.raises(DomainError):
             integrate_orbits([state, state], P2, [1.0, 1.0], tol=1e-13)
+
+
+def counting_rhs(monkeypatch, after=None):
+    """Make classical.hamilton_rhs count the calls of its callable; from call
+    number `after` on, the callable returns NaN. A call budget stands in for
+    a timeout, so an integrator that never stops fails instead of hanging."""
+    calls = [0]
+    make_rhs = classical.hamilton_rhs
+
+    def patched(params):
+        rhs = make_rhs(params)
+
+        def counted(t, y):
+            calls[0] += 1
+            if calls[0] > 100_000:
+                raise RuntimeError("integration did not stop")
+            out = rhs(t, y)
+            return out if after is None or calls[0] <= after else np.full_like(out, np.nan)
+
+        return counted
+
+    monkeypatch.setattr(classical, "hamilton_rhs", patched)
+    return calls
+
+
+class TestDormandPrince:
+    @staticmethod
+    def scipy_rk45(states, params, t_ends, tol, samples, dense):
+        """The same stacked, rescaled system through scipy's RK45, with the
+        step control integrate_orbits derives from tol."""
+        from scipy.integrate import solve_ivp
+
+        n = params.dim
+        t0 = np.array([state.t for state in states])
+        scale = np.repeat(np.asarray(t_ends) - t0, 2 * n)
+        rhs = hamilton_rhs(params)
+        control = max(0.1 * tol, classical._CONTROL_FLOOR) / math.sqrt(len(states))
+        y0 = np.concatenate([np.concatenate([state.q, state.p]) for state in states])
+        return solve_ivp(
+            lambda s, y: scale * rhs(s, y),
+            (0.0, 1.0),
+            y0,
+            method="RK45",
+            rtol=control,
+            atol=control,
+            dense_output=dense,
+            t_eval=np.linspace(0.0, 1.0, samples),
+        )
+
+    @pytest.mark.parametrize("case", ["batch-of-20", "single-dense"])
+    def test_matches_scipy_rk45(self, monkeypatch, case):
+        rng = np.random.default_rng(29)
+        if case == "batch-of-20":
+            params, tol, samples, dense = P3, 1e-10, 401, False
+            states = [
+                PhaseState(q=rng.uniform(-2.5, 2.5, 3), p=rng.uniform(-2.0, 2.0, 3))
+                for _ in range(20)
+            ]
+            t_ends = [3.0 * estimate_radial_period(state, params) for state in states]
+        else:
+            # a loose tol and a strongly deformed orbit, so that steps get rejected
+            params, tol, samples, dense = ModelParams(lam=0.5, omega=1.0, dim=2), 1e-6, 101, True
+            states = [PhaseState(q=np.array([3.0, 0.0]), p=np.array([0.0, 0.3]), t=1.5)]
+            t_ends = [21.5]
+        sol = self.scipy_rk45(states, params, t_ends, tol, samples, dense)
+        calls = counting_rhs(monkeypatch)
+        trajs = integrate_orbits(states, params, t_ends, tol=tol, samples=samples, dense=dense)
+        stats = trajs[0].stats
+        assert all(traj.stats is stats for traj in trajs)
+        assert stats.nfev == sol.nfev == calls[0]
+        # 6 evaluations per attempted step, 2 at the start
+        assert stats.nfev == 2 + 6 * (stats.accepted + stats.rejected)
+        if dense:
+            assert stats.rejected > 0
+            assert stats.accepted == len(sol.sol.ts) - 1
+        else:
+            assert stats.rejected == 0
+        n = params.dim
+        for i, (state, t_end, traj) in enumerate(zip(states, t_ends, trajs)):
+            rows = slice(2 * n * i, 2 * n * (i + 1))
+            ref = sol.y[rows].T
+            bound = 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(np.hstack([traj.q, traj.p]) - ref)) <= bound
+            if dense:
+                for time in rng.uniform(state.t, t_end, 5):
+                    want = sol.sol((time - state.t) / (t_end - state.t))[rows]
+                    assert np.max(np.abs(traj.phase_point(time) - want)) <= bound
+
+    @pytest.mark.parametrize("after", [0, 5])
+    def test_nan_rhs_raises(self, monkeypatch, after):
+        calls = counting_rhs(monkeypatch, after=after)
+        state = PhaseState(q=np.array([1.3, 0.2]), p=np.array([-0.1, 0.9]))
+        with pytest.raises(ConvergenceError):
+            integrate_orbits([state], P2, [10.0], tol=1e-10, samples=11)
+        assert calls[0] > after
 
 
 class TestClosure:

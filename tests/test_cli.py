@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pdm_oscillator.cli as cli
-from pdm_oscillator import verify
+from pdm_oscillator import classical, verify
 from pdm_oscillator.verify import CheckResult
 
 
@@ -248,6 +249,29 @@ class TestErrorPaths:
         assert "residual" in lines[0]
         assert not out.exists()
 
+    def test_failed_integration_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        make_rhs = classical.hamilton_rhs
+        calls = [0]
+
+        def nan_after_five(params):
+            rhs = make_rhs(params)
+
+            def patched(t, y):
+                calls[0] += 1
+                if calls[0] > 100_000:  # stands in for a timeout
+                    raise RuntimeError("integration did not stop")
+                out = rhs(t, y)
+                return out if calls[0] <= 5 else np.full_like(out, np.nan)
+
+            return patched
+
+        monkeypatch.setattr(classical, "hamilton_rhs", nan_after_five)
+        out = tmp_path / "x.csv"
+        assert cli.run(["classical", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
 
 class TestVerifyAll:
     def test_failure_sets_exit_code_two(self, tmp_path, monkeypatch):
@@ -294,6 +318,8 @@ assert pdm_oscillator.cli.run(["spectrum", "--n-max", "5", "--out", sys.argv[1]]
 assert not scipy_modules(), f"spectrum loads {scipy_modules()}"
 assert pdm_oscillator.cli.run(["wavefunction", "--k", "2", "--l", "1", "--out", sys.argv[2]]) == 0
 assert not scipy_modules(), f"wavefunction loads {scipy_modules()}"
+assert pdm_oscillator.cli.run(["classical", "--t-end", "2", "--samples", "11", "--out", sys.argv[3]]) == 0
+assert not scipy_modules(), f"classical loads {scipy_modules()}"
 """
 
     def test_closed_form_commands_load_no_scipy(self, tmp_path):
@@ -301,7 +327,8 @@ assert not scipy_modules(), f"wavefunction loads {scipy_modules()}"
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "s.csv"), str(tmp_path / "w.csv")],
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "s.csv"), str(tmp_path / "w.csv"),
+             str(tmp_path / "c.csv")],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr

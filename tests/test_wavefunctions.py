@@ -161,9 +161,10 @@ class TestWeightedInnerProduct:
         assert weighted_inner_product(f, f, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_gauss_rule_matches_high_precision_quadrature(self):
-        # near the continuum edge (lam*hbar/omega ~ 2000) states of distinct
-        # levels built from float beta overlap by ~6e-8; a 50-digit adaptive
-        # quadrature of the same states confirms the Gauss rule's value
+        # near the continuum edge (lam*hbar/omega ~ 2000) a width from
+        # sqrt(omega^2 - 2 lam E) made distinct levels overlap by ~6e-8; with
+        # Omega from the closed form they are orthogonal, and a 50-digit
+        # adaptive quadrature of the same states confirms the Gauss rule's value
         p = ModelParams(lam=8.0, omega=0.015, hbar=4.0, dim=4)
         f = normalize(RadialEigenfunction.from_quantum_numbers(1, 1, p))
         g = normalize(RadialEigenfunction.from_quantum_numbers(3, 1, p))
@@ -183,7 +184,7 @@ class TestWeightedInnerProduct:
                 [0, 1 / s, 3 / s, 6 / s, 10 / s, mpmath.inf],
             )
         value = weighted_inner_product(f, g, p)
-        assert abs(float(exact)) > 1e-8
+        assert abs(float(exact)) < 1e-14
         assert value == pytest.approx(float(exact), abs=1e-14)
 
     def test_high_order_self_product_is_fast(self):
@@ -286,10 +287,6 @@ def same_family_pairs(draw):
     return p, [RadialEigenfunction.from_quantum_numbers(draw(QUANTA), l, p) for _ in "fg"]
 
 
-def level_width(f) -> float:
-    return f.beta if isinstance(f, RadialEigenfunction) else f.state.beta
-
-
 def level_energy(f) -> float:
     return f.energy if isinstance(f, RadialEigenfunction) else f.state.energy
 
@@ -305,17 +302,11 @@ class TestProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(same_family_pairs())
     def test_distinct_levels_are_orthogonal(self, pair):
-        # The bound is 64 eps (omega/Omega)^2, Omega = hbar beta^2 taken at the
-        # narrower of the two levels. States carry beta = sqrt(Omega/hbar) with
-        # Omega = sqrt(omega^2 - 2 lam E), which cancels near the continuum
-        # edge: its relative error is about eps (omega/Omega)^2, and the overlap
-        # of two normalized states moves by about that much times their order.
-        # Near lam*hbar/omega ~ 2000 that is ~1e-7, a true overlap of the float-
-        # beta states (see test_gauss_rule_matches_high_precision_quadrature).
-        # Away from the edge what remains is the rounding of the Gauss sums,
-        # which stays under 15 eps for random pairs over these ranges.
+        # States carry beta = sqrt(Omega/hbar) with Omega = E/(hbar (n + N/2)),
+        # exact by the self-consistent equation even at the continuum edge, so
+        # what remains is the rounding of the Gauss sums: at most 9 eps over
+        # these 300 examples.
         p, (f, g) = pair
         assume(level_energy(f) != level_energy(g))
         f, g = normalize(f), normalize(g)
-        omega_ratio = p.omega / (p.hbar * min(level_width(f), level_width(g)) ** 2)
-        assert abs(weighted_inner_product(f, g, p)) < 64 * EPS * omega_ratio**2
+        assert abs(weighted_inner_product(f, g, p)) < 16 * EPS
