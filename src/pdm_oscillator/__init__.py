@@ -37,8 +37,6 @@ from .geometry import (
 from .oracle import (
     DiscretizedOperator,
     RadialGrid,
-    SquareGrid,
-    commutation_residual_2d,
     default_radial_grid,
     discretize_radial,
     grid_eigen_residual,

@@ -116,8 +116,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("deform", help="generic fixed-point solver vs closed form")
     _add_model_flags(p)
     p.add_argument("--n-max", type=int, default=10)
-    p.add_argument("--tol", type=float, default=None,
-                   help="fixed-point tolerance (default 1e-12 omega^2)")
 
     p = sub.add_parser("verify-all", help="run the full acceptance battery")
     _add_out_flag(p)
@@ -298,7 +296,7 @@ def _cmd_deform(args, params) -> tuple[str, str, int]:
     base = harmonic_base(params)
     levels = np.arange(args.n_max + 1)
     fixed = np.array(
-        [solve_deformed_spectrum(base, int(n), params, tol=args.tol) for n in levels]
+        [solve_deformed_spectrum(base, int(n), params) for n in levels]
     )
     closed = np.atleast_1d(energy_closed_form(levels, params))
     diff = np.abs(fixed - closed)

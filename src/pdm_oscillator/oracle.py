@@ -11,9 +11,8 @@ solved by LAPACK Sturm-sequence bisection (stebz) plus inverse iteration
 (stein). Nothing here uses the closed-form spectrum, so agreement between
 the two routes is a genuine cross-check.
 
-Also provides grid-based operator checks: a high-order Hamiltonian
-application for eigenfunction residuals and a 2D commutation residual for
-the angular-momentum observable.
+Also provides a grid-based operator check: a high-order Hamiltonian
+application for eigenfunction residuals.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .errors import ConvergenceError, DomainError
 from .geometry import ModelParams
 from .spectrum import (
     SpectrumTable,
+    _omega_eff,
     continuum_threshold,
     degeneracy,
     effective_frequency,
@@ -40,8 +40,6 @@ __all__ = [
     "discretize_radial",
     "solve_generalized_eigen",
     "oracle_report",
-    "SquareGrid",
-    "commutation_residual_2d",
     "apply_hamiltonian_grid",
     "grid_eigen_residual",
 ]
@@ -239,10 +237,7 @@ def oracle_report(
                 if err_half > floor and err_full > floor
                 else math.nan
             )
-            nu = n + params.dim / 2.0
-            omega_eff = math.sqrt(
-                max(params.omega**2 - 2.0 * params.lam * richardson, 0.0)
-            )
+            flat_level = params.hbar * _omega_eff(richardson, params) * (n + params.dim / 2.0)
             rows.append(
                 dict(
                     n=n,
@@ -253,7 +248,7 @@ def oracle_report(
                     rel_error=abs(richardson - exact) / exact,
                     order=order,
                     gap=threshold - richardson,
-                    residual=abs(richardson - params.hbar * omega_eff * nu),
+                    residual=abs(richardson - flat_level),
                     flagged=float(_boundary_contaminated(op_half, vec_half[:, k])),
                 )
             )
@@ -277,119 +272,7 @@ def oracle_report(
 
 
 # ---------------------------------------------------------------------------
-# grid-based operator checks
-
-
-@dataclass(frozen=True)
-class SquareGrid:
-    """Square [-half_width, half_width]^2 grid for the 2D commutation check."""
-
-    half_width: float
-    num_points: int = 201
-
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise DomainError("half_width must be > 0")
-        if self.num_points < 32:
-            raise DomainError("num_points must be >= 32")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / (self.num_points - 1)
-
-    def axes(self) -> tuple[np.ndarray, np.ndarray]:
-        x = np.linspace(-self.half_width, self.half_width, self.num_points)
-        return x, x.copy()
-
-    def refined(self) -> "SquareGrid":
-        return SquareGrid(self.half_width, 2 * self.num_points - 1)
-
-
-def _dx(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(f)
-    out[1:-1, :] = (f[2:, :] - f[:-2, :]) / (2.0 * h)
-    return out
-
-
-def _dy(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(f)
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2.0 * h)
-    return out
-
-
-def _lap2(f: np.ndarray, h: float) -> np.ndarray:
-    out = np.zeros_like(f)
-    out[1:-1, 1:-1] = (
-        f[2:, 1:-1] + f[:-2, 1:-1] + f[1:-1, 2:] + f[1:-1, :-2] - 4.0 * f[1:-1, 1:-1]
-    ) / h**2
-    return out
-
-
-def _bump_functions(grid: SquareGrid, count: int, seed: int = 7):
-    """Smooth compactly supported test fields, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    x, y = grid.axes()
-    xm, ym = np.meshgrid(x, y, indexing="ij")
-    fields = []
-    for _ in range(count):
-        # wide supports keep the bump's high derivatives moderate, so the
-        # second-order truncation regime is visible at practical grids
-        cx, cy = rng.uniform(-0.2, 0.2, size=2) * grid.half_width
-        width = rng.uniform(0.4, 0.55) * grid.half_width
-        a, b, c = rng.uniform(-1.0, 1.0, size=3)
-        s2 = ((xm - cx) ** 2 + (ym - cy) ** 2) / width**2
-        f = np.zeros_like(xm)
-        inside = s2 < 1.0
-        f[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-        f *= a + b * xm + c * ym
-        fields.append(f)
-    return xm, ym, fields
-
-
-def commutation_residual_2d(
-    params: ModelParams, grid: SquareGrid, test_fields=None, seed: int = 7
-) -> float:
-    """Max relative norm of (H L^2 - L^2 H) f over smooth test fields, N = 2.
-
-    H and L^2 = -hbar^2 (x d_y - y d_x)^2 are discretized with central
-    differences; the commutator vanishes in the continuum, so the residual
-    measures pure discretization error and decays at second order.
-    """
-    if params.dim != 2:
-        raise DomainError("commutation residual is defined for dim = 2")
-    h = grid.spacing
-    x, y = grid.axes()
-    xm, ym = np.meshgrid(x, y, indexing="ij")
-    if test_fields is None:
-        _, _, fields = _bump_functions(grid, 5, seed)
-    else:
-        fields = [np.asarray(f, dtype=float) for f in test_fields]
-
-    mass = 1.0 + params.lam * (xm**2 + ym**2)
-    pot = 0.5 * params.omega**2 * (xm**2 + ym**2) / mass
-
-    def angular(f):
-        return xm * _dy(f, h) - ym * _dx(f, h)
-
-    def l2op(f):
-        return -params.hbar**2 * angular(angular(f))
-
-    def ham(f):
-        return -params.hbar**2 / (2.0 * mass) * _lap2(f, h) + pot * f
-
-    worst = 0.0
-    trim = 4  # layers touched by the composed stencils
-    for f in fields:
-        comm = ham(l2op(f)) - l2op(ham(f))
-        num = np.linalg.norm(comm[trim:-trim, trim:-trim])
-        den = np.linalg.norm(f[trim:-trim, trim:-trim])
-        if den == 0:
-            raise DomainError("test field vanishes on the grid interior")
-        worst = max(worst, num / den)
-    return worst
-
-
-# eighth-order central second-derivative stencil
+# grid-based operator check: eighth-order central second-derivative stencil
 _D2_COEFFS = np.array(
     [-1.0 / 560, 8.0 / 315, -1.0 / 5, 8.0 / 5, -205.0 / 72, 8.0 / 5, -1.0 / 5, 8.0 / 315, -1.0 / 560]
 )

@@ -3,7 +3,8 @@
 The bound-state energies solve the self-consistent equation
 E = hbar * sqrt(omega^2 - 2*lam*E) * (n + N/2); the closed form, the
 bisection solver for the implicit equation, and the generic fixed-point
-deformation of an arbitrary solvable base spectrum all live here.
+deformation of an arbitrary solvable base spectrum all live here, with the
+one bisection that both solvers and the classical closure check share.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
 
 _MAX_TABLE_LEVELS = 100_000
 _BISECT_ITERATIONS = 110
+_TINY = float(np.finfo(float).tiny)
 
 
 def continuum_threshold(params: ModelParams) -> float:
@@ -50,19 +52,70 @@ def continuum_threshold(params: ModelParams) -> float:
     return params.omega / (2.0 * params.lam) * params.omega
 
 
+def _omega_eff(energy, params: ModelParams):
+    """Omega(E) = sqrt(omega^2 - 2*lam*E) for 0 <= E <= threshold.
+
+    Taken as min(omega, sqrt(2*lam) * sqrt(threshold - E)), which is exactly
+    0 at the threshold, exactly omega where 2*lam*E is below the rounding of
+    omega^2, and never forms omega^2, so it cannot overflow.
+    """
+    if params.lam == 0:
+        return np.full(np.shape(energy), params.omega)
+    gap = np.maximum(continuum_threshold(params) - energy, 0.0)
+    return np.minimum(params.omega, math.sqrt(2.0 * params.lam) * np.sqrt(gap))
+
+
 def effective_frequency(energy, params: ModelParams):
     """Frequency sqrt(omega^2 - 2*lam*E) of the equivalent flat oscillator.
 
-    Defined for energies below the continuum threshold only.
+    Defined for energies in [0, omega^2/(2*lam)) only.
     """
     energy = np.asarray(energy, dtype=float)
-    arg = params.omega**2 - 2.0 * params.lam * energy
-    if np.any(arg <= 0):
-        raise DomainError(
-            "energy at or above the continuum threshold omega^2/(2*lam)"
-        )
-    out = np.sqrt(arg)
+    if np.any((energy < 0) | (energy >= continuum_threshold(params))):
+        raise DomainError("energy outside [0, continuum threshold omega^2/(2*lam))")
+    out = _omega_eff(energy, params)
     return out if out.ndim else float(out)
+
+
+def _check_spectrum(params: ModelParams) -> None:
+    """Reject a model without a discrete spectrum in normal doubles.
+
+    The ground level lies in [top/2, top] with top = min(hbar*omega*N/2,
+    threshold) (see energy_implicit), so it is a normal double whenever
+    top >= 2*tiny; below that the levels lose digits to underflow, down to 0.
+    """
+    if params.omega <= 0:
+        raise DomainError("discrete spectrum requires omega > 0")
+    top = min(params.hbar * params.omega * (params.dim / 2.0), continuum_threshold(params))
+    if top < 2.0 * _TINY:
+        raise DomainError(
+            f"levels underflow a double: the ground level is below {2.0 * _TINY:.3g}"
+        )
+
+
+def _bisect(g, lo, hi):
+    """Root of g in each bracket [lo, hi] (arrays or scalars) by bisection.
+
+    g is vectorized, and g(lo) and g(hi) have opposite signs. Each halving
+    keeps the end where g has the sign of g(lo); once no float lies strictly
+    inside any bracket, the midpoint is returned. A bracket as wide as its
+    root collapses in about 55 halvings, but one around a root at 0 never
+    does; ConvergenceError is raised if _BISECT_ITERATIONS halvings do not
+    get there.
+    """
+    lo, hi = (np.array(b, dtype=float) for b in np.broadcast_arrays(lo, hi))
+    sign_lo = np.sign(g(lo))
+    for _ in range(_BISECT_ITERATIONS):
+        mid = lo + 0.5 * (hi - lo)
+        if np.all((mid == lo) | (mid == hi)):
+            return mid if mid.ndim else float(mid)
+        keep_hi = np.sign(g(mid)) == sign_lo
+        lo = np.where(keep_hi, mid, lo)
+        hi = np.where(keep_hi, hi, mid)
+    raise ConvergenceError(
+        f"bisection not converged after {_BISECT_ITERATIONS} halvings: bracket width "
+        f"{np.max(hi - lo):.3e}, residual {np.max(np.abs(g(lo + 0.5 * (hi - lo)))):.3e}"
+    )
 
 
 def _check_levels(n) -> np.ndarray:
@@ -86,8 +139,7 @@ def energy_closed_form(n, params: ModelParams):
     is never formed and the result is finite wherever those are.
     Strictly increasing in n and always below the continuum threshold.
     """
-    if params.omega <= 0:
-        raise DomainError("discrete spectrum requires omega > 0")
+    _check_spectrum(params)
     n = _check_levels(n)
     nu = n + params.dim / 2.0
     a = params.hbar * params.lam * nu
@@ -105,8 +157,7 @@ def threshold_gap(n, params: ModelParams):
     root the bracketed sum above, so omega^4 is never formed. Returns +inf
     for lam = 0.
     """
-    if params.omega <= 0:
-        raise DomainError("discrete spectrum requires omega > 0")
+    _check_spectrum(params)
     n = _check_levels(n)
     if params.lam == 0:
         out = np.full(n.shape, math.inf)
@@ -118,51 +169,26 @@ def threshold_gap(n, params: ModelParams):
     return out if out.ndim else float(out)
 
 
-def energy_implicit(n, params: ModelParams, tol: float | None = None):
+def energy_implicit(n, params: ModelParams):
     """Level-n energy from bracketing bisection of the self-consistent equation.
 
-    Solves f(E) = hbar*sqrt(omega^2 - 2*lam*E)*(n + N/2) - E = 0 on
-    [0, omega^2/(2*lam)); f(0) > 0 and f -> -threshold at the right end, so
-    a sign change is guaranteed. Accepts scalar or array n. For lam = 0 the
-    equation degenerates to E = hbar*omega*(n + N/2), returned directly.
+    Solves f(E) = hbar*Omega(E)*(n + N/2) - E = 0. As Omega <= omega, the
+    flat level hbar*omega*(n + N/2) bounds E_n from above, and so does the
+    threshold; with top the smaller of the two, f(0) > 0 >= f(top), and
+    E_n >= top/2 in every regime. So the bracket [0, top] is in units of
+    the level and collapses in about 55 halvings whatever lam, omega and
+    hbar are. Accepts scalar or array n. For lam = 0 the equation
+    degenerates to E = hbar*omega*(n + N/2), returned directly.
     """
-    if params.omega <= 0:
-        raise DomainError("discrete spectrum requires omega > 0")
-    if tol is None:
-        tol = 1e-12 * params.omega**2
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
+    _check_spectrum(params)
     n = _check_levels(n)
     nu = n + params.dim / 2.0
     if params.lam == 0:
         out = params.hbar * params.omega * nu
         return out if out.ndim else float(out)
 
-    threshold = continuum_threshold(params)
-    lo = np.zeros(nu.shape)
-    hi = np.full(nu.shape, threshold)
-
-    def f(e):
-        arg = np.maximum(params.omega**2 - 2.0 * params.lam * e, 0.0)
-        return params.hbar * np.sqrt(arg) * nu - e
-
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        pos = f(mid) > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    root = 0.5 * (lo + hi)
-    resid = np.abs(f(root))
-    # after the bracket collapses, |f| at the float-exact root is limited by
-    # the conditioning |f'| * eps * E_scale of f itself, not by the bisection
-    omega_eff = np.sqrt(np.maximum(params.omega**2 - 2.0 * params.lam * root, 1e-300))
-    slope = 1.0 + params.hbar * params.lam * nu / omega_eff
-    floor = 8.0 * np.finfo(float).eps * threshold * slope
-    if np.any(resid > np.maximum(tol, floor)):
-        raise ConvergenceError(
-            f"bisection residual {float(np.max(resid)):.3e} above tol {tol:.3e}"
-        )
-    return root if root.ndim else float(root)
+    top = np.minimum(params.hbar * params.omega * nu, continuum_threshold(params))
+    return _bisect(lambda e: params.hbar * _omega_eff(e, params) * nu - e, 0.0, top)
 
 
 def degeneracy(n: int, dim: int) -> int:
@@ -259,11 +285,8 @@ class BaseSpectrum:
     """
 
     eval: Callable[[float, int], float]
-    monotone_in_frequency: bool = True
 
     def validate(self, n: int, freq_lo: float, freq_hi: float, samples: int = 33):
-        if not self.monotone_in_frequency:
-            raise BracketingError("base spectrum not declared monotone in frequency")
         freqs = np.linspace(freq_lo, freq_hi, samples)
         vals = np.array([self.eval(w, n) for w in freqs])
         if not np.all(np.isfinite(vals)):
@@ -278,66 +301,39 @@ class BaseSpectrum:
 
 def harmonic_base(params: ModelParams) -> BaseSpectrum:
     """Isotropic-oscillator base spectrum hbar*w*(n + N/2)."""
-    return BaseSpectrum(
-        eval=lambda w, n: params.hbar * w * (n + params.dim / 2.0),
-        monotone_in_frequency=True,
-    )
+    return BaseSpectrum(eval=lambda w, n: params.hbar * w * (n + params.dim / 2.0))
 
 
-def solve_deformed_spectrum(
-    base: BaseSpectrum, n: int, params: ModelParams, tol: float | None = None
-) -> float:
+def solve_deformed_spectrum(base: BaseSpectrum, n: int, params: ModelParams) -> float:
     """Deformed level-n energy for an arbitrary solvable base spectrum.
 
-    Finds the unique fixed point of E = base.eval(sqrt(omega^2 - 2*lam*E), n)
-    on [0, omega^2/(2*lam)) by bisection; the right-hand side is strictly
-    decreasing in E, so g(E) = rhs - E has exactly one sign change. Raises
-    BracketingError if the bracket has no sign change or g is found
-    non-monotone.
+    Finds the unique fixed point of E = base.eval(Omega(E), n) by bisection
+    of g(E) = base.eval(Omega(E), n) - E. The right-hand side is strictly
+    decreasing in E, and Omega <= omega, so the undeformed level
+    base.eval(omega, n) bounds the root from above, as does the threshold;
+    the bracket is [0, top] with top the smaller of the two, and requires
+    g(0) > 0 >= g(top). Raises BracketingError if the base, sampled on
+    [0, omega], is not finite and increasing in frequency, if the bracket
+    has no sign change, or if g is found non-monotone on it.
     """
     if params.lam <= 0:
         raise DomainError("deformation fixed point requires lam > 0")
-    if params.omega <= 0:
-        raise DomainError("deformation fixed point requires omega > 0")
-    if tol is None:
-        tol = 1e-12 * params.omega**2
+    _check_spectrum(params)
     n = int(n)
-
-    threshold = continuum_threshold(params)
-    e_hi = threshold * (1.0 - 1e-15)
-    base.validate(n, effective_frequency(e_hi, params), params.omega)
+    base.validate(n, 0.0, params.omega)
 
     def g(e):
-        return base.eval(effective_frequency(e, params), n) - e
+        return base.eval(_omega_eff(e, params), n) - e
 
-    g_lo, g_hi = g(0.0), g(e_hi)
-    if not (g_lo > 0 and g_hi < 0):
+    top = min(g(0.0), continuum_threshold(params))
+    gvals = np.array([g(e) for e in np.linspace(0.0, top, 33)])
+    if not (gvals[0] > 0 >= gvals[-1]):
         raise BracketingError(
-            f"no sign change on [0, threshold): g(0)={g_lo:.3e}, "
-            f"g(threshold-)={g_hi:.3e}"
+            f"no sign change on [0, {top:.3e}]: g(0)={gvals[0]:.3e}, g(top)={gvals[-1]:.3e}"
         )
-    probes = np.linspace(0.0, e_hi, 33)
-    gvals = np.array([g(e) for e in probes])
     if np.any(np.diff(gvals) >= 1e-12 * (np.max(np.abs(gvals)) + 1e-300)):
         raise BracketingError("fixed-point map is not decreasing on the bracket")
-
-    lo, hi = 0.0, e_hi
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    resid = abs(g(root))
-    delta = 1e-8 * threshold
-    slope = abs(
-        g(min(root + delta, e_hi)) - g(max(root - delta, 0.0))
-    ) / (min(root + delta, e_hi) - max(root - delta, 0.0))
-    floor = 8.0 * np.finfo(float).eps * threshold * max(1.0, slope)
-    if resid > max(tol, floor):
-        raise ConvergenceError(f"fixed-point residual {resid:.3e} above tol {tol:.3e}")
-    return root
+    return _bisect(g, 0.0, top)
 
 
 class SpectrumRow(NamedTuple):
@@ -434,10 +430,7 @@ def spectrum_table(n_max: int, params: ModelParams) -> SpectrumTable:
     energy = np.atleast_1d(energy_closed_form(levels, params))
     gap = np.atleast_1d(threshold_gap(levels, params))
     nu = levels + params.dim / 2.0
-    omega_eff = params.omega * np.sqrt(
-        1.0 - 2.0 * (params.lam / params.omega) * (energy / params.omega)
-    )
-    residual = np.abs(energy - params.hbar * omega_eff * nu)
+    residual = np.abs(energy - params.hbar * _omega_eff(energy, params) * nu)
     degen = [degeneracy(int(n), params.dim) for n in levels]
     return SpectrumTable(
         params=params,

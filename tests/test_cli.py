@@ -145,6 +145,19 @@ class TestDeformCommand:
         rows = read_csv(out)
         assert all(float(r["abs_diff"]) < 1e-10 for r in rows)
 
+    def test_huge_scale_fits_in_double(self, tmp_path):
+        # omega^2 = 1e320 overflows, but every level is about 1e160
+        out = tmp_path / "huge.csv"
+        code = cli.run(
+            ["deform", "--omega", "1e160", "--lambda", "1e20", "--out", str(out)]
+        )
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 11
+        for row in rows:
+            closed = float(row["energy_closed_form"])
+            assert abs(float(row["energy_fixed_point"]) - closed) <= 1e-15 * closed
+
 
 class TestOracleCommand:
     def test_small_report(self, tmp_path):
@@ -219,16 +232,20 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "argv",
-        [["spectrum", "--tol", "1e-3"], ["verify-all", "--lambda", "0.5"]],
-        ids=["spectrum-tol", "verify-all-lambda"],
+        [
+            ["spectrum", "--tol", "1e-3"],
+            ["verify-all", "--lambda", "0.5"],
+            ["deform", "--tol", "1e-3"],
+        ],
+        ids=["spectrum-tol", "verify-all-lambda", "deform-tol"],
     )
     def test_unread_flag_is_one_error_line(self, capsys, argv):
-        # --tol is read by classical and deform only; verify-all takes --out alone
+        # --tol is read by classical only; verify-all takes --out alone
         assert cli.run(argv) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
-    @pytest.mark.parametrize("command", ["deform", "oracle"])
+    @pytest.mark.parametrize("command", ["oracle"])
     def test_overflow_is_one_error_line(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"
         argv = [command, "--omega", "1e160", "--lambda", "1e20", "--out", str(out)]
@@ -237,6 +254,16 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "deform"])
+    def test_underflow_is_one_error_line(self, tmp_path, capsys, command):
+        # the threshold omega^2/(2 lam) = 2.5e-399, and so every level, is
+        # below the smallest double
+        out = tmp_path / "x.csv"
+        assert cli.run([command, "--omega", "1e-200", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "underflow a double" in lines[0]
+        assert not out.exists()
 
     def test_unconverged_solve_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         import pdm_oscillator.spectrum as spectrum_module
@@ -320,6 +347,11 @@ assert pdm_oscillator.cli.run(["wavefunction", "--k", "2", "--l", "1", "--out", 
 assert not scipy_modules(), f"wavefunction loads {scipy_modules()}"
 assert pdm_oscillator.cli.run(["classical", "--t-end", "2", "--samples", "11", "--out", sys.argv[3]]) == 0
 assert not scipy_modules(), f"classical loads {scipy_modules()}"
+flat = pdm_oscillator.ModelParams(lam=0.0, omega=1.0, dim=2)
+start = pdm_oscillator.PhaseState(q=[1.0, 0.0], p=[0.0, 0.8])
+orbit = pdm_oscillator.integrate_orbit(start, flat, t_end=7.0, samples=11)
+assert pdm_oscillator.closure_check(orbit, tol=1e-6)[0]
+assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
 """
 
     def test_closed_form_commands_load_no_scipy(self, tmp_path):

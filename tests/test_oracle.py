@@ -6,8 +6,6 @@ from pdm_oscillator import (
     DomainError,
     ModelParams,
     RadialGrid,
-    SquareGrid,
-    commutation_residual_2d,
     default_radial_grid,
     discretize_radial,
     grid_eigen_residual,
@@ -169,59 +167,3 @@ class TestGridResidual:
         )
         assert res < 1e-6
 
-
-class TestCommutation:
-    def test_flat_case_vanishes_under_refinement(self):
-        p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=2)
-        grid = SquareGrid(half_width=6.0, num_points=121)
-        coarse = commutation_residual_2d(p, grid)
-        fine = commutation_residual_2d(p, grid.refined())
-        assert fine < coarse
-        assert 2.8 < coarse / fine < 5.5  # ~second order
-
-    def test_deformed_case_second_order(self):
-        # the mass-factor terms carry larger truncation constants, so the
-        # asymptotic regime needs finer grids than the flat case
-        p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=2)
-        mid = commutation_residual_2d(p, SquareGrid(half_width=6.0, num_points=481))
-        fine = commutation_residual_2d(p, SquareGrid(half_width=6.0, num_points=961))
-        finest = commutation_residual_2d(p, SquareGrid(half_width=6.0, num_points=1921))
-        assert mid > fine > finest
-        assert 3.0 < fine / finest < 5.2
-
-    def test_radial_quadratic_in_discrete_kernel(self):
-        # a radial quadratic is annihilated by the discrete angular operator
-        # to rounding, so at lam=0 the commutator is rounding-level noise
-        p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=2)
-        grid = SquareGrid(half_width=6.0, num_points=121)
-        x, y = grid.axes()
-        xm, ym = np.meshgrid(x, y, indexing="ij")
-        f = 1.0 + 0.3 * (xm**2 + ym**2)
-        generic = commutation_residual_2d(p, grid)
-        radial = commutation_residual_2d(p, grid, test_fields=[f])
-        assert radial < 1e-9 * max(generic, 1.0)
-
-    def test_radial_bump_much_smaller_than_generic(self):
-        # the angular operator annihilates radial functions in the continuum,
-        # so only discretization noise survives and it refines away
-        p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=2)
-
-        def radial_residual(npts):
-            grid = SquareGrid(half_width=6.0, num_points=npts)
-            x, y = grid.axes()
-            xm, ym = np.meshgrid(x, y, indexing="ij")
-            s2 = (xm**2 + ym**2) / 4.5**2
-            bump = np.zeros_like(xm)
-            inside = s2 < 1.0
-            bump[inside] = np.exp(1.0 - 1.0 / (1.0 - s2[inside]))
-            return commutation_residual_2d(p, grid, test_fields=[bump])
-
-        grid = SquareGrid(half_width=6.0, num_points=161)
-        generic = commutation_residual_2d(p, grid)
-        radial = radial_residual(161)
-        assert radial < 0.1 * generic
-        assert 3.0 < radial / radial_residual(321) < 6.0
-
-    def test_requires_two_dimensions(self):
-        with pytest.raises(DomainError):
-            commutation_residual_2d(P3, SquareGrid(half_width=6.0))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdm_oscillator.spectrum as spectrum_module
 from pdm_oscillator import (
@@ -286,6 +288,65 @@ class TestGenericDeformation:
             e = np.linspace(0.0, top, 2000)
             g = base.eval(np.sqrt(1.0 - 0.04 * e), n) - e
             assert int(np.sum(np.diff(np.sign(g)) != 0)) == 1
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestOneSolver:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=log_uniform(1e-5, 1e5),
+        omega=log_uniform(1e-5, 1e5),
+        hbar=log_uniform(1e-5, 1e5),
+        dim=st.integers(1, 8),
+        n=st.integers(0, 100_000),
+    )
+    def test_both_solvers_match_closed_form(self, lam, omega, hbar, dim, n):
+        p = ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim)
+        levels = np.array([n, n + 1])
+        closed = energy_closed_form(levels, p)
+        implicit = energy_implicit(levels, p)
+        fixed = np.array(
+            [solve_deformed_spectrum(harmonic_base(p), int(k), p) for k in levels]
+        )
+        np.testing.assert_allclose(implicit, closed, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fixed, closed, rtol=1e-12, atol=0)
+        # threshold - E_n, evaluated stably, resolves the order of levels
+        # whose spacing is below the rounding of E_n itself
+        gap = threshold_gap(levels, p)
+        assert 0 < gap[1] < gap[0]
+        spacing = gap[0] - gap[1]
+        for energy in (closed, implicit, fixed):
+            assert energy[1] > energy[0] or spacing < 4 * np.finfo(float).eps * energy[1]
+
+    def test_tiny_lam_ground_state(self):
+        # a bracket as wide as the threshold 5e29 cannot resolve E_0 = 1.5
+        p = ModelParams(lam=1e-30, omega=1.0, hbar=1.0, dim=3)
+        assert energy_implicit(0, p) == pytest.approx(1.5, rel=1e-15)
+        assert solve_deformed_spectrum(harmonic_base(p), 0, p) == pytest.approx(1.5, rel=1e-15)
+
+    def test_huge_scale_without_omega_squared(self):
+        # omega^2 = 1e320 overflows, but every level is about 1e160
+        p = ModelParams(lam=1e20, omega=1e160, hbar=1.0, dim=3)
+        levels = np.arange(11)
+        closed = energy_closed_form(levels, p)
+        fixed = [solve_deformed_spectrum(harmonic_base(p), int(n), p) for n in levels]
+        np.testing.assert_allclose(energy_implicit(levels, p), closed, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(fixed, closed, rtol=1e-15, atol=0)
+
+    def test_underflowing_levels_rejected(self):
+        # threshold omega^2/(2 lam) = 2.5e-399 is below the smallest double
+        p = ModelParams(lam=0.02, omega=1e-200, hbar=1.0, dim=3)
+        for solve in (
+            lambda: energy_closed_form(0, p),
+            lambda: threshold_gap(0, p),
+            lambda: energy_implicit(0, p),
+            lambda: solve_deformed_spectrum(harmonic_base(p), 0, p),
+        ):
+            with pytest.raises(DomainError, match="underflow"):
+                solve()
 
 
 class TestBisectionFailure:
