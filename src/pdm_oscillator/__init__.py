@@ -11,12 +11,10 @@ forms, load numpy and no scipy.
 """
 
 from .classical import (
-    ConservedSet,
     PhaseState,
     Trajectory,
     closure_check,
     conserved_series,
-    conserved_set,
     estimate_radial_period,
     exact_orbit,
     hamiltonian,

@@ -26,15 +26,13 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .geometry import ModelParams
-from .spectrum import _bisect, continuum_threshold
+from .spectrum import _bisect, continuum_threshold, effective_frequency
 
 __all__ = [
     "PhaseState",
-    "ConservedSet",
     "RKStats",
     "Trajectory",
     "hamiltonian",
-    "conserved_set",
     "conserved_series",
     "hamilton_rhs",
     "integrate_orbits",
@@ -81,57 +79,6 @@ def _angular_squares(q, p):
     """Squared pairwise angular momenta (q_i p_j - q_j p_i)^2, shape (..., N, N)."""
     l = q[..., :, None] * p[..., None, :] - q[..., None, :] * p[..., :, None]
     return l * l
-
-
-@dataclass(frozen=True)
-class ConservedSet:
-    """All 2N-1 constants of motion evaluated at one phase point.
-
-    c_upper[m-2] sums the squared angular momenta over index pairs within
-    1..m, c_lower[m-2] within (N-m, N]; both end at the total L^2 for
-    m = N. The i_vals satisfy 2H = sum(i_vals) identically.
-    """
-
-    energy: float
-    c_upper: np.ndarray
-    c_lower: np.ndarray
-    i_vals: np.ndarray
-
-    def labels(self) -> list[str]:
-        n = len(self.i_vals)
-        out = ["energy"]
-        out += [f"c_upper_{m}" for m in range(2, n + 1)]
-        out += [f"c_lower_{m}" for m in range(2, n + 1)]
-        out += [f"i_{i}" for i in range(1, n + 1)]
-        return out
-
-    def values(self) -> np.ndarray:
-        return np.concatenate(
-            [[self.energy], self.c_upper, self.c_lower, self.i_vals]
-        )
-
-
-def conserved_set(state: PhaseState, params: ModelParams) -> ConservedSet:
-    """Evaluate the energy and all constants of motion at one phase point."""
-    series = conserved_series(
-        Trajectory(
-            t=np.array([state.t]),
-            q=state.q[None, :],
-            p=state.p[None, :],
-            params=params,
-        ),
-        params,
-    )
-    return ConservedSet(
-        energy=float(series["energy"][0]),
-        c_upper=np.array(
-            [series[f"c_upper_{m}"][0] for m in range(2, params.dim + 1)]
-        ),
-        c_lower=np.array(
-            [series[f"c_lower_{m}"][0] for m in range(2, params.dim + 1)]
-        ),
-        i_vals=np.array([series[f"i_{i}"][0] for i in range(1, params.dim + 1)]),
-    )
 
 
 @dataclass(frozen=True)
@@ -443,18 +390,16 @@ def estimate_radial_period(initial: PhaseState, params: ModelParams) -> float:
     """Radial period T/2 of the closed orbit through `initial`, in closed form.
 
     The flat-time change dt = (1 + lam q^2) d tau turns the motion into a
-    flat oscillator of frequency Omega(E) = sqrt(omega^2 - 2 lam E); the full
-    period is T = (2 pi / Omega)(1 + lam E / Omega^2). Circular orbits are
-    no special case: they too close after T.
+    flat oscillator of frequency Omega(E) = sqrt(omega^2 - 2 lam E), taken
+    from `effective_frequency`, which raises DomainError at or above the
+    escape threshold; the full period is T = (2 pi / Omega)(1 + lam E /
+    Omega^2). Circular orbits are no special case: they too close after T.
     """
     energy = hamiltonian(initial, params)
-    omega_eff_sq = params.omega**2 - 2.0 * params.lam * energy
-    if omega_eff_sq <= 0:
-        raise DomainError("energy at or above the escape threshold")
+    omega_eff = effective_frequency(energy, params)
     if energy == 0:
         raise DomainError("degenerate orbit: rest at the origin")
-    omega_eff = math.sqrt(omega_eff_sq)
-    return math.pi / omega_eff * (1.0 + params.lam * energy / omega_eff_sq)
+    return math.pi / omega_eff * (1.0 + params.lam * energy / (omega_eff * omega_eff))
 
 
 def exact_orbit(
@@ -464,7 +409,8 @@ def exact_orbit(
 
     In flat time tau, dt = (1 + lam q^2) d tau, the orbit is the flat
     oscillator q(tau) = q0 cos(Omega tau) + (p0 / Omega) sin(Omega tau) of
-    frequency Omega = sqrt(omega^2 - 2 lam E), and p = dq/d tau. With
+    frequency Omega = sqrt(omega^2 - 2 lam E) (from `effective_frequency`,
+    so DomainError at or above the escape threshold), and p = dq/d tau. With
     A = |q0|^2, B = |p0|^2 / Omega^2 and C = q0.p0 / Omega,
 
         t(tau) = tau (1 + lam (A + B) / 2)
@@ -476,13 +422,9 @@ def exact_orbit(
     integrator never does. Newton, not the shared bisection: bisection took
     4x as long on classical-conservation's 20 x 2001 inversions (2-vCPU Xeon).
     """
-    energy = hamiltonian(state, params)
-    omega_eff_sq = params.omega**2 - 2.0 * params.lam * energy
-    if omega_eff_sq <= 0:
-        raise DomainError("energy at or above the escape threshold")
-    w = math.sqrt(omega_eff_sq)
+    w = effective_frequency(hamiltonian(state, params), params)
     q0, p0, lam = state.q, state.p, params.lam
-    a, b, c = q0 @ q0, (p0 @ p0) / omega_eff_sq, (q0 @ p0) / w
+    a, b, c = q0 @ q0, (p0 @ p0) / (w * w), (q0 @ p0) / w
     rate = 1.0 + 0.5 * lam * (a + b)
     u, v = (a - b) / (4.0 * w), c / (2.0 * w)
     # t(tau) - rate tau = lam (u sin 2 w tau + v (1 - cos 2 w tau)) lies within

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -33,7 +32,15 @@ from .geometry import (
     scalar_curvature,
 )
 from .oracle import RadialGrid, default_radial_grid, oracle_report
-from .spectrum import energy_closed_form, harmonic_base, solve_deformed_spectrum, spectrum_table
+from .spectrum import (
+    SpectrumTable,
+    energy_closed_form,
+    harmonic_base,
+    json_rows,
+    solve_deformed_spectrum,
+    spectrum_table,
+    write_csv,
+)
 from .verify import run_all
 from .wavefunctions import RadialEigenfunction, normalize
 
@@ -128,29 +135,20 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "out"}
 
 
-def _curve_artifact(columns: list[str], arrays: list[np.ndarray], args) -> str:
-    """Sampled columns as CSV, or as JSON rows under the invocation's config."""
+def _artifact(columns, args) -> str:
+    """Named columns, or a SpectrumTable, as CSV or as JSON rows under the
+    invocation's config. A table goes through its own to_csv and
+    to_json_rows, the same writers, which perfbench's traced run times."""
+    is_table = isinstance(columns, SpectrumTable)
     if args.format == "csv":
         buf = io.StringIO()
-        buf.write(",".join(columns) + "\n")
-        for row in zip(*arrays):
-            buf.write(",".join(_fmt(float(v)) for v in row) + "\n")
+        if is_table:
+            columns.to_csv(buf)
+        else:
+            write_csv(columns, buf)
         return buf.getvalue()
-    rows = [
-        {c: (float(v) if math.isfinite(float(v)) else None) for c, v in zip(columns, row)}
-        for row in zip(*arrays)
-    ]
+    rows = columns.to_json_rows() if is_table else json_rows(columns)
     return json.dumps({"config": _config_dict(args), "rows": rows}, indent=2)
-
-
-def _table_artifact(table, args) -> str:
-    if args.format == "csv":
-        buf = io.StringIO()
-        table.to_csv(buf)
-        return buf.getvalue()
-    return json.dumps(
-        {"config": _config_dict(args), "rows": table.to_json_rows()}, indent=2
-    )
 
 
 def _cmd_spectrum(args, params) -> tuple[str, str, int]:
@@ -160,7 +158,7 @@ def _cmd_spectrum(args, params) -> tuple[str, str, int]:
         f"spectrum: {len(table)} levels, E_0={_fmt(float(table.energy[0]))}, "
         f"E_{args.n_max}={_fmt(last)}"
     )
-    return _table_artifact(table, args), summary, 0
+    return _artifact(table, args), summary, 0
 
 
 def _cmd_oracle(args, params) -> tuple[str, str, int]:
@@ -174,7 +172,7 @@ def _cmd_oracle(args, params) -> tuple[str, str, int]:
     table = oracle_report(params, l_max=args.l, k_max=args.k, grid=grid)
     worst = float(table.extra_columns["rel_error"].max())
     summary = f"oracle: {len(table)} states, worst relative error {worst:.3e}"
-    return _table_artifact(table, args), summary, 0
+    return _artifact(table, args), summary, 0
 
 
 def _check_grid_points(args) -> None:
@@ -189,9 +187,7 @@ def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
     r = np.linspace(0.0, r_max, args.grid_points)
     values = f(r)
     weight = (1.0 + params.lam * r**2) * r ** (params.dim - 1)
-    cols = ["r", "value", "weight_factor"]
-    arrays = [r, np.atleast_1d(values), weight]
-    artifact = _curve_artifact(cols, arrays, args)
+    artifact = _artifact({"r": r, "value": np.atleast_1d(values), "weight_factor": weight}, args)
     summary = (
         f"wavefunction: k={args.k} l={args.l}, E={_fmt(f.energy)}, "
         f"beta={_fmt(f.beta)}, {args.grid_points} samples"
@@ -231,21 +227,14 @@ def _cmd_classical(args, params) -> tuple[str, str, int]:
         dense=False,
     )
     series = conserved_series(traj, params)
-    cols = (
-        ["t"]
-        + [f"q_{i}" for i in range(1, dim + 1)]
-        + [f"p_{i}" for i in range(1, dim + 1)]
-        + ["H"]
-        + [f"drift_{label}" for label in series]
-    )
-    arrays = (
-        [traj.t]
-        + [traj.q[:, i] for i in range(dim)]
-        + [traj.p[:, i] for i in range(dim)]
-        + [series["energy"]]
-        + [series[label] - series[label][0] for label in series]
-    )
-    artifact = _curve_artifact(cols, arrays, args)
+    columns = {
+        "t": traj.t,
+        **{f"q_{i + 1}": traj.q[:, i] for i in range(dim)},
+        **{f"p_{i + 1}": traj.p[:, i] for i in range(dim)},
+        "H": series["energy"],
+        **{f"drift_{label}": series[label] - series[label][0] for label in series},
+    }
+    artifact = _artifact(columns, args)
     drift = max(float(np.max(np.abs(series[label] - series[label][0]))) for label in series)
     summary = (
         f"classical: {args.samples} samples to t={args.t_end}, "
@@ -260,9 +249,7 @@ def _cmd_effective_potential(args, params) -> tuple[str, str, int]:
     start = 0.0 if args.cn == 0 else args.r_max / (10.0 * args.grid_points)
     r = np.linspace(start, args.r_max, args.grid_points)
     values = effective_potential(r, spec)
-    cols = ["r", "value"]
-    arrays = [r, np.atleast_1d(values)]
-    artifact = _curve_artifact(cols, arrays, args)
+    artifact = _artifact({"r": r, "value": np.atleast_1d(values)}, args)
     if args.cn > 0 and params.omega > 0:
         r_min, u_min = effective_minimum(spec)
         summary = f"effective-potential: minimum {_fmt(u_min)} at r={_fmt(r_min)}"
@@ -280,9 +267,7 @@ def _cmd_geometry(args, params) -> tuple[str, str, int]:
     _check_grid_points(args)
     r = np.linspace(0.0, args.r_max, args.grid_points)
     values = fns[args.quantity](r, params)
-    cols = ["r", "value"]
-    arrays = [r, np.atleast_1d(values)]
-    artifact = _curve_artifact(cols, arrays, args)
+    artifact = _artifact({"r": r, "value": np.atleast_1d(values)}, args)
     summary = (
         f"geometry: {args.quantity} sampled at {args.grid_points} points, "
         f"value({_fmt(args.r_max)})={_fmt(float(np.atleast_1d(values)[-1]))}"
@@ -300,9 +285,13 @@ def _cmd_deform(args, params) -> tuple[str, str, int]:
     )
     closed = np.atleast_1d(energy_closed_form(levels, params))
     diff = np.abs(fixed - closed)
-    cols = ["n", "energy_fixed_point", "energy_closed_form", "abs_diff"]
-    arrays = [levels.astype(float), fixed, closed, diff]
-    artifact = _curve_artifact(cols, arrays, args)
+    columns = {
+        "n": levels.astype(float),
+        "energy_fixed_point": fixed,
+        "energy_closed_form": closed,
+        "abs_diff": diff,
+    }
+    artifact = _artifact(columns, args)
     summary = f"deform: {len(levels)} levels, max |fixed-point - closed| = {diff.max():.3e}"
     return artifact, summary, 0
 

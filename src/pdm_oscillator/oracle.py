@@ -8,8 +8,9 @@ Discretizes the weighted radial equation in self-adjoint form,
 as a generalized symmetric-tridiagonal eigenproblem A u = E B u with
 diagonal positive B, reduced by the congruence B^(-1/2) A B^(-1/2) and
 solved by LAPACK Sturm-sequence bisection (stebz) plus inverse iteration
-(stein). Nothing here uses the closed-form spectrum, so agreement between
-the two routes is a genuine cross-check.
+(stein). The eigensolve never reads the closed-form spectrum, so agreement
+between the two routes is a genuine cross-check; only the default box size
+(default_radial_grid) is taken from it.
 
 Also provides a grid-based operator check: a high-order Hamiltonian
 application for eigenfunction residuals.
@@ -92,11 +93,8 @@ def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Tridiagonal stiffness (diag, offdiag) and diagonal weight B.
-
-    Symmetric by construction; `dense_stiffness` materializes the matrix
-    for inspection.
-    """
+    """Symmetric tridiagonal stiffness A, stored as its diagonal and its one
+    off-diagonal, and diagonal weight B."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -107,13 +105,6 @@ class DiscretizedOperator:
 
     def size(self) -> int:
         return len(self.diag)
-
-    def dense_stiffness(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        idx = np.arange(self.size() - 1)
-        a[idx, idx + 1] = self.offdiag
-        a[idx + 1, idx] = self.offdiag
-        return a
 
 
 def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> DiscretizedOperator:
@@ -165,9 +156,11 @@ def solve_generalized_eigen(
     """Lowest `count` eigenvalues of A u = E B u (ascending).
 
     Reduces to standard form with the diagonal congruence B^(-1/2) A
-    B^(-1/2), then runs LAPACK Sturm-sequence bisection; eigenvectors (in
-    the original phi variables) come from inverse iteration on request.
-    Only the low-lying states are trustworthy, hence count <= size/4.
+    B^(-1/2), then runs LAPACK Sturm-sequence bisection (stebz) through
+    scipy's eigh_tridiagonal; eigenvectors (in the original phi variables)
+    come from its inverse iteration (stein) on request. A LAPACK failure
+    raises ConvergenceError. Only the low-lying states are trustworthy,
+    hence count <= size/4.
     """
     size = op.size()
     if count < 1 or count > size // 4:
@@ -175,25 +168,21 @@ def solve_generalized_eigen(
     if np.any(op.weight <= 0):
         raise DomainError("mass weight must be positive")
 
-    from scipy.linalg import eigh_tridiagonal, lapack
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     inv_sqrt_w = 1.0 / np.sqrt(op.weight)
     d = op.diag * inv_sqrt_w**2
     e = op.offdiag * inv_sqrt_w[:-1] * inv_sqrt_w[1:]
-
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, 1, count, 0.0, b"B")
-    if info != 0 or m < count:
-        raise ConvergenceError(f"stebz failed (info={info}, found {m}/{count})")
-    values = w[:count].copy()
+    try:
+        out = eigh_tridiagonal(
+            d, e, eigvals_only=not return_vectors, select="i", select_range=(0, count - 1)
+        )
+    except LinAlgError as exc:
+        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
     if not return_vectors:
-        return values
-
-    z, info = lapack.dstein(d, e, w[:m], iblock, isplit)
-    if info != 0:
-        # inverse iteration is the fragile step; fall back to the MRRR driver
-        values, z = eigh_tridiagonal(d, e, select="i", select_range=(0, count - 1))
-    vectors = z[:, :count] * inv_sqrt_w[:, None]
-    return values, vectors
+        return out
+    values, vectors = out
+    return values, vectors * inv_sqrt_w[:, None]
 
 
 def _boundary_contaminated(op: DiscretizedOperator, vector: np.ndarray) -> bool:
@@ -217,56 +206,44 @@ def oracle_report(
     closed form. States holding more than 1% of their weighted mass in the
     outer 10% of the box are flagged as boundary-contaminated.
     """
-    rows = []
-    threshold = continuum_threshold(params)
-    for l in range(l_max + 1):
-        g = grid if grid is not None else default_radial_grid(params, l, k_max)
-        op_full = discretize_radial(params, l, g)
-        op_half = discretize_radial(params, l, g.refined())
-        e_full = solve_generalized_eigen(op_full, k_max + 1)
-        e_half, vec_half = solve_generalized_eigen(op_half, k_max + 1, return_vectors=True)
-        for k in range(k_max + 1):
-            n = 2 * k + l
-            exact = energy_closed_form(n, params)
-            richardson = (4.0 * e_half[k] - e_full[k]) / 3.0
-            err_full = abs(e_full[k] - exact)
-            err_half = abs(e_half[k] - exact)
-            floor = 1e3 * np.finfo(float).eps * exact
-            order = (
-                math.log2(err_full / err_half)
-                if err_half > floor and err_full > floor
-                else math.nan
-            )
-            flat_level = params.hbar * _omega_eff(richardson, params) * (n + params.dim / 2.0)
-            rows.append(
-                dict(
-                    n=n,
-                    k=k,
-                    l=l,
-                    energy=richardson,
-                    closed_form=exact,
-                    rel_error=abs(richardson - exact) / exact,
-                    order=order,
-                    gap=threshold - richardson,
-                    residual=abs(richardson - flat_level),
-                    flagged=float(_boundary_contaminated(op_half, vec_half[:, k])),
-                )
-            )
-    rows.sort(key=lambda row: (row["n"], row["l"]))
+    if l_max < 0 or k_max < 0:
+        raise DomainError(f"l_max and k_max must be >= 0, got {l_max} and {k_max}")
+    parts = []
+    for ell in range(l_max + 1):
+        g = grid if grid is not None else default_radial_grid(params, ell, k_max)
+        op_half = discretize_radial(params, ell, g.refined())
+        e_full = solve_generalized_eigen(discretize_radial(params, ell, g), k_max + 1)
+        e_half, vectors = solve_generalized_eigen(op_half, k_max + 1, return_vectors=True)
+        flagged = [float(_boundary_contaminated(op_half, v)) for v in vectors.T]
+        k = np.arange(k_max + 1)
+        parts.append((2 * k + ell, k, np.full(k_max + 1, ell), e_full, e_half, flagged))
+    columns = [np.concatenate(c) for c in zip(*parts)]
+    by_level = np.lexsort((columns[2], columns[0]))  # by n, then by l
+    n, k, l, e_full, e_half, flagged = (c[by_level] for c in columns)
+
+    exact = energy_closed_form(n, params)
+    energy = (4.0 * e_half - e_full) / 3.0
+    err_full, err_half = np.abs(e_full - exact), np.abs(e_half - exact)
+    floor = 1e3 * np.finfo(float).eps * exact
+    order = [
+        math.log2(a / b) if a > f and b > f else math.nan
+        for a, b, f in zip(err_full, err_half, floor)
+    ]
+    flat_level = params.hbar * _omega_eff(energy, params) * (n + params.dim / 2.0)
     return SpectrumTable(
         params=params,
-        n=np.array([row["n"] for row in rows]),
-        energy=np.array([row["energy"] for row in rows]),
-        degeneracy=[degeneracy(row["n"], params.dim) for row in rows],
-        gap_to_threshold=np.array([row["gap"] for row in rows]),
-        residual=np.array([row["residual"] for row in rows]),
+        n=n,
+        energy=energy,
+        degeneracy=[degeneracy(int(v), params.dim) for v in n],
+        gap_to_threshold=continuum_threshold(params) - energy,
+        residual=np.abs(energy - flat_level),
         extra_columns={
-            "k": np.array([float(row["k"]) for row in rows]),
-            "l": np.array([float(row["l"]) for row in rows]),
-            "closed_form": np.array([row["closed_form"] for row in rows]),
-            "rel_error": np.array([row["rel_error"] for row in rows]),
-            "convergence_order": np.array([row["order"] for row in rows]),
-            "boundary_contaminated": np.array([row["flagged"] for row in rows]),
+            "k": k.astype(float),
+            "l": l.astype(float),
+            "closed_form": exact,
+            "rel_error": np.abs(energy - exact) / exact,
+            "convergence_order": np.array(order),
+            "boundary_contaminated": flagged,
         },
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +33,8 @@ __all__ = [
     "solve_deformed_spectrum",
     "SpectrumTable",
     "spectrum_table",
+    "write_csv",
+    "json_rows",
 ]
 
 _MAX_TABLE_LEVELS = 100_000
@@ -68,12 +70,13 @@ def _omega_eff(energy, params: ModelParams):
 def effective_frequency(energy, params: ModelParams):
     """Frequency sqrt(omega^2 - 2*lam*E) of the equivalent flat oscillator.
 
-    Defined for energies in [0, omega^2/(2*lam)) only.
+    Defined, and positive, for energies in [0, omega^2/(2*lam)) only;
+    raises DomainError elsewhere, and where Omega is 0 (omega = 0).
     """
     energy = np.asarray(energy, dtype=float)
-    if np.any((energy < 0) | (energy >= continuum_threshold(params))):
-        raise DomainError("energy outside [0, continuum threshold omega^2/(2*lam))")
     out = _omega_eff(energy, params)
+    if np.any((energy < 0) | (energy >= continuum_threshold(params)) | (out == 0)):
+        raise DomainError("energy outside [0, continuum threshold omega^2/(2*lam))")
     return out if out.ndim else float(out)
 
 
@@ -137,7 +140,11 @@ def energy_closed_form(n, params: ModelParams):
     rearrangement of the textbook root and reduces to hbar*omega*nu
     at lam = 0. No intermediate exceeds max(hbar*nu, E_n), so omega^2
     is never formed and the result is finite wherever those are.
-    Strictly increasing in n and always below the continuum threshold.
+    Increasing in n wherever consecutive levels lie further apart than
+    their rounding (about 4 eps E_n); closer levels, near the threshold,
+    can come out equal or one ulp out of order. threshold_gap strictly
+    decreases in n there too, so it orders those levels. At most the
+    continuum threshold, which it equals once the gap is below rounding.
     """
     _check_spectrum(params)
     n = _check_levels(n)
@@ -336,20 +343,24 @@ def solve_deformed_spectrum(base: BaseSpectrum, n: int, params: ModelParams) -> 
     return _bisect(g, 0.0, top)
 
 
-class SpectrumRow(NamedTuple):
-    n: int
-    energy: float
-    degeneracy: int
-    gap_to_threshold: float
-    residual: float
+def write_csv(columns: dict, stream) -> None:
+    """Named, equally long columns as CSV: a header line, then one line per
+    row, integers as integers and floats as .17g, which round-trips."""
+    cells = [
+        [str(v) if isinstance(v, int) else f"{v:.17g}" for v in np.asarray(c).tolist()]
+        for c in columns.values()
+    ]
+    stream.write(",".join(columns) + "\n")
+    stream.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _json_safe(x: float):
-    return x if math.isfinite(x) else None
+def json_rows(columns: dict) -> list[dict]:
+    """Named, equally long columns as one dict per row; inf and NaN become None."""
+    values = [
+        [v if isinstance(v, int) or math.isfinite(v) else None for v in np.asarray(c).tolist()]
+        for c in columns.values()
+    ]
+    return [dict(zip(columns, row)) for row in zip(*values, strict=True)]
 
 
 @dataclass
@@ -364,53 +375,28 @@ class SpectrumTable:
     residual: np.ndarray
     extra_columns: dict[str, np.ndarray] = field(default_factory=dict)
 
-    COLUMNS = ("n", "energy", "degeneracy", "gap_to_threshold", "residual")
-
     def __len__(self) -> int:
         return len(self.n)
 
-    def rows(self) -> Iterator[SpectrumRow]:
-        for i in range(len(self)):
-            yield SpectrumRow(
-                int(self.n[i]),
-                float(self.energy[i]),
-                self.degeneracy[i],
-                float(self.gap_to_threshold[i]),
-                float(self.residual[i]),
-            )
+    def columns(self) -> dict:
+        """The five spectrum columns, then the extra columns, by name."""
+        return {
+            "n": self.n,
+            "energy": self.energy,
+            "degeneracy": self.degeneracy,
+            "gap_to_threshold": self.gap_to_threshold,
+            "residual": self.residual,
+            **self.extra_columns,
+        }
 
     def header(self) -> list[str]:
-        return list(self.COLUMNS) + list(self.extra_columns)
+        return list(self.columns())
 
     def to_csv(self, stream) -> None:
-        cols = self.header()
-        stream.write(",".join(cols) + "\n")
-        for i in range(len(self)):
-            cells = [
-                str(int(self.n[i])),
-                _fmt(float(self.energy[i])),
-                str(self.degeneracy[i]),
-                _fmt(float(self.gap_to_threshold[i])),
-                _fmt(float(self.residual[i])),
-            ]
-            for name in self.extra_columns:
-                cells.append(_fmt(float(self.extra_columns[name][i])))
-            stream.write(",".join(cells) + "\n")
+        write_csv(self.columns(), stream)
 
     def to_json_rows(self) -> list[dict]:
-        out = []
-        for i in range(len(self)):
-            row = {
-                "n": int(self.n[i]),
-                "energy": _json_safe(float(self.energy[i])),
-                "degeneracy": self.degeneracy[i],
-                "gap_to_threshold": _json_safe(float(self.gap_to_threshold[i])),
-                "residual": _json_safe(float(self.residual[i])),
-            }
-            for name in self.extra_columns:
-                row[name] = _json_safe(float(self.extra_columns[name][i]))
-            out.append(row)
-        return out
+        return json_rows(self.columns())
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_rows(), indent=2)

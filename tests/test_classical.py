@@ -15,7 +15,6 @@ from pdm_oscillator import (
     classical,
     closure_check,
     conserved_series,
-    conserved_set,
     continuum_threshold,
     effective_minimum,
     estimate_radial_period,
@@ -71,50 +70,60 @@ class TestPhaseState:
             PhaseState(q=np.array([np.inf, 0.0]), p=np.zeros(2))
 
 
+def conserved_at(state, params):
+    """Every conserved quantity at one phase point, by label: conserved_series
+    on a one-point Trajectory."""
+    traj = Trajectory(
+        t=np.array([state.t]), q=state.q[None, :], p=state.p[None, :], params=params
+    )
+    return {label: float(v[0]) for label, v in conserved_series(traj, params).items()}
+
+
+def labelled(values, prefix, indices):
+    return np.array([values[f"{prefix}_{i}"] for i in indices])
+
+
 class TestConservedSet:
     def test_flat_separation_constants(self):
         p = ModelParams(lam=0.0, omega=1.3, dim=3)
         state = PhaseState(q=np.array([0.5, -1.0, 2.0]), p=np.array([1.0, 0.2, -0.7]))
-        cs = conserved_set(state, p)
+        i_vals = labelled(conserved_at(state, p), "i", range(1, 4))
         expected = state.p**2 + 1.3**2 * state.q**2
-        assert cs.i_vals == pytest.approx(expected, rel=1e-14)
+        assert i_vals == pytest.approx(expected, rel=1e-14)
 
     def test_radial_motion_has_zero_angular_blocks(self):
         state = PhaseState(q=np.array([1.0, 2.0, -0.5]), p=np.array([2.0, 4.0, -1.0]))
-        cs = conserved_set(state, P3)
-        assert cs.c_upper == pytest.approx([0.0, 0.0], abs=1e-14)
-        assert cs.c_lower == pytest.approx([0.0, 0.0], abs=1e-14)
+        values = conserved_at(state, P3)
+        assert labelled(values, "c_upper", (2, 3)) == pytest.approx([0.0, 0.0], abs=1e-14)
+        assert labelled(values, "c_lower", (2, 3)) == pytest.approx([0.0, 0.0], abs=1e-14)
 
     def test_reference_point_values(self):
         state = PhaseState(q=np.array([1.0, 0.0, 0.0]), p=np.array([0.0, 1.0, 0.0]))
-        cs = conserved_set(state, P3)
-        assert cs.c_upper[0] == pytest.approx(1.0, rel=1e-14)  # pairs within {1,2}
-        assert cs.i_vals[0] == pytest.approx(0.9607843137254902, rel=1e-14)
-        assert cs.i_vals[1] == pytest.approx(1.0, rel=1e-14)
-        assert cs.i_vals[2] == 0.0
+        values = conserved_at(state, P3)
+        assert values["c_upper_2"] == pytest.approx(1.0, rel=1e-14)  # pairs within {1,2}
+        assert values["i_1"] == pytest.approx(0.9607843137254902, rel=1e-14)
+        assert values["i_2"] == pytest.approx(1.0, rel=1e-14)
+        assert values["i_3"] == 0.0
 
     def test_sum_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             state = PhaseState(q=rng.normal(size=3), p=rng.normal(size=3))
-            cs = conserved_set(state, P3)
-            assert sum(cs.i_vals) == pytest.approx(
-                2.0 * hamiltonian(state, P3), rel=1e-13
-            )
+            i_vals = labelled(conserved_at(state, P3), "i", range(1, 4))
+            assert sum(i_vals) == pytest.approx(2.0 * hamiltonian(state, P3), rel=1e-13)
 
     def test_total_angular_momentum_consistency(self):
         state = PhaseState(q=np.array([1.0, -0.3, 0.4]), p=np.array([0.2, 0.9, -1.1]))
-        cs = conserved_set(state, P3)
-        assert cs.c_upper[-1] == pytest.approx(cs.c_lower[-1], rel=1e-14)
+        values = conserved_at(state, P3)
+        assert values["c_upper_3"] == pytest.approx(values["c_lower_3"], rel=1e-14)
 
     def test_labels_cover_full_set(self):
-        state = PhaseState(q=np.ones(3), p=np.ones(3))
-        cs = conserved_set(state, P3)
-        assert cs.labels() == [
-            "energy", "c_upper_2", "c_upper_3", "c_lower_2", "c_lower_3",
+        values = conserved_at(PhaseState(q=np.ones(3), p=np.ones(3)), P3)
+        assert list(values) == [
+            "energy", "c_upper_2", "c_lower_2", "c_upper_3", "c_lower_3",
             "i_1", "i_2", "i_3",
         ]
-        assert len(cs.values()) == len(cs.labels())
+        assert all(math.isfinite(v) for v in values.values())
 
 
 class TestIntegrateOrbit:
@@ -221,6 +230,9 @@ class TestRadialPeriod:
         for state in (at_threshold, above, rest):
             with pytest.raises(DomainError):
                 estimate_radial_period(state, p)
+        free = ModelParams(lam=0.0, omega=0.0, dim=2)  # no orbit is bounded
+        with pytest.raises(DomainError):
+            estimate_radial_period(above, free)
 
 
 class TestStackedIntegration:
@@ -474,10 +486,11 @@ class TestExactOrbit:
 
     def test_escape_energy_rejected(self):
         p = ModelParams(lam=0.25, omega=1.0, dim=2)  # threshold exactly 2
-        for speed in (2.0, 2.5):
+        free = ModelParams(lam=0.0, omega=0.0, dim=2)  # no orbit is bounded
+        for params, speed in ((p, 2.0), (p, 2.5), (free, 1.0)):
             state = PhaseState(q=np.zeros(2), p=np.array([speed, 0.0]))
             with pytest.raises(DomainError):
-                exact_orbit(state, p, [1.0])
+                exact_orbit(state, params, [1.0])
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(bounded_states())
@@ -546,11 +559,11 @@ class TestFunctionalIndependence:
 
         def invariants(z):
             state = PhaseState(q=z[:dim], p=z[dim:])
-            cs = conserved_set(state, params)
+            values = conserved_at(state, params)
             vals = [hamiltonian(state, params)]
-            vals.extend(cs.c_upper)
-            vals.extend(cs.c_lower[:-1])
-            vals.append(cs.i_vals[0])
+            vals.extend(labelled(values, "c_upper", range(2, dim + 1)))
+            vals.extend(labelled(values, "c_lower", range(2, dim)))
+            vals.append(values["i_1"])
             return np.array(vals)
 
         for _ in range(20):

@@ -220,8 +220,9 @@ class TestErrorPaths:
             ["wavefunction", "--grid-points", "0"],
             ["deform", "--n-max", "-1"],
             ["classical", "--samples", "0"],
+            ["oracle", "--l", "-1"],
         ],
-        ids=["effective-potential", "geometry", "wavefunction", "deform", "classical"],
+        ids=["effective-potential", "geometry", "wavefunction", "deform", "classical", "oracle"],
     )
     def test_bad_count_is_one_error_line(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"
@@ -274,6 +275,20 @@ class TestErrorPaths:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "residual" in lines[0]
+        assert not out.exists()
+
+    def test_failed_eigensolve_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        import scipy.linalg
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("stein (eigh_tridiagonal) err 1")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        out = tmp_path / "x.csv"
+        assert cli.run(["oracle", "--l", "0", "--k", "0", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "eigensolve failed" in lines[0]
         assert not out.exists()
 
     def test_failed_integration_is_one_error_line(self, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from pdm_oscillator import (
     spectrum_table,
     threshold_gap,
 )
+from pdm_oscillator.spectrum import json_rows, write_csv
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
 
@@ -70,6 +72,8 @@ class TestEffectiveFrequency:
     def test_continuum_rejected(self):
         with pytest.raises(DomainError):
             effective_frequency(continuum_threshold(P3), P3)
+        with pytest.raises(DomainError):  # omega = 0: no energy has Omega > 0
+            effective_frequency(0.5, ModelParams(lam=0.0, omega=0.0))
 
 
 class TestClosedForm:
@@ -367,11 +371,11 @@ class TestSpectrumTable:
         p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=3)
         table = spectrum_table(0, p)
         assert len(table) == 1
-        row = next(table.rows())
-        assert row.energy == pytest.approx(1.5, rel=1e-15)
-        assert row.degeneracy == 1
-        assert row.gap_to_threshold == math.inf
-        assert row.residual == 0.0
+        row = {name: column[0] for name, column in table.columns().items()}
+        assert row["energy"] == pytest.approx(1.5, rel=1e-15)
+        assert row["degeneracy"] == 1
+        assert row["gap_to_threshold"] == math.inf
+        assert row["residual"] == 0.0
 
     def test_monotone_energies_with_small_residuals(self):
         table = spectrum_table(5, P3)
@@ -402,3 +406,32 @@ class TestSpectrumTable:
     def test_cap(self):
         with pytest.raises(DomainError):
             spectrum_table(100_001, P3)
+
+
+class TestColumnWriter:
+    COLUMNS = {"n": np.arange(2), "x": [1.5, math.inf]}
+
+    def test_csv(self):
+        buf = io.StringIO()
+        write_csv(self.COLUMNS, buf)
+        assert buf.getvalue() == "n,x\n0,1.5\n1,inf\n"
+
+    def test_json_rows(self):
+        rows = json_rows(self.COLUMNS)
+        assert json.dumps(rows) == '[{"n": 0, "x": 1.5}, {"n": 1, "x": null}]'
+
+    def test_floats_round_trip_bit_for_bit(self):
+        bits = np.random.default_rng(11).integers(0, 2**64, size=2000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        buf = io.StringIO()
+        write_csv({"x": values}, buf)
+        cells = buf.getvalue().splitlines()[1:]
+        back = np.array([float(cell) for cell in cells])
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            write_csv({"n": np.arange(2), "x": [1.5]}, io.StringIO())
+        with pytest.raises(ValueError):
+            json_rows({"n": np.arange(2), "x": [1.5]})
