@@ -30,7 +30,6 @@ from .spectrum import (
     _omega_eff,
     continuum_threshold,
     degeneracy,
-    effective_frequency,
     energy_closed_form,
 )
 
@@ -80,9 +79,10 @@ def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
 
     The eigenfunctions decay with the Gaussian width beta(E) of the highest
     state, so the box extends to max(12/beta, 3 * outer turning radius).
+    Omega = E/(hbar (n + N/2)) is exact, also where E rounds to the threshold.
     """
     e_top = energy_closed_form(2 * k_max + l, params)
-    omega_eff = effective_frequency(e_top, params)
+    omega_eff = e_top / (params.hbar * (2 * k_max + l + params.dim / 2.0))
     beta = math.sqrt(omega_eff / params.hbar)
     r_turn = math.sqrt(2.0 * e_top) / omega_eff
     # for N = 1 the measure does not vanish at the origin, so the inner
@@ -123,28 +123,31 @@ def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> Discreti
         raise DomainError(f"l must be an integer >= 0, got {l}")
     l = int(l)
     n_dim = params.dim
-    h = grid.spacing
+    h = np.float64(grid.spacing)  # so that h**2 may overflow to inf, caught below
     r = grid.nodes()
 
     # unknowns: drop the Dirichlet / degenerate-measure node(s)
     lo = 0 if (l == 0 and n_dim == 1) else 1
     ri = r[lo : grid.num_points - 1]
 
-    p = lambda rr: 0.5 * params.hbar**2 * rr ** (n_dim - 1)
-    p_right = p(ri + 0.5 * h)
-    p_left = p(ri - 0.5 * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = lambda rr: 0.5 * params.hbar**2 * rr ** (n_dim - 1)
+        p_right = p(ri + 0.5 * h)
+        p_left = p(ri - 0.5 * h)
 
-    centrifugal = params.hbar**2 * l * (l + n_dim - 2) / (2.0 * ri**2)
-    well = 0.5 * params.omega**2 * ri**2
-    diag = (p_right + p_left) / h**2 + (centrifugal + well) * ri ** (n_dim - 1)
-    offdiag = -p_right[:-1] / h**2
-    weight = (1.0 + params.lam * ri**2) * ri ** (n_dim - 1)
-    if l == 0:
-        if n_dim == 1:
-            diag[0] = p_right[0] / h**2 + 0.5 * well[0]
-            weight[0] = 0.5 * weight[0]
-        else:
-            diag[0] = p_right[0] / h**2 + well[0] * ri[0] ** (n_dim - 1)
+        centrifugal = params.hbar**2 * l * (l + n_dim - 2) / (2.0 * ri**2)
+        well = 0.5 * params.omega**2 * ri**2
+        diag = (p_right + p_left) / h**2 + (centrifugal + well) * ri ** (n_dim - 1)
+        offdiag = -p_right[:-1] / h**2
+        weight = (1.0 + params.lam * ri**2) * ri ** (n_dim - 1)
+        if l == 0:
+            if n_dim == 1:
+                diag[0] = p_right[0] / h**2 + 0.5 * well[0]
+                weight[0] = 0.5 * weight[0]
+            else:
+                diag[0] = p_right[0] / h**2 + well[0] * ri[0] ** (n_dim - 1)
+    if not all(np.isfinite(v).all() for v in (diag, offdiag, weight)):
+        raise DomainError(f"r_max={grid.r_max:g} overflows the discretized operator")
     return DiscretizedOperator(
         diag=diag, offdiag=offdiag, weight=weight, nodes=ri, l=l, params=params
     )

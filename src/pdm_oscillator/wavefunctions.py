@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import ModelParams
-from .specfun import hermite_function, integrate, laguerre
+from .specfun import _laguerre, hermite_function, integrate
 from .spectrum import QuantumState, continuum_threshold
 
 __all__ = [
@@ -108,12 +108,7 @@ class RadialEigenfunction:
         if np.any(r < 0):
             raise DomainError("radius must be >= 0")
         x = (self.beta * r) ** 2
-        out = (
-            self.norm_constant
-            * r**self.l
-            * np.exp(-0.5 * x)
-            * laguerre(self.k, self.laguerre_parameter, x)
-        )
+        out = self.norm_constant * r**self.l * _laguerre(self.k, self.laguerre_parameter, x, -x / 2)
         return out if out.ndim else float(out)
 
 

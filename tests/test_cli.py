@@ -171,6 +171,15 @@ class TestOracleCommand:
         assert len(rows) == 4
         assert all(float(r["rel_error"]) < 1e-4 for r in rows)
 
+    def test_levels_rounded_to_the_threshold(self, tmp_path):
+        # at lam = 1e6 every level from n = 43 on rounds to the threshold
+        # 5e-7, where Omega from sqrt(omega^2 - 2 lam E) is 0
+        out = tmp_path / "oracle.csv"
+        assert cli.run(["oracle", "--lambda", "1e6", "--l", "0", "--k", "25", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 26
+        assert all(float(r["rel_error"]) < 1e-4 for r in rows)
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
@@ -253,6 +262,14 @@ class TestErrorPaths:
         assert cli.run(argv) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
+    def test_huge_box_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.run(["oracle", "--r-max", "1e200", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "r_max" in lines[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "deform"])
@@ -362,6 +379,11 @@ assert pdm_oscillator.cli.run(["wavefunction", "--k", "2", "--l", "1", "--out", 
 assert not scipy_modules(), f"wavefunction loads {scipy_modules()}"
 assert pdm_oscillator.cli.run(["classical", "--t-end", "2", "--samples", "11", "--out", sys.argv[3]]) == 0
 assert not scipy_modules(), f"classical loads {scipy_modules()}"
+radial = pdm_oscillator.normalize(
+    pdm_oscillator.RadialEigenfunction.from_quantum_numbers(3, 1, pdm_oscillator.ModelParams(lam=0.02))
+)
+assert abs(pdm_oscillator.weighted_inner_product(radial, radial, radial.params) - 1.0) < 1e-12
+assert not scipy_modules(), f"weighted_inner_product loads {scipy_modules()}"
 flat = pdm_oscillator.ModelParams(lam=0.0, omega=1.0, dim=2)
 start = pdm_oscillator.PhaseState(q=[1.0, 0.0], p=[0.0, 0.8])
 orbit = pdm_oscillator.integrate_orbit(start, flat, t_end=7.0, samples=11)

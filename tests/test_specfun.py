@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
@@ -100,6 +101,16 @@ class TestHermiteFunction:
         values = hermite_function(400, x)
         assert np.all(np.isfinite(values))
         assert np.max(np.abs(values)) < 1.0
+
+    def test_beyond_the_gaussian_underflow(self):
+        # exp(-x^2/2) underflows past |x| = 38.6, where h_1000 is still O(0.1)
+        for x in (-44.1, 38.9, 44.6, 46.0):
+            with mpmath.workdps(40):
+                expected = float(
+                    mpmath.hermite(1000, x) * mpmath.exp(-mpmath.mpf(x) ** 2 / 2)
+                    / mpmath.sqrt(2 ** mpmath.mpf(1000) * mpmath.factorial(1000) * mpmath.sqrt(mpmath.pi))
+                )
+            assert hermite_function(1000, x) == pytest.approx(expected, rel=1e-11, abs=1e-15)
 
     def test_unit_norm(self):
         # numpy's Gauss-Hermite rule, independent of `integrate`

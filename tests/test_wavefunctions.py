@@ -1,5 +1,6 @@
 import math
 import timeit
+import warnings
 
 import mpmath
 import numpy as np
@@ -160,6 +161,26 @@ class TestWeightedInnerProduct:
         f = normalize(RadialEigenfunction.from_quantum_numbers(k, l, p))
         assert weighted_inner_product(f, f, p) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "dim,lam,order",
+        [(1, 1e-7, 369), (1, 1e-7, 739), (1, 1e-7, 740), (1, 1e-7, 1000),
+         (3, 1e-6, 185), (3, 1e-6, 1000)],
+    )
+    def test_high_order_is_orthonormal(self, dim, lam, order):
+        # numpy's hermgauss overflows from 372 nodes, exp(-x^2/2) alone
+        # underflows at the outer Hermite nodes from n = 739, and scipy's
+        # Gauss-Laguerre weights times exp(x) overflow from k = 185
+        p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=dim)
+        if dim == 1:
+            f, g = (CartesianEigenfunction.from_occupations((n,), p) for n in (order, order + 2))
+        else:
+            f, g = (RadialEigenfunction.from_quantum_numbers(k, 0, p) for k in (order, order + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f, g = normalize(f), normalize(g)
+            assert weighted_inner_product(f, f, p) == pytest.approx(1.0, abs=1e-12)
+            assert abs(weighted_inner_product(f, g, p)) < 1e-12
+
     def test_gauss_rule_matches_high_precision_quadrature(self):
         # near the continuum edge (lam*hbar/omega ~ 2000) a width from
         # sqrt(omega^2 - 2 lam E) made distinct levels overlap by ~6e-8; with
@@ -310,3 +331,17 @@ class TestProperties:
         assume(level_energy(f) != level_energy(g))
         f, g = normalize(f), normalize(g)
         assert abs(weighted_inner_product(f, g, p)) < 16 * EPS
+
+    @pytest.mark.parametrize("family", [CartesianEigenfunction, RadialEigenfunction])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(
+        order=st.integers(0, 300), lam=log_uniform(1e-8, 1e-4), dim=st.integers(1, 8), l=QUANTA
+    )
+    def test_high_order_self_product_is_one(self, family, order, lam, dim, l):
+        p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=dim)
+        if family is CartesianEigenfunction:
+            f = CartesianEigenfunction.from_occupations((order,) + (l,) * (dim - 1), p)
+        else:
+            f = RadialEigenfunction.from_quantum_numbers(order, l, p)
+        f = normalize(f)
+        assert weighted_inner_product(f, f, p) == pytest.approx(1.0, abs=1e-12)
