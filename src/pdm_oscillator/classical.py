@@ -10,10 +10,11 @@ rather than an artifact of the scheme. It integrates one orbit or a batch of
 orbits as one stacked system. The exact orbit, also from the flat-time
 change, is there for cross-checks only.
 
-The pair is Dormand-Prince 5(4) (Dormand & Prince 1980) with Shampine's
-quartic dense output (Shampine 1986), written here in numpy with the
-tableau, error estimate and step-size controller of scipy's RK45, so that
-it takes the same steps while the classical layer loads no scipy module.
+The pair is DOP853, the Dormand-Prince 8(5,3) pair (Prince & Dormand 1981;
+Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10) with its 7th-order
+dense output, written here in numpy with the tableau, error estimate and
+step-size controller of scipy's DOP853, so that it takes the same steps
+while the classical layer loads no scipy module.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def _angular_squares(q, p):
 @dataclass(frozen=True)
 class RKStats:
     """Work of one Runge-Kutta integration: right-hand side evaluations and
-    accepted and rejected steps. Each attempted step costs 6 evaluations,
-    and the start costs 2."""
+    accepted and rejected steps. Each attempted step costs 12 evaluations,
+    each step that writes dense output 3 more, and the start 2."""
 
     nfev: int
     accepted: int
@@ -167,68 +168,162 @@ _CONTROL_FLOOR = 2.5e-14
 _EPS = float(np.finfo(float).eps)
 _NEWTON_ITERATIONS = 100
 
-# Dormand-Prince 5(4): nodes, stage matrix, fifth-order weights, the
-# difference to the embedded fourth-order weights, and Shampine's quartic
-# dense-output matrix, as in scipy's RK45.
-_C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+
+def _from_rows(width, rows):
+    """Matrix of `width` columns from its rows, each given as {column: value}."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        out[i, list(row)] = list(row.values())
+    return out
+
+
+# DOP853 as in scipy's DOP853 (Hairer's dop853.f): nodes and stage matrix of
+# the 12 stages of a step, whose row 12 holds the eighth-order weights, and of
+# the 3 extra stages of the dense output (rows 13-15); the fifth- and
+# third-order error weights; and rows 3-6 of the 7th-order dense output.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778,
 ])
-_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([
-    -71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40
-])
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+_A = _from_rows(16, (
+    {},
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+    {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+     7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+     9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+     11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+    {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+     6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+     10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+     12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+    {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+     6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+     8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+     13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138},
+))
+_B = _A[12, :12]
+# the eighth-order weights less those of the embedded third-order formula
+_E3 = np.append(_B, 0.0)
+_E3[[0, 8, 11]] -= (
+    0.244094488188976377952755905512,
+    0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1,
+)
+_E5 = _from_rows(13, (
+    {0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+     6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+     8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+     10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1},
+))[0]
+_D = _from_rows(16, (
+    {0: -0.84289382761090128651353491142e+1, 5: 0.56671495351937776962531783590,
+     6: -0.30689499459498916912797304727e+1, 7: 0.23846676565120698287728149680e+1,
+     8: 0.21170345824450282767155149946e+1, 9: -0.87139158377797299206789907490,
+     10: 0.22404374302607882758541771650e+1, 11: 0.63157877876946881815570249290,
+     12: -0.88990336451333310820698117400e-1, 13: 0.18148505520854727256656404962e+2,
+     14: -0.91946323924783554000451984436e+1, 15: -0.44360363875948939664310572000e+1},
+    {0: 0.10427508642579134603413151009e+2, 5: 0.24228349177525818288430175319e+3,
+     6: 0.16520045171727028198505394887e+3, 7: -0.37454675472269020279518312152e+3,
+     8: -0.22113666853125306036270938578e+2, 9: 0.77334326684722638389603898808e+1,
+     10: -0.30674084731089398182061213626e+2, 11: -0.93321305264302278729567221706e+1,
+     12: 0.15697238121770843886131091075e+2, 13: -0.31139403219565177677282850411e+2,
+     14: -0.93529243588444783865713862664e+1, 15: 0.35816841486394083752465898540e+2},
+    {0: 0.19985053242002433820987653617e+2, 5: -0.38703730874935176555105901742e+3,
+     6: -0.18917813819516756882830838328e+3, 7: 0.52780815920542364900561016686e+3,
+     8: -0.11573902539959630126141871134e+2, 9: 0.68812326946963000169666922661e+1,
+     10: -0.10006050966910838403183860980e+1, 11: 0.77771377980534432092869265740,
+     12: -0.27782057523535084065932004339e+1, 13: -0.60196695231264120758267380846e+2,
+     14: 0.84320405506677161018159903784e+2, 15: 0.11992291136182789328035130030e+2},
+    {0: -0.25693933462703749003312586129e+2, 5: -0.15418974869023643374053993627e+3,
+     6: -0.23152937917604549567536039109e+3, 7: 0.35763911791061412378285349910e+3,
+     8: 0.93405324183624310003907691704e+2, 9: -0.37458323136451633156875139351e+2,
+     10: 0.10409964950896230045147246184e+3, 11: 0.29840293426660503123344363579e+2,
+     12: -0.43533456590011143754432175058e+2, 13: 0.96324553959188282948394950600e+2,
+     14: -0.39177261675615439165231486172e+2, 15: -0.14972683625798562581422125276e+3},
+))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / 5  # the embedded error is of order 4 + 1
+_ERROR_EXPONENT = -1 / 8  # the embedded error is of order 7 + 1
 
 
 def _rms(x):
     return np.linalg.norm(x) / x.size**0.5
 
 
-def _dense_powers(x):
-    """Rows x, x^2, x^3, x^4 of the quartic dense output."""
-    return np.cumprod(np.array((x, x, x, x)), axis=0)
+def _error_norm(k, h, scale):
+    """Scaled error of a step, h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), from
+    its fifth- and third-order estimates e5 and e3."""
+    err5_sq = np.linalg.norm(np.dot(k.T, _E5) / scale) ** 2
+    err3_sq = np.linalg.norm(np.dot(k.T, _E3) / scale) ** 2
+    if err5_sq == 0 and err3_sq == 0:
+        return 0.0
+    return h * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * len(scale))
 
 
-def _dopri45(fun, y0, grid, tol, dense):
-    """Integrate y' = fun(t, y) from grid[0] to grid[-1] by Dormand-Prince 5(4).
+def _dense_increment(coeffs, x):
+    """y(t + x h) - y(t) from the 7th-order dense output of the step [t, t + h],
+    x(F0 + (1 - x)(F1 + x(F2 + ... F6))) for its rows F0..F6 in `coeffs`."""
+    y = coeffs[-1] * x
+    for i, row in enumerate(coeffs[-2::-1], start=1):
+        y = (y + row) * (1 - x if i % 2 else x)
+    return y
 
-    A step is accepted when the RMS of its error estimate, scaled by
+
+def _dop853(fun, y0, grid, tol, dense):
+    """Integrate y' = fun(t, y) from grid[0] to grid[-1] by DOP853.
+
+    A step is accepted when its error norm (`_error_norm`), scaled by
     tol + max(|y|, |y_new|) tol, is below 1. The next step is the current one
-    times 0.9 err^(-1/5), clamped to [0.2, 10], and never grows right after
-    a rejection; the first step follows Hairer, Norsett & Wanner, Sec. II.4.
-    A NaN error counts as a rejection, so a right-hand side that returns NaN
-    or inf shrinks the step until it falls below 10 ulp(t), where this
-    raises ConvergenceError; so does a NaN first step.
+    times 0.9 err^(-1/8), clamped to [0.2, 10], and never grows right after
+    a rejection; the first step follows Hairer, Norsett & Wanner, Sec. II.4,
+    for order 7. A NaN error counts as a rejection, so a right-hand side
+    that returns NaN or inf shrinks the step until it falls below
+    10 ulp(t), where this raises ConvergenceError; so does a NaN first step.
 
-    Returns the solution at `grid`, shape (len(y0), len(grid)), each sample
-    from the quartic of the step that contains it; with `dense`, the step
-    start times (plus the end), start states and quartics for
-    `_dense_value`, else None; and the work done.
+    A step that holds a sample, or with `dense` every step, spends 3 more
+    evaluations on its 7th-order dense output. Returns the solution at
+    `grid`, shape (len(y0), len(grid)), each sample from the dense output of
+    the step that contains it; with `dense`, the step start times (plus the
+    end), start states and dense-output rows for `_dense_value`, else None;
+    and the work done.
     """
     t, t_end = float(grid[0]), float(grid[-1])
     y = y0
     samples = np.empty((len(y0), len(grid)))
-    k = np.empty((7, len(y0)))
+    k = np.empty((16, len(y0)))
     f = fun(t, y)
     scale = tol + np.abs(y) * tol
     d0, d1 = _rms(y / scale), _rms(f / scale)
@@ -237,7 +332,7 @@ def _dopri45(fun, y0, grid, tol, dense):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t_end - t)
     nfev, accepted, rejected = 2, 0, 0
     steps = [] if dense else None
@@ -255,14 +350,14 @@ def _dopri45(fun, y0, grid, tol, dense):
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
             k[0] = f
-            for s in range(1, 6):
+            for s in range(1, 12):
                 k[s] = fun(t + _C[s] * h, y + np.dot(k[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(k[:-1].T, _B)
+            y_new = y + h * np.dot(k[:12].T, _B)
             f_new = fun(t + h, y_new)
-            k[-1] = f_new
-            nfev += 6
+            k[12] = f_new
+            nfev += 12
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error_norm = _rms(np.dot(k.T, _E) * h / scale)
+            error_norm = _error_norm(k[:13], h, scale)
             if error_norm < 1:
                 factor = (
                     _MAX_FACTOR
@@ -277,28 +372,34 @@ def _dopri45(fun, y0, grid, tol, dense):
             rejected += 1
         stop = int(np.searchsorted(grid, t_new, side="right"))
         if dense or stop > next_sample:
-            quartic = k.T.dot(_P)
+            for s in range(13, 16):
+                k[s] = fun(t + _C[s] * h, y + np.dot(k[:s].T, _A[s, :s]) * h)
+            nfev += 3
+            delta = y_new - y
+            coeffs = np.vstack(
+                (delta, h * k[0] - delta, 2 * delta - h * (f_new + k[0]), h * np.dot(_D, k))
+            )
         if stop > next_sample:
-            powers = _dense_powers((grid[next_sample:stop] - t) / h)
-            samples[:, next_sample:stop] = h * np.dot(quartic, powers) + y[:, None]
+            x = (grid[next_sample:stop] - t) / h
+            samples[:, next_sample:stop] = _dense_increment(coeffs[:, :, None], x) + y[:, None]
             next_sample = stop
         if dense:
-            steps.append((t, y, quartic))
+            steps.append((t, y, coeffs))
         t, y, f = t_new, y_new, f_new
     if dense:
-        times, starts, quartics = zip(*steps)
-        steps = (np.array(times + (t,)), np.array(starts), np.array(quartics))
+        times, starts, coeffs = zip(*steps)
+        steps = (np.array(times + (t,)), np.array(starts), np.array(coeffs))
     return samples, steps, RKStats(nfev, accepted, rejected)
 
 
 def _dense_value(steps, rows, t0, span, time):
-    """Phase point of one orbit of a batch at `time`, from the quartic of the
-    step that contains it (the earlier step at a step boundary)."""
-    times, starts, quartics = steps
+    """Phase point of one orbit of a batch at `time`, from the dense output of
+    the step that contains it (the earlier step at a step boundary)."""
+    times, starts, coeffs = steps
     s = (time - t0) / span
     i = min(max(int(np.searchsorted(times, s, side="left")) - 1, 0), len(starts) - 1)
-    h = times[i + 1] - times[i]
-    return h * np.dot(quartics[i, rows], _dense_powers((s - times[i]) / h)) + starts[i, rows]
+    x = (s - times[i]) / (times[i + 1] - times[i])
+    return _dense_increment(coeffs[i][:, rows], x) + starts[i, rows]
 
 
 def integrate_orbits(
@@ -309,7 +410,7 @@ def integrate_orbits(
     samples: int = 2001,
     dense: bool = True,
 ) -> list[Trajectory]:
-    """Integrate M orbits as one stacked system with an adaptive RK 5(4) pair.
+    """Integrate M orbits as one stacked system with the adaptive DOP853 pair.
 
     Orbit i runs from its own start time t0_i to t_ends[i]. Its time is
     rescaled to s in [0, 1] by dt = (t_ends[i] - t0_i) ds, so one grid of
@@ -355,7 +456,7 @@ def integrate_orbits(
         return scale * rhs(s, y)
 
     y0 = np.concatenate([np.concatenate([state.q, state.p]) for state in states])
-    ys, steps, stats = _dopri45(
+    ys, steps, stats = _dop853(
         stacked_rhs, y0, np.linspace(0.0, 1.0, samples), control, dense
     )
     trajs = []

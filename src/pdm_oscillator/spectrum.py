@@ -54,17 +54,21 @@ def continuum_threshold(params: ModelParams) -> float:
     return params.omega / (2.0 * params.lam) * params.omega
 
 
-def _omega_eff(energy, params: ModelParams):
-    """Omega(E) = sqrt(omega^2 - 2*lam*E) for 0 <= E <= threshold.
+def _omega_of_gap(gap, params: ModelParams):
+    """Omega = sqrt(2*lam*gap) of an energy `gap` below the threshold.
 
-    Taken as min(omega, sqrt(2*lam) * sqrt(threshold - E)), which is exactly
-    0 at the threshold, exactly omega where 2*lam*E is below the rounding of
-    omega^2, and never forms omega^2, so it cannot overflow.
+    Taken as min(omega, sqrt(2*lam) * sqrt(gap)), which is exactly 0 at the
+    threshold, exactly omega where the gap rounds to the threshold, and
+    never forms omega^2, so it cannot overflow.
     """
     if params.lam == 0:
-        return np.full(np.shape(energy), params.omega)
-    gap = np.maximum(continuum_threshold(params) - energy, 0.0)
+        return np.full(np.shape(gap), params.omega)
     return np.minimum(params.omega, math.sqrt(2.0 * params.lam) * np.sqrt(gap))
+
+
+def _omega_eff(energy, params: ModelParams):
+    """Omega(E) = sqrt(omega^2 - 2*lam*E) for 0 <= E <= threshold."""
+    return _omega_of_gap(np.maximum(continuum_threshold(params) - energy, 0.0), params)
 
 
 def effective_frequency(energy, params: ModelParams):
@@ -406,7 +410,9 @@ def spectrum_table(n_max: int, params: ModelParams) -> SpectrumTable:
     """Closed-form levels 0..n_max with degeneracy, gap, and residual columns.
 
     The residual column restates the self-consistent equation at the
-    tabulated energy: |E - hbar*Omega(E)*(n + N/2)|.
+    tabulated energy, |E - hbar*Omega*(n + N/2)|, with Omega taken from the
+    gap column: threshold - E cancels where E rounds to the threshold, the
+    gap does not.
     """
     if n_max < 0 or int(n_max) != n_max:
         raise DomainError(f"n_max must be an integer >= 0, got {n_max}")
@@ -416,7 +422,7 @@ def spectrum_table(n_max: int, params: ModelParams) -> SpectrumTable:
     energy = np.atleast_1d(energy_closed_form(levels, params))
     gap = np.atleast_1d(threshold_gap(levels, params))
     nu = levels + params.dim / 2.0
-    residual = np.abs(energy - params.hbar * _omega_eff(energy, params) * nu)
+    residual = np.abs(energy - params.hbar * _omega_of_gap(gap, params) * nu)
     degen = [degeneracy(int(n), params.dim) for n in levels]
     return SpectrumTable(
         params=params,

@@ -277,7 +277,7 @@ def _rk_work(*stats) -> dict:
 
 def check_classical_conservation() -> list[CheckResult]:
     """Drift of all five constants plus the pointwise sum identity, N=3; and
-    the same RK45 orbits against the exact flat-time orbit."""
+    the same DOP853 orbits against the exact flat-time orbit."""
     p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
     rng = np.random.default_rng(_CONSERVATION_SEED)
     states = [
@@ -328,7 +328,7 @@ def check_classical_conservation() -> list[CheckResult]:
             name="classical-global-error",
             passed=worst_global < 1e-8,
             measured=worst_global,
-            expected="relative phase-space distance of RK45 from the exact orbit "
+            expected="relative phase-space distance of DOP853 from the exact orbit "
             "over 10 radial periods",
             tolerance=1e-8,
         ),

@@ -313,8 +313,8 @@ def counting_rhs(monkeypatch, after=None):
 
 class TestDormandPrince:
     @staticmethod
-    def scipy_rk45(states, params, t_ends, tol, samples, dense):
-        """The same stacked, rescaled system through scipy's RK45, with the
+    def scipy_dop853(states, params, t_ends, tol, samples, dense):
+        """The same stacked, rescaled system through scipy's DOP853, with the
         step control integrate_orbits derives from tol."""
         from scipy.integrate import solve_ivp
 
@@ -328,41 +328,60 @@ class TestDormandPrince:
             lambda s, y: scale * rhs(s, y),
             (0.0, 1.0),
             y0,
-            method="RK45",
+            method="DOP853",
             rtol=control,
             atol=control,
             dense_output=dense,
             t_eval=np.linspace(0.0, 1.0, samples),
         )
 
-    @pytest.mark.parametrize("case", ["batch-of-20", "single-dense"])
-    def test_matches_scipy_rk45(self, monkeypatch, case):
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        assert np.array_equal(classical._C, ref.C)
+        assert np.array_equal(classical._A, ref.A)
+        assert np.array_equal(classical._B, ref.B)
+        assert np.array_equal(classical._E3, ref.E3)
+        assert np.array_equal(classical._E5, ref.E5)
+        assert np.array_equal(classical._D, ref.D)
+
+    @pytest.mark.parametrize("case", ["batch-of-20", "single-dense", "two-samples"])
+    def test_matches_scipy_dop853(self, monkeypatch, case):
         rng = np.random.default_rng(29)
-        if case == "batch-of-20":
-            params, tol, samples, dense = P3, 1e-10, 401, False
-            states = [
-                PhaseState(q=rng.uniform(-2.5, 2.5, 3), p=rng.uniform(-2.0, 2.0, 3))
-                for _ in range(20)
-            ]
-            t_ends = [3.0 * estimate_radial_period(state, params) for state in states]
-        else:
+        if case == "single-dense":
             # a loose tol and a strongly deformed orbit, so that steps get rejected
             params, tol, samples, dense = ModelParams(lam=0.5, omega=1.0, dim=2), 1e-6, 101, True
             states = [PhaseState(q=np.array([3.0, 0.0]), p=np.array([0.0, 0.3]), t=1.5)]
             t_ends = [21.5]
-        sol = self.scipy_rk45(states, params, t_ends, tol, samples, dense)
+        else:
+            # with two samples only the first and the last step hold one
+            params, tol = P3, 1e-10
+            samples, periods = (401, 3.0) if case == "batch-of-20" else (2, 2.0)
+            dense = False
+            states = [
+                PhaseState(q=rng.uniform(-2.5, 2.5, 3), p=rng.uniform(-2.0, 2.0, 3))
+                for _ in range(20)
+            ]
+            t_ends = [periods * estimate_radial_period(state, params) for state in states]
+        sol = self.scipy_dop853(states, params, t_ends, tol, samples, dense)
         calls = counting_rhs(monkeypatch)
         trajs = integrate_orbits(states, params, t_ends, tol=tol, samples=samples, dense=dense)
         stats = trajs[0].stats
         assert all(traj.stats is stats for traj in trajs)
         assert stats.nfev == sol.nfev == calls[0]
-        # 6 evaluations per attempted step, 2 at the start
-        assert stats.nfev == 2 + 6 * (stats.accepted + stats.rejected)
+        # the step ends, from scipy's dense output; each step that passes a
+        # sample, or with dense output every step, writes dense output
+        ends = (sol if dense else self.scipy_dop853(states, params, t_ends, tol, 2, True)).sol.ts
+        assert stats.accepted == len(ends) - 1
+        stops = np.searchsorted(np.linspace(0.0, 1.0, samples), ends[1:], side="right")
+        dense_steps = stats.accepted if dense else np.count_nonzero(np.diff(stops, prepend=0))
+        # 12 evaluations per attempted step, 3 per step with dense output,
+        # 2 at the start
+        assert stats.nfev == 2 + 12 * (stats.accepted + stats.rejected) + 3 * dense_steps
         if dense:
             assert stats.rejected > 0
-            assert stats.accepted == len(sol.sol.ts) - 1
-        else:
-            assert stats.rejected == 0
+        if samples == 2:
+            assert dense_steps == 2 < stats.accepted
         n = params.dim
         for i, (state, t_end, traj) in enumerate(zip(states, t_ends, trajs)):
             rows = slice(2 * n * i, 2 * n * (i + 1))

@@ -255,6 +255,14 @@ class TestErrorPaths:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_underflowing_width_names_the_scale(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli.run(["oracle", "--hbar", "1e200", "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "hbar=1e+200" in lines[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["oracle"])
     def test_overflow_is_one_error_line(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"

@@ -382,6 +382,13 @@ class TestSpectrumTable:
         assert np.all(np.diff(table.energy) > 0)
         assert np.all(table.residual < 1e-10)
 
+    @pytest.mark.parametrize("lam, n_max", [(1e8, 8), (1e8, 2000), (0.02, 2000)])
+    def test_residual_column_at_rounding(self, lam, n_max):
+        # at lam = 1e8 every level rounds to the threshold, where Omega from
+        # threshold - E is 0 or off by up to 20x; Omega from the gap is not
+        table = spectrum_table(n_max, ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=3))
+        assert np.all(table.residual <= 4.0 * np.finfo(float).eps * table.energy)
+
     def test_gap_column_strictly_decreasing(self):
         table = spectrum_table(400, P3)
         assert np.all(np.diff(table.gap_to_threshold) < 0)
