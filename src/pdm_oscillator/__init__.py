@@ -24,8 +24,6 @@ from .errors import BracketingError, ConvergenceError, DomainError
 from .geometry import (
     EffectivePotentialSpec,
     ModelParams,
-    canonical_momentum,
-    canonical_position,
     effective_minimum,
     effective_potential,
     metric_factor,

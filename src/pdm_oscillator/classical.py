@@ -7,27 +7,28 @@ the motion into a flat oscillator. The integrator is a plain adaptive
 embedded Runge-Kutta pair (not symplectic) that never reads the closed-form
 orbit, which makes conservation along trajectories a genuine numerical test
 rather than an artifact of the scheme. It integrates one orbit or a batch of
-orbits as one stacked system. The exact orbit, also from the flat-time
-change, is there for cross-checks only.
+orbits as one stacked system. An orbit is closed when, integrated for
+exactly its closed-form period, it returns to its start. The exact orbit,
+also from the flat-time change, is there for cross-checks only.
 
 The pair is DOP853, the Dormand-Prince 8(5,3) pair (Prince & Dormand 1981;
-Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10) with its 7th-order
-dense output, written here in numpy with the tableau, error estimate and
-step-size controller of scipy's DOP853, so that it takes the same steps
-while the classical layer loads no scipy module.
+Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), written here in numpy
+with the tableau, error estimate and step-size controller of scipy's
+DOP853, so that it takes the same steps while the classical layer loads no
+scipy module. Its 7th-order dense output writes the samples and is not
+kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .geometry import ModelParams
-from .spectrum import _bisect, continuum_threshold, effective_frequency
+from .spectrum import continuum_threshold, effective_frequency
 
 __all__ = [
     "PhaseState",
@@ -86,7 +87,7 @@ def _angular_squares(q, p):
 class RKStats:
     """Work of one Runge-Kutta integration: right-hand side evaluations and
     accepted and rejected steps. Each attempted step costs 12 evaluations,
-    each step that writes dense output 3 more, and the start 2."""
+    each step that holds a sample 3 more, and the start 2."""
 
     nfev: int
     accepted: int
@@ -95,7 +96,7 @@ class RKStats:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled orbit with optional dense interpolant for refinement.
+    """Orbit sampled at equispaced times.
 
     `stats` is the work of the integration that produced the orbit; for an
     orbit from a batch it covers the whole batch.
@@ -105,20 +106,10 @@ class Trajectory:
     q: np.ndarray
     p: np.ndarray
     params: ModelParams
-    dense: object = None
     stats: RKStats | None = None
-
-    def __len__(self) -> int:
-        return len(self.t)
 
     def state(self, i: int) -> PhaseState:
         return PhaseState(q=self.q[i], p=self.p[i], t=float(self.t[i]))
-
-    def phase_point(self, time: float) -> np.ndarray:
-        """Dense-output phase vector [q, p] at an arbitrary time."""
-        if self.dense is None:
-            raise DomainError("trajectory carries no dense interpolant")
-        return self.dense(time)
 
 
 def conserved_series(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarray]:
@@ -302,7 +293,7 @@ def _dense_increment(coeffs, x):
     return y
 
 
-def _dop853(fun, y0, grid, tol, dense):
+def _dop853(fun, y0, grid, tol):
     """Integrate y' = fun(t, y) from grid[0] to grid[-1] by DOP853.
 
     A step is accepted when its error norm (`_error_norm`), scaled by
@@ -313,12 +304,10 @@ def _dop853(fun, y0, grid, tol, dense):
     that returns NaN or inf shrinks the step until it falls below
     10 ulp(t), where this raises ConvergenceError; so does a NaN first step.
 
-    A step that holds a sample, or with `dense` every step, spends 3 more
-    evaluations on its 7th-order dense output. Returns the solution at
-    `grid`, shape (len(y0), len(grid)), each sample from the dense output of
-    the step that contains it; with `dense`, the step start times (plus the
-    end), start states and dense-output rows for `_dense_value`, else None;
-    and the work done.
+    A step that holds a sample spends 3 more evaluations on its 7th-order
+    dense output. Returns the solution at `grid`, shape (len(y0), len(grid)),
+    each sample from the dense output of the step that contains it, and the
+    work done.
     """
     t, t_end = float(grid[0]), float(grid[-1])
     y = y0
@@ -335,7 +324,6 @@ def _dop853(fun, y0, grid, tol, dense):
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     h_abs = min(100 * h0, h1, t_end - t)
     nfev, accepted, rejected = 2, 0, 0
-    steps = [] if dense else None
     next_sample = 0
     while t < t_end:
         min_step = 10 * math.ulp(t)
@@ -371,7 +359,7 @@ def _dop853(fun, y0, grid, tol, dense):
             step_rejected = True
             rejected += 1
         stop = int(np.searchsorted(grid, t_new, side="right"))
-        if dense or stop > next_sample:
+        if stop > next_sample:
             for s in range(13, 16):
                 k[s] = fun(t + _C[s] * h, y + np.dot(k[:s].T, _A[s, :s]) * h)
             nfev += 3
@@ -379,27 +367,11 @@ def _dop853(fun, y0, grid, tol, dense):
             coeffs = np.vstack(
                 (delta, h * k[0] - delta, 2 * delta - h * (f_new + k[0]), h * np.dot(_D, k))
             )
-        if stop > next_sample:
             x = (grid[next_sample:stop] - t) / h
             samples[:, next_sample:stop] = _dense_increment(coeffs[:, :, None], x) + y[:, None]
             next_sample = stop
-        if dense:
-            steps.append((t, y, coeffs))
         t, y, f = t_new, y_new, f_new
-    if dense:
-        times, starts, coeffs = zip(*steps)
-        steps = (np.array(times + (t,)), np.array(starts), np.array(coeffs))
-    return samples, steps, RKStats(nfev, accepted, rejected)
-
-
-def _dense_value(steps, rows, t0, span, time):
-    """Phase point of one orbit of a batch at `time`, from the dense output of
-    the step that contains it (the earlier step at a step boundary)."""
-    times, starts, coeffs = steps
-    s = (time - t0) / span
-    i = min(max(int(np.searchsorted(times, s, side="left")) - 1, 0), len(starts) - 1)
-    x = (s - times[i]) / (times[i + 1] - times[i])
-    return _dense_increment(coeffs[i][:, rows], x) + starts[i, rows]
+    return samples, RKStats(nfev, accepted, rejected)
 
 
 def integrate_orbits(
@@ -408,15 +380,12 @@ def integrate_orbits(
     t_ends,
     tol: float = 1e-10,
     samples: int = 2001,
-    dense: bool = True,
 ) -> list[Trajectory]:
     """Integrate M orbits as one stacked system with the adaptive DOP853 pair.
 
     Orbit i runs from its own start time t0_i to t_ends[i]. Its time is
     rescaled to s in [0, 1] by dt = (t_ends[i] - t0_i) ds, so one grid of
-    `samples` equispaced s values serves every orbit. With `dense`, each
-    trajectory also carries an interpolant in its own time; it stores every
-    step of the whole batch, so callers that only read the samples skip it.
+    `samples` equispaced s values serves every orbit.
 
     Steps are accepted a safety decade below tol, so the local error per
     step genuinely stays under tol even after accumulation of the
@@ -456,9 +425,7 @@ def integrate_orbits(
         return scale * rhs(s, y)
 
     y0 = np.concatenate([np.concatenate([state.q, state.p]) for state in states])
-    ys, steps, stats = _dop853(
-        stacked_rhs, y0, np.linspace(0.0, 1.0, samples), control, dense
-    )
+    ys, stats = _dop853(stacked_rhs, y0, np.linspace(0.0, 1.0, samples), control)
     trajs = []
     for i in range(len(states)):
         rows = slice(2 * n * i, 2 * n * (i + 1))
@@ -468,7 +435,6 @@ def integrate_orbits(
                 q=ys[rows][:n].T.copy(),
                 p=ys[rows][n:].T.copy(),
                 params=params,
-                dense=partial(_dense_value, steps, rows, t0[i], spans[i]) if dense else None,
                 stats=stats,
             )
         )
@@ -482,8 +448,7 @@ def integrate_orbit(
     tol: float = 1e-10,
     samples: int = 2001,
 ) -> Trajectory:
-    """One orbit through `integrate_orbits`: `samples` equispaced times plus a
-    dense interpolant."""
+    """One orbit through `integrate_orbits`, at `samples` equispaced times."""
     return integrate_orbits([initial], params, [t_end], tol=tol, samples=samples)[0]
 
 
@@ -554,39 +519,34 @@ def exact_orbit(
     return q, p
 
 
-def closure_check(traj: Trajectory, tol: float = 1e-6) -> tuple[bool, float | None]:
-    """Detect orbit closure: the return time near the closed-form period T.
+def _closure_misses(states, params: ModelParams):
+    """How far each orbit misses its start after exactly its closed-form period.
 
-    The return time is where the dense interpolant crosses the hyperplane
-    through the start point z0 normal to the flow zdot0 there: the zero of
-    (z(t0 + s) - z0).zdot0 for s in [0.9 T, 1.1 T], found by bisection in s,
-    so in units of the full period T at the trajectory's first point, even
-    where t0 is large or straddles 0 within the window. The orbit is closed
-    when it misses z0 there by less than tol; without a crossing in the
-    window it is not. Unbounded trajectories report (False, None); a
-    trajectory shorter than T cannot show its return and raises DomainError.
+    The orbits run as one batch, at integration tolerance 1e-11, from their
+    start times for the full period T = 2 `estimate_radial_period`, with two
+    samples, and each miss is the phase-space distance |z(t0 + T) - z(t0)|.
+    Returns the misses and the work of the batch. Raises DomainError,
+    through the period, for an orbit at or above the escape threshold.
     """
-    params = traj.params
-    z0 = np.concatenate([traj.q[0], traj.p[0]])
-    t0 = float(traj.t[0])
-    energy = _ham(traj.q[0], traj.p[0], params)
-    if params.lam > 0 and energy >= continuum_threshold(params):
+    t_ends = [state.t + 2.0 * estimate_radial_period(state, params) for state in states]
+    trajs = integrate_orbits(states, params, t_ends, tol=1e-11, samples=2)
+    misses = [
+        float(np.linalg.norm(np.concatenate([traj.q[-1] - state.q, traj.p[-1] - state.p])))
+        for state, traj in zip(states, trajs)
+    ]
+    return misses, trajs[0].stats
+
+
+def closure_check(traj: Trajectory, tol: float = 1e-6) -> tuple[bool, float | None]:
+    """Whether the orbit through the trajectory's first point closes.
+
+    Only the first point and the parameters are read: the orbit through it
+    is integrated anew for exactly its closed-form period T, and it is
+    closed when it misses its start there by less than tol. Returns
+    (closed, T); an unbounded orbit reports (False, None).
+    """
+    params, start = traj.params, traj.state(0)
+    if params.lam > 0 and hamiltonian(start, params) >= continuum_threshold(params):
         return False, None
-
-    period = 2.0 * estimate_radial_period(traj.state(0), params)
-    t_last = float(traj.t[-1])
-    if t_last - t0 < period:
-        raise DomainError("trajectory too short to reach its first return")
-
-    flow = hamilton_rhs(params)(t0, z0)
-
-    def crossing(s):
-        return float(np.dot(traj.phase_point(t0 + float(s)) - z0, flow))
-
-    lo, hi = 0.9 * period, min(1.1 * period, t_last - t0)
-    if np.sign(crossing(lo)) == np.sign(crossing(hi)):
-        return False, None
-    s_return = _bisect(crossing, lo, hi)
-    if np.linalg.norm(traj.phase_point(t0 + s_return) - z0) < tol:
-        return True, s_return
-    return False, None
+    (miss,), _ = _closure_misses([start], params)
+    return miss < tol, 2.0 * estimate_radial_period(start, params)

@@ -224,7 +224,6 @@ def _cmd_classical(args, params) -> tuple[str, str, int]:
         [args.t_end],
         tol=tol,
         samples=args.samples,
-        dense=False,
     )
     series = conserved_series(traj, params)
     columns = {

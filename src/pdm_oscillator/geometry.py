@@ -22,8 +22,6 @@ __all__ = [
     "potential",
     "effective_potential",
     "effective_minimum",
-    "canonical_position",
-    "canonical_momentum",
 ]
 
 
@@ -138,24 +136,3 @@ def effective_minimum(spec: EffectivePotentialSpec) -> tuple[float, float]:
     u_min = -p.lam * c + s
     return r_min, u_min
 
-
-def canonical_position(r, params: ModelParams):
-    """Flattening coordinate Q(r) of the radial canonical transform.
-
-    Q(r) = r*sqrt(1+lam r^2)/2 + asinh(sqrt(lam) r)/(2 sqrt(lam)), with
-    Q(r) = r in the lam = 0 limit; dQ/dr = sqrt(1 + lam r^2).
-    """
-    r = _check_radius(r)
-    lam = params.lam
-    if lam == 0:
-        return r if r.ndim else float(r)
-    sl = math.sqrt(lam)
-    out = 0.5 * r * np.sqrt(1.0 + lam * r * r) + np.arcsinh(sl * r) / (2.0 * sl)
-    return out if out.ndim else float(out)
-
-
-def canonical_momentum(r, p_r, params: ModelParams):
-    """Conjugate momentum P = p_r / sqrt(1 + lam r^2) of the transform."""
-    r = _check_radius(r)
-    out = np.asarray(p_r, dtype=float) / np.sqrt(1.0 + params.lam * r * r)
-    return out if out.ndim else float(out)

@@ -28,6 +28,7 @@ from .geometry import ModelParams
 from .spectrum import (
     SpectrumTable,
     _omega_eff,
+    _width,
     continuum_threshold,
     degeneracy,
     energy_closed_form,
@@ -83,15 +84,10 @@ def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
     A beta that underflows to 0 (hbar far above omega's scale) raises
     DomainError.
     """
-    e_top = energy_closed_form(2 * k_max + l, params)
-    omega_eff = e_top / (params.hbar * (2 * k_max + l + params.dim / 2.0))
-    beta = math.sqrt(omega_eff / params.hbar)
-    if beta == 0:
-        raise DomainError(
-            f"hbar={params.hbar:g} and omega={params.omega:g} are out of the "
-            f"oracle's range: beta = sqrt(Omega/hbar) underflows to 0, so its "
-            f"box 12/beta is infinite"
-        )
+    n_top = 2 * k_max + l
+    e_top = energy_closed_form(n_top, params)
+    omega_eff = e_top / (params.hbar * (n_top + params.dim / 2.0))
+    beta = _width(n_top, e_top, params)
     r_turn = math.sqrt(2.0 * e_top) / omega_eff
     # for N = 1 the measure does not vanish at the origin, so the inner
     # cutoff displaces the wall and shifts eigenvalues by O(r_min)

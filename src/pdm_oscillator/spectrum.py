@@ -4,7 +4,7 @@ The bound-state energies solve the self-consistent equation
 E = hbar * sqrt(omega^2 - 2*lam*E) * (n + N/2); the closed form, the
 bisection solver for the implicit equation, and the generic fixed-point
 deformation of an arbitrary solvable base spectrum all live here, with the
-one bisection that both solvers and the classical closure check share.
+one bisection that both solvers share.
 """
 
 from __future__ import annotations
@@ -281,9 +281,16 @@ def _width(n: int, energy: float, params: ModelParams) -> float:
 
     Omega = E/(hbar (n + N/2)) holds exactly by the self-consistent equation
     and involves no cancellation; sqrt(omega^2 - 2 lam E) loses a relative
-    eps (omega/Omega)^2 near the continuum edge.
+    eps (omega/Omega)^2 near the continuum edge. A width that underflows to
+    0 (hbar far above omega's scale) raises DomainError.
     """
-    return math.sqrt(energy / (params.hbar * (n + params.dim / 2.0)) / params.hbar)
+    beta = math.sqrt(energy / (params.hbar * (n + params.dim / 2.0)) / params.hbar)
+    if not beta > 0:
+        raise DomainError(
+            f"hbar={params.hbar:g} and omega={params.omega:g} are out of range: "
+            f"the Gaussian width beta = sqrt(Omega/hbar) underflows to 0"
+        )
+    return beta
 
 
 @dataclass(frozen=True)

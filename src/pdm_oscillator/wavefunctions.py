@@ -91,6 +91,8 @@ class RadialEigenfunction:
     def __post_init__(self):
         if self.params.lam > 0 and self.energy >= continuum_threshold(self.params):
             raise DomainError("state lies in the continuum regime")
+        if not self.beta > 0:
+            raise DomainError(f"the Gaussian width beta must be > 0, got {self.beta}")
 
     @classmethod
     def from_quantum_numbers(cls, k: int, l: int, params: ModelParams) -> "RadialEigenfunction":

@@ -256,12 +256,20 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_underflowing_width_names_the_scale(self, tmp_path, capsys):
+        wavefunction = ["wavefunction", "--omega", "1e-100", "--hbar", "1e100", "--k", "2",
+                        "--l", "1"]
+        cases = [
+            (["oracle", "--hbar", "1e200"], "hbar=1e+200"),
+            (wavefunction + ["--lambda", "1e-30"], "hbar=1e+100 and omega=1e-100"),
+            (wavefunction + ["--lambda", "1e8"], "hbar=1e+100 and omega=1e-100"),
+        ]
         out = tmp_path / "x.csv"
-        assert cli.run(["oracle", "--hbar", "1e200", "--out", str(out)]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "hbar=1e+200" in lines[0]
-        assert not out.exists()
+        for argv, scale in cases:
+            assert cli.run(argv + ["--out", str(out)]) == 1
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert scale in lines[0]
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["oracle"])
     def test_overflow_is_one_error_line(self, tmp_path, capsys, command):

@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from pdm_oscillator import (
     DomainError,
     EffectivePotentialSpec,
     ModelParams,
-    canonical_momentum,
-    canonical_position,
     effective_minimum,
     effective_potential,
     metric_factor,
@@ -184,62 +181,3 @@ class TestEffectiveMinimum:
             effective_minimum(
                 EffectivePotentialSpec(ModelParams(lam=0.02, omega=0.0), 1.0)
             )
-
-
-class TestCanonicalTransform:
-    def test_position_at_origin(self):
-        assert canonical_position(0.0, ModelParams(lam=1.0)) == 0.0
-
-    def test_position_quadrature_oracle(self):
-        # dQ/dr = sqrt(1 + lam r^2), so Q(1) at lam=1 is the arclength integral
-        oracle, _ = quad(lambda r: math.sqrt(1 + r * r), 0.0, 1.0, epsabs=1e-14)
-        assert oracle == pytest.approx(1.147793574696319, rel=1e-12)
-        value = canonical_position(1.0, ModelParams(lam=1.0))
-        assert value == pytest.approx(oracle, rel=1e-12)
-
-    def test_position_small_lam_series(self):
-        lam = 1e-6
-        p = ModelParams(lam=lam)
-        r = 1.0
-        series = r + lam * r**3 / 6.0
-        assert abs(canonical_position(r, p) - series) < 10.0 * lam**2
-
-    def test_position_flat_limit(self):
-        assert canonical_position(3.7, ModelParams(lam=0.0)) == 3.7
-
-    def test_position_derivative(self):
-        p = ModelParams(lam=0.3)
-        h = 1e-6
-        for r in (0.5, 2.0, 9.0):
-            fd = (canonical_position(r + h, p) - canonical_position(r - h, p)) / (2 * h)
-            assert fd == pytest.approx(math.sqrt(1 + 0.3 * r * r), rel=1e-8)
-
-    def test_position_strictly_increasing(self):
-        r = np.linspace(0.0, 10.0, 200)
-        q = canonical_position(r, ModelParams(lam=0.7))
-        assert np.all(np.diff(q) > 0)
-
-    def test_momentum_zero(self):
-        assert canonical_momentum(4.0, 0.0, P3) == 0.0
-
-    def test_momentum_substitution(self):
-        value = canonical_momentum(2.0, 1.0, ModelParams(lam=0.02))
-        assert value == pytest.approx(0.9622504486493761, rel=1e-14)
-
-    def test_momentum_flat_identity(self):
-        assert canonical_momentum(2.0, 3.0, ModelParams(lam=0.0)) == 3.0
-
-    def test_transform_preserves_hamiltonian(self):
-        # (1/2) P^2 + U_eff(r) must equal the hyperspherical energy exactly
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            lam, omega = rng.uniform(0.01, 0.5), rng.uniform(0.3, 2.0)
-            r, p_r, c = rng.uniform(0.2, 8.0), rng.uniform(-3, 3), rng.uniform(0, 30)
-            params = ModelParams(lam=lam, omega=omega)
-            spec = EffectivePotentialSpec(params, c)
-            lhs = 0.5 * canonical_momentum(r, p_r, params) ** 2 + effective_potential(
-                r, spec
-            )
-            mass = 1.0 + lam * r * r
-            rhs = (p_r**2 + c / r**2) / (2 * mass) + omega**2 * r**2 / (2 * mass)
-            assert lhs == pytest.approx(rhs, rel=1e-14)

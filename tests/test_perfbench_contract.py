@@ -3,7 +3,12 @@
 The traced run wraps every function in `tracer.SPANNED` and every
 `SpectrumTable` method in `tracer.TABLE_METHODS`, and `battery.warm_up`
 imports and calls one function of each layer. Renaming or deleting any of
-them breaks `perfbench/run.py --trace 1`; this test fails first.
+them breaks `perfbench/run.py --trace 1`; this test fails first. That is
+why the one-orbit wrappers `integrate_orbit` and `closure_check` stay public
+names: `warm_up` imports and calls both.
+
+`warm_up` throws the verdict of `closure_check` away, so the test keeps it
+and requires warm_up's orbit to be reported closed.
 """
 
 from pathlib import Path
@@ -18,6 +23,16 @@ def test_traced_warm_up_runs_and_restores(monkeypatch):
     import battery
     import tracer
 
+    verdicts = []
+    check = pdm_oscillator.closure_check
+
+    def kept(orbit, tol):
+        closed, period = check(orbit, tol=tol)
+        verdicts.append((tol, closed))
+        return closed, period
+
+    for namespace in (pdm_oscillator, pdm_oscillator.classical):
+        monkeypatch.setattr(namespace, "closure_check", kept)
     originals = {
         (layer, name): getattr(getattr(pdm_oscillator, layer), name)
         for layer, names in tracer.SPANNED.items()
@@ -37,3 +52,4 @@ def test_traced_warm_up_runs_and_restores(monkeypatch):
     }
     for (layer, name), fn in originals.items():
         assert getattr(getattr(pdm_oscillator, layer), name) is fn
+    assert verdicts == [(1e-3, True)]

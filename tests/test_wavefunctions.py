@@ -118,6 +118,12 @@ class TestRadialEigenfunction:
         with pytest.raises(DomainError):
             f(-0.5)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_nonpositive_width_rejected(self, beta):
+        # normalize would take log(beta)
+        with pytest.raises(DomainError):
+            RadialEigenfunction(k=0, l=0, params=P3, energy=1.0, beta=beta)
+
 
 class TestWeightedInnerProduct:
     def test_normalized_ground_state(self):
