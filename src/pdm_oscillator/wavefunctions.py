@@ -50,7 +50,7 @@ class CartesianEigenfunction:
     def __post_init__(self):
         if self.state.mode != "cartesian" or self.state.n_tuple is None:
             raise DomainError("CartesianEigenfunction needs a cartesian QuantumState")
-        if self.params.lam > 0 and self.state.energy >= continuum_threshold(self.params):
+        if self.params.lam > 0 and self.state.energy > continuum_threshold(self.params):
             raise DomainError("state lies in the continuum regime")
 
     @classmethod
@@ -68,10 +68,20 @@ class CartesianEigenfunction:
 
     def __call__(self, q):
         q = self._positions(q)
-        out = np.full(q.shape[:-1], self.norm_constant)
-        for i, n_i in enumerate(self.state.n_tuple):
-            out = out * hermite_function(n_i, self.state.beta * q[..., i])
+        out = np.asarray(self.factor_product([q[..., i] for i in range(self.params.dim)]))
         return out if out.ndim else float(out)
+
+    def factor_product(self, coords) -> np.ndarray:
+        """norm_constant * prod_i h_{n_i}(beta coords[i]), multiplied in factor order.
+
+        coords[i] holds the q_i values; the N arrays broadcast together. Axis
+        arrays of n points shaped (n, 1, ..., 1), ..., (n, 1), (n,) give the
+        tensor grid from N*n Hermite evaluations, one grid-sized array.
+        """
+        out = self.norm_constant
+        for n_i, q_i in zip(self.state.n_tuple, coords):
+            out = out * hermite_function(n_i, self.state.beta * q_i)
+        return out
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ class RadialEigenfunction:
     norm_constant: float = 1.0
 
     def __post_init__(self):
-        if self.params.lam > 0 and self.energy >= continuum_threshold(self.params):
+        if self.params.lam > 0 and self.energy > continuum_threshold(self.params):
             raise DomainError("state lies in the continuum regime")
         if not self.beta > 0:
             raise DomainError(f"the Gaussian width beta must be > 0, got {self.beta}")

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,22 @@ class TestWavefunctionCommand:
         r = float(rows[30]["r"])
         expected = (1.0 + 0.02 * r * r) * r * r  # (1 + lam r^2) r^(N-1), N=3
         assert float(rows[30]["weight_factor"]) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--k", "0", "--l", "0"], ["--k", "2", "--l", "1"], ["--omega", "1e-8"]],
+        ids=["ground", "k2-l1", "small-omega"],
+    )
+    def test_levels_rounded_to_the_threshold_are_bound(self, tmp_path, argv):
+        # at lam = 1e8 the closed-form levels round to the continuum threshold;
+        # they are bound states all the same
+        out = tmp_path / "wf.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["wavefunction", "--lambda", "1e8", *argv, "--out", str(out)])
+        assert code == 0
+        rows = read_csv(out)
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 class TestClassicalCommand:

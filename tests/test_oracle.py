@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pdm_oscillator import (
     oracle_report,
     solve_generalized_eigen,
 )
+from pdm_oscillator import oracle
 from pdm_oscillator.oracle import second_derivative
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
@@ -164,6 +167,25 @@ class TestSecondDerivative:
         # error is rounding-limited at ~eps/h^2, far below truncation needs
         assert np.max(np.abs(d2[interior] + np.sin(x)[interior])) < 5e-11
 
+    @pytest.mark.parametrize("block", [1, 7, 40, 1 << 16], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("shape", [(11, 13), (6, 3)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_edges_match_zero_padded_stencil(self, monkeypatch, block, shape, axis):
+        # the residual trims the four rows at each end, but direct callers see
+        # them: they hold the stencil applied to the zero-padded array, summed
+        # term by term in coefficient order; an axis shorter than the stencil
+        # reads padding at both ends
+        monkeypatch.setattr(oracle, "_STENCIL_BLOCK", block)
+        values = np.random.default_rng(7).standard_normal(shape)
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (4, 4)
+        padded = np.pad(values, pad)
+        expected = np.zeros(shape)
+        for j, c in enumerate(oracle._D2_COEFFS):
+            expected += c * np.take(padded, range(j, j + shape[axis]), axis=axis)
+        expected /= 0.3**2
+        np.testing.assert_array_equal(second_derivative(values, 0.3, axis=axis), expected)
+
 
 class TestGridResidual:
     def test_three_dimensional_state(self):
@@ -173,3 +195,29 @@ class TestGridResidual:
         )
         assert res < 1e-6
 
+    @pytest.mark.parametrize(
+        "occupations, num_points", [((2, 1), 501), ((1, 1, 0), 160)], ids=["dim2", "dim3"]
+    )
+    def test_traced_peak_is_a_few_grid_arrays(self, occupations, num_points):
+        # psi comes from its axis factors and the stencil and the residual are
+        # formed in place: the traced peak (numpy buffers included) stays at
+        # about three grid-sized arrays, where a point cloud and a padded
+        # copy per stencil took 10 to 12
+        p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=len(occupations))
+        f = CartesianEigenfunction.from_occupations(occupations, p)
+        grid_array = 8 * num_points ** p.dim
+        tracemalloc.start()
+        try:
+            res = grid_eigen_residual(
+                f, f.state.energy, p, half_width=9.0 / f.state.beta, num_points=num_points
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res < 1e-6
+        assert peak <= 5 * grid_array
+
+    def test_dimension_mismatch_rejected(self):
+        f = CartesianEigenfunction.from_occupations((1, 0), ModelParams(lam=0.02, dim=2))
+        with pytest.raises(DomainError):
+            grid_eigen_residual(f, f.state.energy, P3, half_width=5.0, num_points=20)

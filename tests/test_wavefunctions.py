@@ -15,13 +15,14 @@ from pdm_oscillator import (
     ModelParams,
     QuantumState,
     RadialEigenfunction,
+    continuum_threshold,
     effective_frequency,
     normalize,
     verify,
     wavefunctions,
     weighted_inner_product,
 )
-from pdm_oscillator.oracle import second_derivative
+from pdm_oscillator.oracle import _broadcast, second_derivative
 
 P1 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=1)
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
@@ -80,6 +81,15 @@ class TestCartesianEigenfunction:
         with pytest.raises(DomainError):
             CartesianEigenfunction(state=bogus, params=P1)
 
+    def test_level_rounded_to_the_threshold_is_bound(self):
+        # at lam = 1e8 every closed-form level rounds to the threshold 5e-9,
+        # though for lam > 0 every level lies below it
+        p = ModelParams(lam=1e8, omega=1.0, hbar=1.0, dim=3)
+        f = CartesianEigenfunction.from_occupations((2, 1, 0), p)
+        assert f.state.energy == continuum_threshold(p)
+        f = normalize(f)
+        assert math.isfinite(f.norm_constant) and f.norm_constant > 0
+
     def test_requires_cartesian_state(self):
         state = QuantumState.radial(0, 0, P3)
         with pytest.raises(DomainError):
@@ -87,6 +97,17 @@ class TestCartesianEigenfunction:
 
 
 class TestRadialEigenfunction:
+    def test_level_rounded_to_the_threshold_is_bound(self):
+        p = ModelParams(lam=1e8, omega=1.0, hbar=1.0, dim=3)
+        f = RadialEigenfunction.from_quantum_numbers(2, 1, p)
+        assert f.energy == continuum_threshold(p)
+        f = normalize(f)
+        assert np.all(np.isfinite(f(np.linspace(0.0, 10.0 / f.beta, 51))))
+
+    def test_energy_above_the_threshold_rejected(self):
+        with pytest.raises(DomainError):
+            RadialEigenfunction(k=0, l=0, params=P3, energy=30.0, beta=1.0)
+
     def test_nodeless_gaussian_ground_state(self):
         f = RadialEigenfunction.from_quantum_numbers(0, 0, P3)
         r = np.linspace(0.0, 10.0 / f.beta, 2001)
@@ -351,3 +372,21 @@ class TestProperties:
             f = RadialEigenfunction.from_quantum_numbers(order, l, p)
         f = normalize(f)
         assert weighted_inner_product(f, f, p) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        occupations=st.lists(st.integers(0, 8), min_size=1, max_size=4),
+        lam=st.just(0.0) | log_uniform(1e-4, 1.0),
+    )
+    def test_tensor_grid_matches_pointwise(self, occupations, lam):
+        # the residual check builds psi on the grid from its N axis factors;
+        # it must equal the state evaluated at every point of the mesh
+        dim = len(occupations)
+        p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=dim)
+        f = normalize(CartesianEigenfunction.from_occupations(tuple(occupations), p))
+        axes = [np.linspace(-6.0 / f.state.beta, 6.0 / f.state.beta, 9 - dim + i) for i in range(dim)]
+        grid = f.factor_product(_broadcast(axes))
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        pointwise = f(points if dim > 1 else points[..., 0])
+        assert grid.shape == pointwise.shape == tuple(len(a) for a in axes)
+        assert np.all(np.abs(grid - pointwise) <= 2 * np.spacing(np.abs(pointwise)))
