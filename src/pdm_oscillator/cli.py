@@ -185,8 +185,14 @@ def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
     f = normalize(RadialEigenfunction.from_quantum_numbers(args.k, args.l, params))
     r_max = args.r_max if args.r_max is not None else 10.0 / f.beta
     r = np.linspace(0.0, r_max, args.grid_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = (1.0 + params.lam * r**2) * r ** (params.dim - 1)
+    if not np.isfinite(weight).all():
+        raise DomainError(
+            f"r_max={r_max:g} is out of range at hbar={params.hbar:g}, "
+            f"omega={params.omega:g}: the weight factor (1 + lam r^2) r^(N-1) overflows"
+        )
     values = f(r)
-    weight = (1.0 + params.lam * r**2) * r ** (params.dim - 1)
     artifact = _artifact({"r": r, "value": np.atleast_1d(values), "weight_factor": weight}, args)
     summary = (
         f"wavefunction: k={args.k} l={args.l}, E={_fmt(f.energy)}, "

@@ -7,10 +7,12 @@ Discretizes the weighted radial equation in self-adjoint form,
 
 as a generalized symmetric-tridiagonal eigenproblem A u = E B u with
 diagonal positive B, reduced by the congruence B^(-1/2) A B^(-1/2) and
-solved by LAPACK Sturm-sequence bisection (stebz) plus inverse iteration
-(stein). The eigensolve never reads the closed-form spectrum, so agreement
-between the two routes is a genuine cross-check; only the default box size
-(default_radial_grid) is taken from it.
+scaled to unit norm. The given grid is solved by LAPACK Sturm-sequence
+bisection (stebz); its half-spacing refinement by inverse iteration (stein)
+at those eigenvalues, each refined eigenvalue being the Rayleigh quotient of
+its vector. The eigensolve never reads the closed-form spectrum, so
+agreement between the two routes is a genuine cross-check; only the default
+box size (default_radial_grid) is taken from it.
 
 Also provides a grid-based operator check: a high-order Hamiltonian
 application for eigenfunction residuals. On the N-cube tensor grid a
@@ -160,39 +162,90 @@ def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> Discreti
     )
 
 
-def solve_generalized_eigen(
-    op: DiscretizedOperator, count: int, return_vectors: bool = False
-):
+def _reduced(op: DiscretizedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Standard form of A u = E B u, scaled to unit norm.
+
+    Returns (d, e, B^(-1/2), scale): d and e are the diagonal and the
+    off-diagonal of B^(-1/2) A B^(-1/2) divided by scale, the power of two
+    just above the largest entry. So the scaling is exact, and the squares
+    of the off-diagonal that LAPACK forms neither underflow nor overflow
+    for any omega and hbar.
+    """
+    if np.any(op.weight <= 0):
+        raise DomainError("mass weight must be positive")
+    inv_sqrt_w = 1.0 / np.sqrt(op.weight)
+    d = op.diag * inv_sqrt_w**2
+    e = op.offdiag * inv_sqrt_w[:-1] * inv_sqrt_w[1:]
+    largest = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
+    scale = math.ldexp(1.0, math.frexp(largest)[1])
+    return d / scale, e / scale, inv_sqrt_w, scale
+
+
+def solve_generalized_eigen(op: DiscretizedOperator, count: int) -> np.ndarray:
     """Lowest `count` eigenvalues of A u = E B u (ascending).
 
     Reduces to standard form with the diagonal congruence B^(-1/2) A
-    B^(-1/2), then runs LAPACK Sturm-sequence bisection (stebz) through
-    scipy's eigh_tridiagonal; eigenvectors (in the original phi variables)
-    come from its inverse iteration (stein) on request. A LAPACK failure
+    B^(-1/2), scaled to unit norm, then runs LAPACK Sturm-sequence
+    bisection (stebz) through scipy's eigh_tridiagonal. A LAPACK failure
     raises ConvergenceError. Only the low-lying states are trustworthy,
     hence count <= size/4.
     """
     size = op.size()
     if count < 1 or count > size // 4:
         raise DomainError(f"count must be in [1, {size // 4}] for {size} nodes")
-    if np.any(op.weight <= 0):
-        raise DomainError("mass weight must be positive")
+    d, e, _, scale = _reduced(op)
 
     from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-    inv_sqrt_w = 1.0 / np.sqrt(op.weight)
-    d = op.diag * inv_sqrt_w**2
-    e = op.offdiag * inv_sqrt_w[:-1] * inv_sqrt_w[1:]
     try:
-        out = eigh_tridiagonal(
-            d, e, eigvals_only=not return_vectors, select="i", select_range=(0, count - 1)
+        values = eigh_tridiagonal(
+            d, e, eigvals_only=True, select="i", select_range=(0, count - 1)
         )
     except LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-    if not return_vectors:
-        return out
-    values, vectors = out
-    return values, vectors * inv_sqrt_w[:, None]
+    return values * scale
+
+
+def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of A u = E B u by inverse iteration at ascending shifts.
+
+    LAPACK stein iterates at each shift on the scaled standard form; each
+    eigenvalue is the Rayleigh quotient z^T T z / z^T z of its vector, which
+    is accurate to second order in the vector's error, and each eigenvector
+    is returned in the original phi variables. A LAPACK failure raises
+    ConvergenceError, and so does a quotient that lies no nearer its own
+    shift than another shift (two shifts landing on one eigenpair), unless
+    it is within rounding of its own: shifts that agree to rounding belong to
+    a cluster that double precision holds as one eigenvalue.
+    """
+    d, e, inv_sqrt_w, scale = _reduced(op)
+    shifts = np.asarray(shifts, dtype=float)
+    n = len(d)
+
+    from scipy.linalg.lapack import dstein
+
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    z, info = dstein(d, e, shifts / scale, np.ones(n, dtype=np.int32), isplit)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolve failed: stein info={info}")
+    # T z first, so that each term z_i (T z)_i is near E z_i^2: summing d z^2
+    # and 2 e z z' directly cancels O(|T|) partial sums down to E
+    tz = d[:, None] * z
+    tz[:-1] += e[:, None] * z[1:]
+    tz[1:] += e[:, None] * z[:-1]
+    values = (z * tz).sum(axis=0) / (z * z).sum(axis=0) * scale
+    # a-priori bound on the rounding error of z^T T z: n terms, |T| <= 3
+    rounding = 3.0 * n * np.finfo(float).eps * scale
+    own = np.abs(values - shifts)
+    others = np.abs(values[:, None] - shifts)
+    np.fill_diagonal(others, np.inf)
+    if not np.all((own < others.min(axis=1)) | (own <= rounding)):
+        raise ConvergenceError(
+            "tridiagonal eigensolve failed: inverse iteration left an eigenvalue "
+            "nearer another shift than its own"
+        )
+    return values, z * inv_sqrt_w[:, None]
 
 
 def _boundary_contaminated(op: DiscretizedOperator, vector: np.ndarray) -> bool:
@@ -210,8 +263,9 @@ def oracle_report(
 ) -> SpectrumTable:
     """Compare oracle eigenvalues against the closed form for k <= k_max, l <= l_max.
 
-    Each l is solved on the given grid and on its half-spacing refinement;
-    the reported energy is the Richardson combination (4 E_half - E_full)/3
+    Each l is bisected on the given grid, and the half-spacing refinement's
+    eigenpairs come from inverse iteration at those eigenvalues; the
+    reported energy is the Richardson combination (4 E_half - E_full)/3
     and the convergence order is estimated from the two errors against the
     closed form. States holding more than 1% of their weighted mass in the
     outer 10% of the box are flagged as boundary-contaminated.
@@ -223,7 +277,7 @@ def oracle_report(
         g = grid if grid is not None else default_radial_grid(params, ell, k_max)
         op_half = discretize_radial(params, ell, g.refined())
         e_full = solve_generalized_eigen(discretize_radial(params, ell, g), k_max + 1)
-        e_half, vectors = solve_generalized_eigen(op_half, k_max + 1, return_vectors=True)
+        e_half, vectors = _eigenpairs_near(op_half, e_full)
         flagged = [float(_boundary_contaminated(op_half, v)) for v in vectors.T]
         k = np.arange(k_max + 1)
         parts.append((2 * k + ell, k, np.full(k_max + 1, ell), e_full, e_half, flagged))

@@ -198,6 +198,45 @@ class TestOracleCommand:
         assert all(float(r["rel_error"]) < 1e-4 for r in rows)
 
 
+    @pytest.mark.parametrize(
+        "scale, lam",
+        [("1e-100", lam) for lam in ("0", "1e-30", "1e-8", "0.02")]
+        + [("1e100", lam) for lam in ("0", "1e-30", "1e-8", "0.02", "1e8")],
+    )
+    def test_extreme_scales_write_tables(self, tmp_path, scale, lam):
+        # at omega = hbar = 1e-100 the squared off-diagonals of the reduced
+        # matrix underflow, and at 1e100 they overflow, unless it is scaled
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle", "--omega", scale, "--hbar", scale, "--lambda", lam, "--dim", "3",
+                "--l", "1", "--k", "1", "--grid-points", "400", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv) == 0
+        rows = read_csv(out)
+        assert len(rows) == 4
+        assert all(float(r["rel_error"]) < 1e-7 for r in rows)
+
+    @pytest.mark.parametrize("lam", ["0", "1e-30", "1e-8", "0.02", "1e8", "1e30"])
+    @pytest.mark.parametrize("omega", ["1e-100", "1e-8", "1", "1e8", "1e100"])
+    @pytest.mark.parametrize("hbar", ["1e-100", "1e-8", "1", "1e8", "1e100"])
+    def test_corner_sweep(self, tmp_path, capsys, lam, omega, hbar):
+        # every corner either writes a table that agrees with the closed form
+        # or ends in one error line, never in a traceback or a warning
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle", "--lambda", lam, "--omega", omega, "--hbar", hbar, "--dim", "3",
+                "--l", "1", "--k", "1", "--grid-points", "400", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(argv)
+        if code == 0:
+            assert all(float(r["rel_error"]) < 1e-4 for r in read_csv(out))
+        else:
+            assert code == 1
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            assert not out.exists()
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -287,6 +326,20 @@ class TestErrorPaths:
             assert len(lines) == 1 and lines[0].startswith("error:")
             assert scale in lines[0]
             assert not out.exists()
+
+    def test_overflowing_weight_names_the_scale(self, tmp_path, capsys):
+        # at hbar = 1e100 the box 10/beta reaches 1e94, where the weight
+        # factor (1 + lam r^2) r^2 overflows
+        out = tmp_path / "x.csv"
+        argv = ["wavefunction", "--lambda", "0.02", "--omega", "1e-8", "--hbar", "1e100",
+                "--k", "0", "--l", "0", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "hbar=1e+100, omega=1e-08" in lines[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["oracle"])
     def test_overflow_is_one_error_line(self, tmp_path, capsys, command):

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdm_oscillator import (
     CartesianEigenfunction,
@@ -16,7 +18,7 @@ from pdm_oscillator import (
     solve_generalized_eigen,
 )
 from pdm_oscillator import oracle
-from pdm_oscillator.oracle import second_derivative
+from pdm_oscillator.oracle import _eigenpairs_near, second_derivative
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
 
@@ -93,25 +95,96 @@ class TestGeneralizedEigen:
         with pytest.raises(DomainError):
             solve_generalized_eigen(bad, 2)
 
-    @pytest.mark.parametrize("return_vectors", [False, True])
-    def test_lapack_failure_is_convergence_error(self, monkeypatch, return_vectors):
+    @pytest.mark.parametrize("routine", ["stebz", "stein"])
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, routine):
         import scipy.linalg
+        import scipy.linalg.lapack
 
-        def fail(*args, **kwargs):
+        def fail_stebz(*args, **kwargs):
             raise scipy.linalg.LinAlgError("stebz (eigh_tridiagonal) err 1")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        def fail_stein(d, e, w, iblock, isplit):
+            return np.zeros((len(d), len(w))), 1
+
         op = discretize_radial(P3, 0, RadialGrid(1e-6, 8.0, 300))
-        with pytest.raises(ConvergenceError, match="stebz"):
-            solve_generalized_eigen(op, 2, return_vectors=return_vectors)
+        if routine == "stebz":
+            monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail_stebz)
+            with pytest.raises(ConvergenceError, match="stebz"):
+                solve_generalized_eigen(op, 2)
+        else:
+            monkeypatch.setattr(scipy.linalg.lapack, "dstein", fail_stein)
+            with pytest.raises(ConvergenceError, match="stein info=1"):
+                _eigenpairs_near(op, [1.5, 3.5])
 
     def test_eigenvector_node_structure(self):
-        op = discretize_radial(P3, 0, default_radial_grid(P3, 0, 3))
-        _, vectors = solve_generalized_eigen(op, 4, return_vectors=True)
+        grid = default_radial_grid(P3, 0, 3)
+        shifts = solve_generalized_eigen(discretize_radial(P3, 0, grid), 4)
+        _, vectors = _eigenpairs_near(discretize_radial(P3, 0, grid.refined()), shifts)
         for j in range(4):
             v = vectors[:, j]
             core = v[np.abs(v) > 1e-8 * np.max(np.abs(v))]
             assert int(np.sum(np.diff(np.sign(core)) != 0)) == j
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=st.just(0.0) | st.floats(1e-4, 0.5),
+        dim=st.integers(1, 4),
+        l=st.integers(0, 3),
+        k_max=st.integers(0, 3),
+    )
+    def test_inverse_iteration_matches_bisection(self, lam, dim, l, k_max):
+        # the refined grid's eigenpairs come from stein at the given grid's
+        # eigenvalues; they must be the ones bisection finds on the refined grid
+        from scipy.linalg import eigh_tridiagonal
+
+        p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=dim)
+        grid = default_radial_grid(p, l, k_max)
+        shifts = solve_generalized_eigen(discretize_radial(p, l, grid), k_max + 1)
+        op = discretize_radial(p, l, grid.refined())
+        values, vectors = _eigenpairs_near(op, shifts)
+
+        inv_sqrt_w = 1.0 / np.sqrt(op.weight)
+        ref_values, ref_vectors = eigh_tridiagonal(
+            op.diag * inv_sqrt_w**2,
+            op.offdiag * inv_sqrt_w[:-1] * inv_sqrt_w[1:],
+            select="i",
+            select_range=(0, k_max),
+        )
+        ref_vectors = ref_vectors * inv_sqrt_w[:, None]
+        assert values == pytest.approx(ref_values, rel=1e-9, abs=0)
+        for v, ref in zip(vectors.T, ref_vectors.T):
+            sign = np.sign(v @ ref)
+            assert np.max(np.abs(sign * v - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_equal_shifts_rejected(self):
+        # stein orthogonalizes the second vector against the first, so it
+        # lands on the next eigenpair, which lies no nearer its own shift
+        grid = default_radial_grid(P3, 0, 1)
+        e0 = solve_generalized_eigen(discretize_radial(P3, 0, grid), 1)[0]
+        with pytest.raises(ConvergenceError):
+            _eigenpairs_near(discretize_radial(P3, 0, grid.refined()), [e0, e0])
+
+    def test_one_bisection_per_l(self, monkeypatch):
+        # the given grid is bisected, and the refined grid gets one inverse
+        # iteration at those eigenvalues: 3 + 3 LAPACK calls for l <= 2
+        import scipy.linalg
+        import scipy.linalg.lapack
+
+        calls = {"eigh_tridiagonal": 0, "dstein": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(scipy.linalg, "eigh_tridiagonal")
+        counted(scipy.linalg.lapack, "dstein")
+        oracle_report(P3, l_max=2, k_max=2)
+        assert calls == {"eigh_tridiagonal": 3, "dstein": 3}
 
 
 class TestOracleReport:
