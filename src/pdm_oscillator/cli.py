@@ -34,6 +34,7 @@ from .geometry import (
 from .oracle import RadialGrid, default_radial_grid, oracle_report
 from .spectrum import (
     SpectrumTable,
+    _table_levels,
     energy_closed_form,
     harmonic_base,
     json_rows,
@@ -281,14 +282,9 @@ def _cmd_geometry(args, params) -> tuple[str, str, int]:
 
 
 def _cmd_deform(args, params) -> tuple[str, str, int]:
-    if args.n_max < 0:
-        raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
-    base = harmonic_base(params)
-    levels = np.arange(args.n_max + 1)
-    fixed = np.array(
-        [solve_deformed_spectrum(base, int(n), params) for n in levels]
-    )
-    closed = np.atleast_1d(energy_closed_form(levels, params))
+    levels = _table_levels(args.n_max)
+    fixed = solve_deformed_spectrum(harmonic_base(params), levels, params)
+    closed = energy_closed_form(levels, params)
     diff = np.abs(fixed - closed)
     columns = {
         "n": levels.astype(float),

@@ -1,10 +1,11 @@
 """Discrete spectrum of the deformed oscillator.
 
 The bound-state energies solve the self-consistent equation
-E = hbar * sqrt(omega^2 - 2*lam*E) * (n + N/2); the closed form, the
-bisection solver for the implicit equation, and the generic fixed-point
-deformation of an arbitrary solvable base spectrum all live here, with the
-one bisection that both solvers share.
+E = hbar * sqrt(omega^2 - 2*lam*E) * (n + N/2); the closed form and the
+generic fixed-point deformation of an arbitrary solvable base spectrum live
+here. There is one fixed-point solver: energy_implicit is the deformation
+of the harmonic base, and both it and solve_deformed_spectrum take a scalar
+or an array of levels and make one vectorized bisection.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
 
 _MAX_TABLE_LEVELS = 100_000
 _BISECT_ITERATIONS = 110
+_BASE_SAMPLES = 33
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -125,6 +127,13 @@ def _bisect(g, lo, hi):
     )
 
 
+def _table_levels(n_max) -> np.ndarray:
+    """Levels 0..n_max of a table, for an integer n_max in [0, _MAX_TABLE_LEVELS]."""
+    if not 0 <= n_max <= _MAX_TABLE_LEVELS or int(n_max) != n_max:
+        raise DomainError(f"n_max must be an integer in [0, {_MAX_TABLE_LEVELS}], got {n_max}")
+    return np.arange(int(n_max) + 1)
+
+
 def _check_levels(n) -> np.ndarray:
     n = np.asarray(n)
     if not np.issubdtype(n.dtype, np.integer):
@@ -147,15 +156,16 @@ def energy_closed_form(n, params: ModelParams):
     Increasing in n wherever consecutive levels lie further apart than
     their rounding (about 4 eps E_n); closer levels, near the threshold,
     can come out equal or one ulp out of order. threshold_gap strictly
-    decreases in n there too, so it orders those levels. At most the
-    continuum threshold, which it equals once the gap is below rounding.
+    decreases in n there too, so it orders those levels. Clamped to the
+    continuum threshold, which it equals once the gap is below rounding, so
+    rounding never lifts a bound level above it.
     """
     _check_spectrum(params)
     n = _check_levels(n)
     nu = n + params.dim / 2.0
     a = params.hbar * params.lam * nu
-    s = np.hypot(a, params.omega)
-    out = params.hbar * nu * (params.omega / (s + a)) * params.omega
+    ratio = params.omega / (np.hypot(a, params.omega) + a)
+    out = np.minimum(params.hbar * nu * ratio * params.omega, continuum_threshold(params))
     return out if out.ndim else float(out)
 
 
@@ -180,26 +190,32 @@ def threshold_gap(n, params: ModelParams):
     return out if out.ndim else float(out)
 
 
+def _fixed_point(eval, n, params: ModelParams):
+    """Fixed point E = eval(Omega(E), n) of each level n, by one bisection.
+
+    g(E) = eval(Omega(E), n) - E decreases in E for a base increasing in
+    frequency, and Omega <= omega, so eval(omega, n) bounds the root from
+    above, as does the threshold: the bracket is [0, top], top the smaller.
+    """
+    top = np.minimum(eval(params.omega, n), continuum_threshold(params))
+    return _bisect(lambda e: eval(_omega_eff(e, params), n) - e, np.zeros(np.shape(n)), top)
+
+
 def energy_implicit(n, params: ModelParams):
     """Level-n energy from bracketing bisection of the self-consistent equation.
 
-    Solves f(E) = hbar*Omega(E)*(n + N/2) - E = 0. As Omega <= omega, the
-    flat level hbar*omega*(n + N/2) bounds E_n from above, and so does the
-    threshold; with top the smaller of the two, f(0) > 0 >= f(top), and
-    E_n >= top/2 in every regime. So the bracket [0, top] is in units of
-    the level and collapses in about 55 halvings whatever lam, omega and
-    hbar are. Accepts scalar or array n. For lam = 0 the equation
-    degenerates to E = hbar*omega*(n + N/2), returned directly.
+    The fixed point of the harmonic base: on the bracket [0, top] of
+    _fixed_point, f(E) = hbar*Omega(E)*(n + N/2) - E has f(0) > 0 >= f(top)
+    and E_n >= top/2 in every regime, so the bracket is in units of the
+    level and collapses in about 55 halvings whatever lam, omega and hbar
+    are. Scalar or array n. For lam = 0, E = hbar*omega*(n + N/2) directly.
     """
     _check_spectrum(params)
     n = _check_levels(n)
-    nu = n + params.dim / 2.0
     if params.lam == 0:
-        out = params.hbar * params.omega * nu
+        out = params.hbar * params.omega * (n + params.dim / 2.0)
         return out if out.ndim else float(out)
-
-    top = np.minimum(params.hbar * params.omega * nu, continuum_threshold(params))
-    return _bisect(lambda e: params.hbar * _omega_eff(e, params) * nu - e, 0.0, top)
+    return _fixed_point(harmonic_base(params).eval, n, params)
 
 
 def degeneracy(n: int, dim: int) -> int:
@@ -297,24 +313,13 @@ def _width(n: int, energy: float, params: ModelParams) -> float:
 class BaseSpectrum:
     """A solvable reference spectrum eval(frequency, n) -> energy.
 
-    The deformation fixed point is well defined only when eval is strictly
-    increasing and continuous in the frequency; `validate` spot-checks that
-    on a frequency sample.
+    eval broadcasts over arrays of frequency and n, as numpy arithmetic
+    does. The deformation fixed point is well defined only when eval is
+    finite, continuous and strictly increasing in the frequency;
+    solve_deformed_spectrum spot-checks that at each level.
     """
 
-    eval: Callable[[float, int], float]
-
-    def validate(self, n: int, freq_lo: float, freq_hi: float, samples: int = 33):
-        freqs = np.linspace(freq_lo, freq_hi, samples)
-        vals = np.array([self.eval(w, n) for w in freqs])
-        if not np.all(np.isfinite(vals)):
-            raise BracketingError("base spectrum returned non-finite energies")
-        diffs = np.diff(vals)
-        scale = np.max(np.abs(vals)) + 1e-300
-        if np.any(diffs <= -1e-12 * scale):
-            raise BracketingError(
-                "base spectrum is not increasing in frequency on the sample"
-            )
+    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def harmonic_base(params: ModelParams) -> BaseSpectrum:
@@ -322,36 +327,41 @@ def harmonic_base(params: ModelParams) -> BaseSpectrum:
     return BaseSpectrum(eval=lambda w, n: params.hbar * w * (n + params.dim / 2.0))
 
 
-def solve_deformed_spectrum(base: BaseSpectrum, n: int, params: ModelParams) -> float:
-    """Deformed level-n energy for an arbitrary solvable base spectrum.
+def solve_deformed_spectrum(base: BaseSpectrum, n, params: ModelParams):
+    """Deformed energies of levels n for an arbitrary solvable base spectrum.
 
-    Finds the unique fixed point of E = base.eval(Omega(E), n) by bisection
-    of g(E) = base.eval(Omega(E), n) - E. The right-hand side is strictly
-    decreasing in E, and Omega <= omega, so the undeformed level
-    base.eval(omega, n) bounds the root from above, as does the threshold;
-    the bracket is [0, top] with top the smaller of the two, and requires
-    g(0) > 0 >= g(top). Raises BracketingError if the base, sampled on
-    [0, omega], is not finite and increasing in frequency, if the bracket
-    has no sign change, or if g is found non-monotone on it.
+    The fixed point of E = base.eval(Omega(E), n) at each level, by one
+    bisection (see _fixed_point); scalar n gives a float, array n an array.
+    One (levels, 33) sample of the base on [0, omega] and one of
+    g(E) = base.eval(Omega(E), n) - E on the bracket [0, top] come first:
+    BracketingError is raised if, at any level, the base is not finite and
+    increasing in frequency, g(0) > 0 >= g(top) fails, or g is not decreasing.
     """
     if params.lam <= 0:
         raise DomainError("deformation fixed point requires lam > 0")
     _check_spectrum(params)
-    n = int(n)
-    base.validate(n, 0.0, params.omega)
+    n = _check_levels(n)
+    levels = np.atleast_1d(n)
+    vals = base.eval(np.linspace(0.0, params.omega, _BASE_SAMPLES), levels[:, None])
+    if not np.all(np.isfinite(vals)):
+        raise BracketingError("base spectrum returned non-finite energies")
+    scale = np.max(np.abs(vals), axis=-1, keepdims=True) + 1e-300
+    if np.any(np.diff(vals) <= -1e-12 * scale):
+        raise BracketingError("base spectrum is not increasing in frequency on the sample")
 
-    def g(e):
-        return base.eval(_omega_eff(e, params), n) - e
-
-    top = min(g(0.0), continuum_threshold(params))
-    gvals = np.array([g(e) for e in np.linspace(0.0, top, 33)])
-    if not (gvals[0] > 0 >= gvals[-1]):
+    top = np.minimum(base.eval(params.omega, levels), continuum_threshold(params))
+    e = np.linspace(np.zeros(len(levels)), top, _BASE_SAMPLES, axis=-1)
+    gvals = base.eval(_omega_eff(e, params), levels[:, None]) - e
+    bad = np.flatnonzero(~((gvals[:, 0] > 0) & (gvals[:, -1] <= 0)))
+    if bad.size:
+        i = bad[0]
         raise BracketingError(
-            f"no sign change on [0, {top:.3e}]: g(0)={gvals[0]:.3e}, g(top)={gvals[-1]:.3e}"
+            f"no sign change at n={levels[i]}: g(0)={gvals[i, 0]:.3e}, g(top)={gvals[i, -1]:.3e}"
         )
-    if np.any(np.diff(gvals) >= 1e-12 * (np.max(np.abs(gvals)) + 1e-300)):
+    scale = np.max(np.abs(gvals), axis=-1, keepdims=True) + 1e-300
+    if np.any(np.diff(gvals) >= 1e-12 * scale):
         raise BracketingError("fixed-point map is not decreasing on the bracket")
-    return _bisect(g, 0.0, top)
+    return _fixed_point(base.eval, n, params)
 
 
 def write_csv(columns: dict, stream) -> None:
@@ -421,11 +431,7 @@ def spectrum_table(n_max: int, params: ModelParams) -> SpectrumTable:
     gap column: threshold - E cancels where E rounds to the threshold, the
     gap does not.
     """
-    if n_max < 0 or int(n_max) != n_max:
-        raise DomainError(f"n_max must be an integer >= 0, got {n_max}")
-    if n_max > _MAX_TABLE_LEVELS:
-        raise DomainError(f"n_max capped at {_MAX_TABLE_LEVELS}")
-    levels = np.arange(int(n_max) + 1)
+    levels = _table_levels(n_max)
     energy = np.atleast_1d(energy_closed_form(levels, params))
     gap = np.atleast_1d(threshold_gap(levels, params))
     nu = levels + params.dim / 2.0

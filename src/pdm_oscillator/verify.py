@@ -372,18 +372,15 @@ def check_orbit_closure() -> CheckResult:
 def check_generic_deformation() -> CheckResult:
     """Fixed-point solver on the harmonic base reproduces the closed form."""
     p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
-    base = harmonic_base(p)
-    worst = 0.0
-    for n in range(51):
-        fixed_point = solve_deformed_spectrum(base, n, p)
-        worst = max(worst, abs(fixed_point - energy_closed_form(n, p)))
+    levels = np.arange(51)
+    fixed_point = solve_deformed_spectrum(harmonic_base(p), levels, p)
+    worst = float(np.max(np.abs(fixed_point - energy_closed_form(levels, p))))
 
     p_tiny = ModelParams(lam=1e-12, omega=1.0, hbar=1.0, dim=3)
     base_tiny = harmonic_base(p_tiny)
-    limit_err = max(
-        abs(solve_deformed_spectrum(base_tiny, n, p_tiny) - base_tiny.eval(1.0, n))
-        for n in (0, 3, 10)
-    )
+    levels = np.array([0, 3, 10])
+    limit = solve_deformed_spectrum(base_tiny, levels, p_tiny) - base_tiny.eval(1.0, levels)
+    limit_err = float(np.max(np.abs(limit)))
     return CheckResult(
         name="generic-deformation",
         passed=worst < 1e-10 and limit_err < 1e-6,

@@ -131,6 +131,35 @@ class TestWavefunctionCommand:
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
+    @pytest.mark.parametrize(
+        "scale, error",
+        [
+            (["--lambda", "0.02", "--omega", "1e-100", "--hbar", "1e-8"], "weight factor"),
+            (["--lambda", "1e8", "--omega", "1e-8", "--hbar", "1e-8"], None),
+        ],
+        ids=["weight-overflows", "writes"],
+    )
+    def test_ground_level_is_bound_at_any_scale(self, tmp_path, capsys, scale, error):
+        # the unclamped closed form rounds E_0 up to 3.7e-16 relative above
+        # the threshold (2.5000000000000007e-199 against 2.5e-199 in the
+        # first corner), but every level is bound for lam > 0: the run
+        # writes its table, or fails on the scale alone
+        out = tmp_path / "wf.csv"
+        argv = ["wavefunction", *scale, "--k", "0", "--l", "0", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(argv)
+        if error is None:
+            assert code == 0
+            rows = read_csv(out)
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row.values())
+        else:
+            assert code == 1
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and error in lines[0]
+            assert not out.exists()
+
+
 class TestClassicalCommand:
     def test_drift_columns_small(self, tmp_path):
         out = tmp_path / "orbit.csv"
@@ -284,10 +313,12 @@ class TestErrorPaths:
             ["geometry", "--grid-points", "0"],
             ["wavefunction", "--grid-points", "0"],
             ["deform", "--n-max", "-1"],
+            ["deform", "--n-max", "100001"],
             ["classical", "--samples", "0"],
             ["oracle", "--l", "-1"],
         ],
-        ids=["effective-potential", "geometry", "wavefunction", "deform", "classical", "oracle"],
+        ids=["effective-potential", "geometry", "wavefunction", "deform", "deform-cap",
+             "classical", "oracle"],
     )
     def test_bad_count_is_one_error_line(self, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

@@ -243,11 +243,11 @@ class TestQuantumState:
 
 class TestGenericDeformation:
     def test_harmonic_base_matches_closed_form(self):
-        base = harmonic_base(P3)
-        for n in (0, 1, 5, 20):
-            assert solve_deformed_spectrum(base, n, P3) == pytest.approx(
-                energy_closed_form(n, P3), abs=1e-10
-            )
+        levels = np.array([0, 1, 5, 20])
+        np.testing.assert_allclose(
+            solve_deformed_spectrum(harmonic_base(P3), levels, P3),
+            energy_closed_form(levels, P3), rtol=0, atol=1e-10,
+        )
 
     def test_one_dimensional_cross_check(self):
         p = ModelParams(lam=0.05, omega=1.0, hbar=1.0, dim=1)
@@ -270,9 +270,19 @@ class TestGenericDeformation:
         assert energy == pytest.approx(base.eval(omega_eff, 3), abs=1e-10)
 
     def test_non_monotone_base_rejected(self):
-        base = BaseSpectrum(eval=lambda w, n: math.sin(20.0 * w))
+        base = BaseSpectrum(eval=lambda w, n: np.sin(20.0 * w))
         with pytest.raises(BracketingError):
             solve_deformed_spectrum(base, 0, P3)
+
+    def test_base_is_checked_per_level(self):
+        # the base decreases in frequency at n = 7 alone, by far less than
+        # the other levels' scale, so one check on all levels together
+        # would miss it
+        levels = np.arange(10)
+        base = BaseSpectrum(eval=lambda w, n: np.where(n == 7, 2.0 - 1e-6 * w, 1e9 * w * (n + 1.5)))
+        assert np.all(np.isfinite(solve_deformed_spectrum(base, np.delete(levels, 7), P3)))
+        with pytest.raises(BracketingError, match="not increasing"):
+            solve_deformed_spectrum(base, levels, P3)
 
     def test_no_sign_change_rejected(self):
         base = BaseSpectrum(eval=lambda w, n: -1.0 - 0.0 * w + 1e-9 * w)
@@ -312,10 +322,10 @@ class TestOneSolver:
         levels = np.array([n, n + 1])
         closed = energy_closed_form(levels, p)
         implicit = energy_implicit(levels, p)
-        fixed = np.array(
-            [solve_deformed_spectrum(harmonic_base(p), int(k), p) for k in levels]
-        )
-        np.testing.assert_allclose(implicit, closed, rtol=1e-12, atol=0)
+        fixed = solve_deformed_spectrum(harmonic_base(p), levels, p)
+        per_level = [solve_deformed_spectrum(harmonic_base(p), int(k), p) for k in levels]
+        assert np.array_equal(fixed, per_level) and np.array_equal(fixed, implicit)
+        assert np.all(closed <= continuum_threshold(p))
         np.testing.assert_allclose(fixed, closed, rtol=1e-12, atol=0)
         # threshold - E_n, evaluated stably, resolves the order of levels
         # whose spacing is below the rounding of E_n itself
@@ -336,7 +346,7 @@ class TestOneSolver:
         p = ModelParams(lam=1e20, omega=1e160, hbar=1.0, dim=3)
         levels = np.arange(11)
         closed = energy_closed_form(levels, p)
-        fixed = [solve_deformed_spectrum(harmonic_base(p), int(n), p) for n in levels]
+        fixed = solve_deformed_spectrum(harmonic_base(p), levels, p)
         np.testing.assert_allclose(energy_implicit(levels, p), closed, rtol=1e-15, atol=0)
         np.testing.assert_allclose(fixed, closed, rtol=1e-15, atol=0)
 
@@ -351,6 +361,21 @@ class TestOneSolver:
         ):
             with pytest.raises(DomainError, match="underflow"):
                 solve()
+
+
+    def test_one_bisection_per_table(self, monkeypatch, tmp_path):
+        from pdm_oscillator import cli, verify
+
+        calls = []
+        bisect = spectrum_module._bisect
+        monkeypatch.setattr(
+            spectrum_module, "_bisect", lambda *args: calls.append(1) or bisect(*args)
+        )
+        assert verify.check_generic_deformation().passed
+        assert len(calls) == 2
+        calls.clear()
+        assert cli.run(["deform", "--n-max", "20", "--out", str(tmp_path / "d.csv")]) == 0
+        assert len(calls) == 1
 
 
 class TestBisectionFailure:
