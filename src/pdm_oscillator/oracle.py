@@ -14,11 +14,10 @@ its vector. The eigensolve never reads the closed-form spectrum, so
 agreement between the two routes is a genuine cross-check; only the default
 box size (default_radial_grid) is taken from it.
 
-Also provides a grid-based operator check: a high-order Hamiltonian
-application for eigenfunction residuals. On the N-cube tensor grid a
-Cartesian state is built from its N one-dimensional Hermite factors, and the
-stencil and the residual are formed in place, so the check's peak is three
-grid-sized arrays.
+Also provides a grid-based operator check: the eigenfunction residual of a
+Cartesian state, a product of N one-dimensional Hermite factors, on an
+N-cube grid. Its Laplacian takes an eighth-order second derivative of each
+factor in 1-D; only the potential and the mass are applied on the grid.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "discretize_radial",
     "solve_generalized_eigen",
     "oracle_report",
-    "apply_hamiltonian_grid",
     "grid_eigen_residual",
 ]
 
@@ -86,7 +84,8 @@ def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
     The eigenfunctions decay with the Gaussian width beta(E) of the highest
     state, so the box extends to max(12/beta, 3 * outer turning radius).
     Omega = E/(hbar (n + N/2)) is exact, also where E rounds to the threshold.
-    A beta that underflows to 0 (hbar far above omega's scale) raises
+    A beta that underflows to 0 (hbar far above omega's scale), or a box
+    inside the fixed inner cutoff (sqrt(hbar/omega) below it), raises
     DomainError.
     """
     n_top = 2 * k_max + l
@@ -97,7 +96,13 @@ def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
     # for N = 1 the measure does not vanish at the origin, so the inner
     # cutoff displaces the wall and shifts eigenvalues by O(r_min)
     r_min = 1e-9 if params.dim == 1 else 1e-6
-    return RadialGrid(r_min=r_min, r_max=max(12.0 / beta, 3.0 * r_turn))
+    r_max = max(12.0 / beta, 3.0 * r_turn)
+    if r_max <= r_min:
+        raise DomainError(
+            f"omega={params.omega:g} and hbar={params.hbar:g} are out of range: "
+            f"the box r_max={r_max:g} lies inside the inner cutoff r_min={r_min:g}"
+        )
+    return RadialGrid(r_min=r_min, r_max=r_max)
 
 
 @dataclass(frozen=True)
@@ -317,101 +322,72 @@ def oracle_report(
 _D2_COEFFS = np.array(
     [-1.0 / 560, 8.0 / 315, -1.0 / 5, 8.0 / 5, -205.0 / 72, 8.0 / 5, -1.0 / 5, 8.0 / 315, -1.0 / 560]
 )
-# elements per block of the stencil sum, so that the blocks one term reads
-# and writes stay in cache
-_STENCIL_BLOCK = 1 << 16
 
 
-def second_derivative(values: np.ndarray, spacing: float, axis: int = 0) -> np.ndarray:
-    """Eighth-order second derivative along one axis (zero-padded ends).
+def second_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
+    """Eighth-order second derivative of 1-D samples (zero-padded ends).
 
-    Sums the terms c_j * values[i + j - 4] in coefficient order, a block of
-    leading-axis rows at a time. Each term is one shifted slice of the
-    flattened values, written into a block-sized scratch array; entries
-    whose neighbour lies past an end of `axis` get c_j * 0, the zero
-    padding's term. Besides `values` the call holds one array of its size.
+    Sums the terms c_j * values[i + j - 4] in coefficient order over a copy
+    of values with four zeros on each end, so the four entries at each end
+    read the padding.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    shape, size = values.shape, values.shape[axis]
-    step = math.prod(shape[axis + 1 :])  # one step along `axis`, in flat elements
-    row = math.prod(shape[1:])
-    rows = max(1, _STENCIL_BLOCK // max(row, 1))
-    flat, out = values.reshape(-1), np.zeros(values.size)
-    scratch = np.empty(min(rows, shape[0]) * row)
-    for r0 in range(0, shape[0], rows):
-        r1 = min(r0 + rows, shape[0])
-        b0, b1 = r0 * row, r1 * row
-        term = scratch[: b1 - b0]
-        block = term.reshape((r1 - r0,) + shape[1:])
-        for j, c in enumerate(_D2_COEFFS):
-            d = (j - 4) * step
-            lo = max(b0, -d)
-            hi = max(min(b1, flat.size - d), lo)
-            np.multiply(flat[lo + d : hi + d], c, out=term[lo - b0 : hi - b0])
-            e0, e1 = (0, min(4 - j, size)) if j < 4 else (max(size + 4 - j, 0), size)
-            if axis == 0:
-                e0, e1 = max(e0 - r0, 0), max(min(e1, r1) - r0, 0)
-            block[(slice(None),) * axis + (slice(e0, e1),)] = c * 0.0
-            out[b0:b1] += term
+    size = len(values)
+    padded = np.pad(values, 4)
+    out = np.zeros(size)
+    for j, c in enumerate(_D2_COEFFS):
+        out += c * padded[j : j + size]
     out /= spacing**2
-    return out.reshape(shape)
+    return out
 
 
-def _broadcast(axes: list[np.ndarray]) -> list[np.ndarray]:
-    """Views of the 1-D axes shaped (n, 1, ..., 1), ..., (n, 1), (n,)."""
-    return [coords.reshape((-1,) + (1,) * (len(axes) - 1 - i)) for i, coords in enumerate(axes)]
-
-
-def _q_squared(axes: list[np.ndarray], out: np.ndarray) -> np.ndarray:
-    """|q|^2 on the grid, summed axis by axis from the broadcast axes into out."""
-    *rest, last = _broadcast(axes)
-    return np.add(sum(coords**2 for coords in rest), last**2, out=out)
-
-
-def apply_hamiltonian_grid(psi: np.ndarray, axes: list[np.ndarray], params: ModelParams) -> np.ndarray:
-    """Apply the position-dependent-mass Hamiltonian to grid samples of psi.
-
-    q^2 and the mass come from the 1-D axes by broadcasting, and the
-    operator is formed in place, so besides psi the call holds at most two
-    grid-sized arrays; psi is not written.
-    """
-    psi = np.asarray(psi, dtype=float)
-    if len(axes) != params.dim or psi.ndim != params.dim:
-        raise DomainError("psi and axes must match params.dim")
-    lap = second_derivative(psi, axes[0][1] - axes[0][0], axis=0)
-    for ax in range(1, params.dim):
-        lap += second_derivative(psi, axes[ax][1] - axes[ax][0], axis=ax)
-    lap *= -params.hbar**2
-    potential = _q_squared(axes, out=np.empty_like(psi))
-    potential *= params.omega**2
-    potential *= psi
-    lap += potential
-    mass = _q_squared(axes, out=potential)
-    mass *= params.lam
-    mass += 1.0
-    mass *= 2.0
-    lap /= mass
-    return lap
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm from numpy's pairwise sum of squares: no BLAS call, so
+    it does not depend on the BLAS thread count."""
+    return math.sqrt(np.sum(x * x))
 
 
 def grid_eigen_residual(
     f, energy: float, params: ModelParams, half_width: float, num_points: int
 ) -> float:
     """Relative residual |H psi - E psi| / |psi| of a CartesianEigenfunction f
-    on a uniform N-cube grid.
+    on the N-cube grid of num_points >= 9 per axis over [-half_width, half_width].
 
-    psi is built from its N axis factors (N * num_points Hermite
-    evaluations) and the residual is formed in place, so the peak is three
-    grid-sized arrays. The boundary frame where the high-order stencil is
-    truncated is excluded from both norms; psi must be negligible there.
+    psi is the product of its N axis factors f_i, its Laplacian the sum over
+    i of the products with f_i replaced by its 1-D stencil f_i''; the
+    potential and the mass are applied on the grid in place, so the peak is
+    three grid-sized arrays. Both norms exclude the frame where the stencil
+    reads its zero padding; psi must be negligible there and nonzero inside.
     """
     if f.params.dim != params.dim:
         raise DomainError(f"f is a state in {f.params.dim} dimensions, params has dim={params.dim}")
-    axes = [np.linspace(-half_width, half_width, num_points)] * params.dim
-    psi = f.factor_product(_broadcast(axes))
-    residual = apply_hamiltonian_grid(psi, axes, params)
+    if num_points < 9 or not 0 < half_width < math.inf:
+        raise DomainError(
+            f"need num_points >= 9 and a finite half_width > 0, got {num_points} and {half_width}"
+        )
+    axis = np.linspace(-half_width, half_width, num_points)
+    factors = f.factors([axis] * params.dim)
     trim = (slice(4, -4),) * params.dim
-    den = np.linalg.norm(psi[trim])
+    psi = math.prod(np.ix_(*factors))
+    den = _norm(psi[trim])
+    if den == 0:
+        raise DomainError("psi vanishes on the grid inside the stencil frame")
+    residual = np.zeros_like(psi)
+    for i, factor in enumerate(factors):
+        curvature = second_derivative(factor, axis[1] - axis[0])
+        residual += math.prod(np.ix_(*factors[:i], curvature, *factors[i + 1 :]))
+    residual *= -params.hbar**2
+    # |q|^2, summed axis by axis, carries the potential and then the mass
+    *rest, last = np.ix_(*[axis**2] * params.dim)
+    coupled = np.add(sum(rest), last, out=np.empty_like(psi))
+    coupled *= params.omega**2
+    coupled *= psi
+    residual += coupled
+    np.add(sum(rest), last, out=coupled)
+    coupled *= params.lam
+    coupled += 1.0
+    coupled *= 2.0
+    residual /= coupled
+    del coupled  # so that the norm's squares are the third grid-sized array
     psi *= energy
     residual -= psi
-    return float(np.linalg.norm(residual[trim]) / den)
+    return _norm(residual[trim]) / den

@@ -235,7 +235,6 @@ def check_orthonormality() -> CheckResult:
 
 def check_eigenfunction_residual() -> CheckResult:
     """Grid-applied Hamiltonian residual on low states for N in {1, 2}."""
-    worst = 0.0
     details = {}
     cases = {
         1: [(0,), (1,), (2,), (3,)],
@@ -246,15 +245,10 @@ def check_eigenfunction_residual() -> CheckResult:
         p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=dim)
         for tup in tuples:
             f = CartesianEigenfunction.from_occupations(tup, p)
-            res = grid_eigen_residual(
-                f,
-                f.state.energy,
-                p,
-                half_width=9.5 / f.state.beta,
-                num_points=points[dim],
+            details[f"N={dim},n={tup}"] = grid_eigen_residual(
+                f, f.state.energy, p, half_width=9.5 / f.state.beta, num_points=points[dim]
             )
-            details[f"N={dim},n={tup}"] = res
-            worst = max(worst, res)
+    worst = max(details.values())
     return CheckResult(
         name="eigenfunction-residual",
         passed=worst < 1e-6,

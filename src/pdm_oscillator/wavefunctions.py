@@ -68,20 +68,20 @@ class CartesianEigenfunction:
 
     def __call__(self, q):
         q = self._positions(q)
-        out = np.asarray(self.factor_product([q[..., i] for i in range(self.params.dim)]))
+        out = np.asarray(math.prod(self.factors([q[..., i] for i in range(self.params.dim)])))
         return out if out.ndim else float(out)
 
-    def factor_product(self, coords) -> np.ndarray:
-        """norm_constant * prod_i h_{n_i}(beta coords[i]), multiplied in factor order.
+    def factors(self, coords) -> list[np.ndarray]:
+        """The N factors h_{n_i}(beta coords[i]), norm_constant on the first.
 
-        coords[i] holds the q_i values; the N arrays broadcast together. Axis
-        arrays of n points shaped (n, 1, ..., 1), ..., (n, 1), (n,) give the
-        tensor grid from N*n Hermite evaluations, one grid-sized array.
+        The state is their product, taken in factor order. coords[i] holds
+        the q_i values: the columns of an array of points, or one 1-D axis
+        per dimension, whose n-point factors (N * n Hermite evaluations)
+        give the state on the tensor grid by broadcasting.
         """
-        out = self.norm_constant
-        for n_i, q_i in zip(self.state.n_tuple, coords):
-            out = out * hermite_function(n_i, self.state.beta * q_i)
-        return out
+        beta = self.state.beta
+        first, *rest = [hermite_function(n, beta * q) for n, q in zip(self.state.n_tuple, coords)]
+        return [self.norm_constant * first, *rest]
 
 
 @dataclass(frozen=True)

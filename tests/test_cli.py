@@ -381,6 +381,17 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    def test_box_inside_cutoff_names_the_scale(self, tmp_path, capsys):
+        # at omega = 1e160 the default box is 1.2e-79 wide, inside the fixed
+        # inner cutoff r_min = 1e-6
+        out = tmp_path / "x.csv"
+        argv = ["oracle", "--omega", "1e160", "--lambda", "1e20", "--out", str(out)]
+        assert cli.run(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "omega" in lines[0] and "hbar" in lines[0]
+        assert not out.exists()
+
     def test_huge_box_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert cli.run(["oracle", "--r-max", "1e200", "--out", str(out)]) == 1

@@ -1,4 +1,9 @@
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from pdm_oscillator import (
 )
 from pdm_oscillator import oracle
 from pdm_oscillator.oracle import _eigenpairs_near, second_derivative
+from pdm_oscillator.verify import check_eigenfunction_residual
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
 
@@ -240,24 +246,19 @@ class TestSecondDerivative:
         # error is rounding-limited at ~eps/h^2, far below truncation needs
         assert np.max(np.abs(d2[interior] + np.sin(x)[interior])) < 5e-11
 
-    @pytest.mark.parametrize("block", [1, 7, 40, 1 << 16], ids=lambda b: f"block{b}")
-    @pytest.mark.parametrize("shape", [(11, 13), (6, 3)])
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_edges_match_zero_padded_stencil(self, monkeypatch, block, shape, axis):
-        # the residual trims the four rows at each end, but direct callers see
-        # them: they hold the stencil applied to the zero-padded array, summed
-        # term by term in coefficient order; an axis shorter than the stencil
-        # reads padding at both ends
-        monkeypatch.setattr(oracle, "_STENCIL_BLOCK", block)
-        values = np.random.default_rng(7).standard_normal(shape)
-        pad = [(0, 0), (0, 0)]
-        pad[axis] = (4, 4)
-        padded = np.pad(values, pad)
-        expected = np.zeros(shape)
+    @pytest.mark.parametrize("size", [6, 11, 1501], ids=lambda n: f"len{n}")
+    def test_edges_match_zero_padded_stencil(self, size):
+        # the residual trims the four entries at each end, but direct callers
+        # see them: they hold the stencil applied to the zero-padded samples,
+        # summed term by term in coefficient order; samples shorter than the
+        # stencil read padding at both ends
+        values = np.random.default_rng(7).standard_normal(size)
+        padded = np.pad(values, 4)
+        expected = np.zeros(size)
         for j, c in enumerate(oracle._D2_COEFFS):
-            expected += c * np.take(padded, range(j, j + shape[axis]), axis=axis)
+            expected += c * padded[j : j + size]
         expected /= 0.3**2
-        np.testing.assert_array_equal(second_derivative(values, 0.3, axis=axis), expected)
+        np.testing.assert_array_equal(second_derivative(values, 0.3), expected)
 
 
 class TestGridResidual:
@@ -272,10 +273,10 @@ class TestGridResidual:
         "occupations, num_points", [((2, 1), 501), ((1, 1, 0), 160)], ids=["dim2", "dim3"]
     )
     def test_traced_peak_is_a_few_grid_arrays(self, occupations, num_points):
-        # psi comes from its axis factors and the stencil and the residual are
-        # formed in place: the traced peak (numpy buffers included) stays at
-        # about three grid-sized arrays, where a point cloud and a padded
-        # copy per stencil took 10 to 12
+        # psi and the Laplacian come from the axis factors and the potential
+        # and the mass are applied in place: the traced peak (numpy buffers
+        # included) stays at three grid-sized arrays, where a point cloud and
+        # a padded copy per stencil took 10 to 12
         p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=len(occupations))
         f = CartesianEigenfunction.from_occupations(occupations, p)
         grid_array = 8 * num_points ** p.dim
@@ -288,9 +289,74 @@ class TestGridResidual:
         finally:
             tracemalloc.stop()
         assert res < 1e-6
-        assert peak <= 5 * grid_array
+        assert peak <= 3.5 * grid_array
 
-    def test_dimension_mismatch_rejected(self):
-        f = CartesianEigenfunction.from_occupations((1, 0), ModelParams(lam=0.02, dim=2))
+    def test_wrong_energy_or_width_fails(self):
+        # the (2,1) state on the grid of the eigenfunction-residual check:
+        # the true level passes, a level off by 1e-4 and the flat width fail
+        p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=2)
+        f = CartesianEigenfunction.from_occupations((2, 1), p)
+        flat = CartesianEigenfunction.from_occupations((2, 1), ModelParams(lam=0.0, dim=2))
+        grid = dict(half_width=9.5 / f.state.beta, num_points=501)
+        energy = f.state.energy
+        assert grid_eigen_residual(f, energy, p, **grid) < 1e-6
+        assert grid_eigen_residual(f, energy * (1 + 1e-4), p, **grid) > 1e-6
+        assert grid_eigen_residual(flat, energy, p, **grid) > 1e-6
+
+    @pytest.mark.parametrize(
+        "occupations, dim, half_width, num_points",
+        [
+            ((1, 0), 3, 5.0, 20),
+            ((1,), 1, 5.0, 8),
+            ((1,), 1, 5.0, 1),
+            ((1,), 1, 0.0, 20),
+            ((1,), 1, -5.0, 20),
+            ((1,), 1, math.inf, 20),
+            ((1,), 1, 5.0, 9),
+        ],
+        ids=["dimension-mismatch", "8-points", "1-point", "zero-width", "negative-width",
+             "infinite-width", "odd-state-at-9-points"],
+    )
+    def test_bad_input_rejected(self, occupations, dim, half_width, num_points):
+        # at 9 points the odd state vanishes on the one point inside the frame
+        f = CartesianEigenfunction.from_occupations(
+            occupations, ModelParams(lam=0.02, dim=len(occupations))
+        )
+        p = ModelParams(lam=0.02, dim=dim)
         with pytest.raises(DomainError):
-            grid_eigen_residual(f, f.state.energy, P3, half_width=5.0, num_points=20)
+            grid_eigen_residual(f, f.state.energy, p, half_width, num_points)
+
+    def test_stencil_runs_on_axis_factors_only(self, monkeypatch):
+        # the work of the eigenfunction-residual check: one 1-D stencil per
+        # axis factor, 4 states at N = 1 on 1501 points and 4 at N = 2 on 501
+        shapes = []
+        stencil = oracle.second_derivative
+
+        def recording(values, *args, **kwargs):
+            shapes.append(np.shape(values))
+            return stencil(values, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "second_derivative", recording)
+        assert check_eigenfunction_residual().passed
+        assert len(shapes) == 12
+        assert all(len(shape) == 1 for shape in shapes)
+        assert sum(math.prod(shape) for shape in shapes) == 10_012
+
+    def test_independent_of_blas_threads(self):
+        # the norms are pairwise numpy sums, not a BLAS dot that splits its
+        # sum across threads
+        script = (
+            "from pdm_oscillator.verify import check_eigenfunction_residual\n"
+            "print(repr(check_eigenfunction_residual().details))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]

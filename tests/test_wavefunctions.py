@@ -22,7 +22,7 @@ from pdm_oscillator import (
     wavefunctions,
     weighted_inner_product,
 )
-from pdm_oscillator.oracle import _broadcast, second_derivative
+from pdm_oscillator.oracle import second_derivative
 
 P1 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=1)
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
@@ -385,7 +385,7 @@ class TestProperties:
         p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=dim)
         f = normalize(CartesianEigenfunction.from_occupations(tuple(occupations), p))
         axes = [np.linspace(-6.0 / f.state.beta, 6.0 / f.state.beta, 9 - dim + i) for i in range(dim)]
-        grid = f.factor_product(_broadcast(axes))
+        grid = math.prod(np.ix_(*f.factors(axes)))
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         pointwise = f(points if dim > 1 else points[..., 0])
         assert grid.shape == pointwise.shape == tuple(len(a) for a in axes)
