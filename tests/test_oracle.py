@@ -246,8 +246,33 @@ class TestSecondDerivative:
         # error is rounding-limited at ~eps/h^2, far below truncation needs
         assert np.max(np.abs(d2[interior] + np.sin(x)[interior])) < 5e-11
 
+    @pytest.mark.parametrize("block", [1, 7, 40, 1 << 16], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("shape", [(11, 13), (6, 3)])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_edges_match_zero_padded_stencil(self, block, shape, axis):
+        # applied line by line along `axis` of a 2-D sample array, the 1-D
+        # stencil gives the bits of the zero-padded 2-D stencil, summed term
+        # by term in coefficient order, edges included; an axis shorter than
+        # the stencil reads padding at both ends. The array is a view whose
+        # rows lie `block` values apart beyond their length, so the lines
+        # along axis 0 reach the stencil as strided views
+        values = np.random.default_rng(7).standard_normal(shape)
+        buffer = np.zeros((shape[0], shape[1] + block))
+        buffer[:, : shape[1]] = values
+        view = buffer[:, : shape[1]]
+        pad = [(0, 0), (0, 0)]
+        pad[axis] = (4, 4)
+        padded = np.pad(values, pad)
+        expected = np.zeros(shape)
+        for j, c in enumerate(oracle._D2_COEFFS):
+            expected += c * np.take(padded, range(j, j + shape[axis]), axis=axis)
+        expected /= 0.3**2
+        np.testing.assert_array_equal(
+            np.apply_along_axis(second_derivative, axis, view, 0.3), expected
+        )
+
     @pytest.mark.parametrize("size", [6, 11, 1501], ids=lambda n: f"len{n}")
-    def test_edges_match_zero_padded_stencil(self, size):
+    def test_samples_match_zero_padded_stencil(self, size):
         # the residual trims the four entries at each end, but direct callers
         # see them: they hold the stencil applied to the zero-padded samples,
         # summed term by term in coefficient order; samples shorter than the
