@@ -17,7 +17,8 @@ box size (default_radial_grid) is taken from it.
 Also provides a grid-based operator check: the eigenfunction residual of a
 Cartesian state, a product of N one-dimensional Hermite factors, on an
 N-cube grid. Its Laplacian takes an eighth-order second derivative of each
-factor in 1-D; only the potential and the mass are applied on the grid.
+factor in 1-D, and the numerator 2 (1 + lam |q|^2)(H - E) psi is a sum of N
+outer products of 1-D terms, summed one slab of the first axis at a time.
 """
 
 from __future__ import annotations
@@ -346,17 +347,27 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(np.sum(x * x))
 
 
+# grid points per slab of the residual (128 kB per array), so that a slab's
+# arrays stay in cache
+_SLAB_POINTS = 2**14
+
+
 def grid_eigen_residual(
     f, energy: float, params: ModelParams, half_width: float, num_points: int
 ) -> float:
     """Relative residual |H psi - E psi| / |psi| of a CartesianEigenfunction f
     on the N-cube grid of num_points >= 9 per axis over [-half_width, half_width].
 
-    psi is the product of its N axis factors f_i, its Laplacian the sum over
-    i of the products with f_i replaced by its 1-D stencil f_i''; the
-    potential and the mass are applied on the grid in place, so the peak is
-    three grid-sized arrays. Both norms exclude the frame where the stencil
-    reads its zero padding; psi must be negligible there and nonzero inside.
+    With psi the product of its N axis factors f_i, the numerator
+    2 (1 + lam |q|^2)(H - E) psi is exactly sum_i g_i (x) prod_{j != i} f_j,
+    where g_i = -hbar^2 f_i'' + (omega^2 - 2 lam E) x_i^2 f_i, less 2 E f_i on
+    the first axis, and f_i'' is the 1-D stencil of f_i. The residual is
+    summed slab by slab along the first axis, each slab about _SLAB_POINTS
+    grid points (at least one row) of that numerator divided by its
+    2 (1 + lam |q|^2); the tail over the other axes is formed once, so the
+    memory is O(num_points^(N-1)). Both norms exclude the frame where the
+    stencil reads its zero padding, and |psi| is the product of the factors'
+    norms there; psi must be negligible on the frame and nonzero inside.
     """
     if f.params.dim != params.dim:
         raise DomainError(f"f is a state in {f.params.dim} dimensions, params has dim={params.dim}")
@@ -365,29 +376,36 @@ def grid_eigen_residual(
             f"need num_points >= 9 and a finite half_width > 0, got {num_points} and {half_width}"
         )
     axis = np.linspace(-half_width, half_width, num_points)
-    factors = f.factors([axis] * params.dim)
-    trim = (slice(4, -4),) * params.dim
-    psi = math.prod(np.ix_(*factors))
-    den = _norm(psi[trim])
+    inner = slice(4, -4)
+    x_sq = axis[inner] ** 2
+    full = f.factors([axis] * params.dim)
+    factors = [factor[inner] for factor in full]
+    den = math.prod(_norm(factor) for factor in factors)
     if den == 0:
         raise DomainError("psi vanishes on the grid inside the stencil frame")
-    residual = np.zeros_like(psi)
-    for i, factor in enumerate(factors):
-        curvature = second_derivative(factor, axis[1] - axis[0])
-        residual += math.prod(np.ix_(*factors[:i], curvature, *factors[i + 1 :]))
-    residual *= -params.hbar**2
-    # |q|^2, summed axis by axis, carries the potential and then the mass
-    *rest, last = np.ix_(*[axis**2] * params.dim)
-    coupled = np.add(sum(rest), last, out=np.empty_like(psi))
-    coupled *= params.omega**2
-    coupled *= psi
-    residual += coupled
-    np.add(sum(rest), last, out=coupled)
-    coupled *= params.lam
-    coupled += 1.0
-    coupled *= 2.0
-    residual /= coupled
-    del coupled  # so that the norm's squares are the third grid-sized array
-    psi *= energy
-    residual -= psi
-    return _norm(residual[trim]) / den
+    coupling = params.omega**2 - 2.0 * params.lam * energy
+    terms = [
+        -params.hbar**2 * second_derivative(sampled, axis[1] - axis[0])[inner]
+        + coupling * x_sq * factor
+        for sampled, factor in zip(full, factors)
+    ]
+    terms[0] -= 2.0 * energy * factors[0]
+    # the tails over axes 2..N of psi, of the numerator and of |q|^2
+    # (scalars at N = 1): a slab is g_1 (x) psi_tail + f_1 (x) num_tail
+    psi_tail, num_tail, mass_tail = 1.0, 0.0, 0.0
+    for factor, term in zip(factors[:0:-1], terms[:0:-1]):
+        num_tail = np.multiply.outer(term, psi_tail) + np.multiply.outer(factor, num_tail)
+        psi_tail = np.multiply.outer(factor, psi_tail)
+        mass_tail = np.add.outer(x_sq, mass_tail)
+    mass_tail = 2.0 * params.lam * mass_tail
+    mass_head = 2.0 + 2.0 * params.lam * x_sq
+    rows = max(1, _SLAB_POINTS // np.size(psi_tail))
+    squares = 0.0
+    for start in range(0, len(x_sq), rows):
+        part = slice(start, start + rows)
+        slab = np.multiply.outer(terms[0][part], psi_tail)
+        slab += np.multiply.outer(factors[0][part], num_tail)
+        slab /= np.add.outer(mass_head[part], mass_tail)
+        slab *= slab
+        squares += np.sum(slab)
+    return math.sqrt(squares) / den

@@ -1,10 +1,13 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdm_oscillator.cli as cli
 from pdm_oscillator import (
     ConvergenceError,
     DomainError,
@@ -244,6 +247,53 @@ class TestStackedIntegration:
             stacked = rhs(0.0, orbits.ravel())
             single = np.concatenate([rhs(0.0, z) for z in orbits])
             np.testing.assert_allclose(stacked, single, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("lam_q_sq", [0.23, 1.8e5, 2e8])
+    def test_rhs_matches_exact_arithmetic(self, lam_q_sq):
+        # qdot and -dH/dq = q (lam p^2 - omega^2)/(1 + lam q^2)^2 in exact
+        # rationals of the same doubles, within a few roundings; subtracting
+        # omega^2 q/(1 + lam q^2) from lam q (p^2 + omega^2 q^2)/(1 + lam q^2)^2
+        # loses about eps lam q^2
+        params = ModelParams(lam=0.02, omega=1.3, dim=3)
+        q = np.array([0.6, -0.48, 0.64]) * math.sqrt(lam_q_sq / params.lam)
+        p = np.array([0.7, 1.1, -0.4])
+        lam, omega = Fraction(params.lam), Fraction(params.omega)
+        q_exact, p_exact = [Fraction(x) for x in q], [Fraction(x) for x in p]
+        mass = 1 + lam * sum(x * x for x in q_exact)
+        p_sq = sum(x * x for x in p_exact)
+        exact = [x / mass for x in p_exact] + [
+            x * (lam * p_sq - omega**2) / mass**2 for x in q_exact
+        ]
+        out = hamilton_rhs(params)(0.0, np.concatenate([q, p]))
+        for value, ref in zip(out, exact):
+            assert abs(Fraction(value) - ref) <= 10 * classical._EPS * abs(ref)
+
+    @pytest.mark.parametrize("omega", ["1e8", "1e100"])
+    def test_long_span_is_one_error_line(self, tmp_path, capsys, monkeypatch, omega):
+        # `classical --t-end 5` is 8e7 periods at omega = 1e8 and overflows
+        # at omega = 1e100: both end in one error line naming the bound,
+        # before any right-hand side is evaluated
+        calls = counting_rhs(monkeypatch)
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["classical", "--omega", omega, "--t-end", "5", "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error:")
+        assert "at most 1000 are integrated" in lines[0]
+        assert calls[0] == 0 and not out.exists()
+
+    def test_span_bound_is_in_undeformed_periods(self, monkeypatch):
+        monkeypatch.setattr(classical, "_MAX_PERIODS", 2)
+        state = PhaseState(q=np.array([1.0, 0.0]), p=np.array([0.0, 1.0]), t=3.0)
+        period = 2 * math.pi / 1.5
+        params = ModelParams(lam=0.02, omega=1.5, dim=2)
+        integrate_orbits([state, state], params, [3.0 + period, 3.0 + 1.99 * period], samples=2)
+        with pytest.raises(DomainError, match="2.01 periods"):
+            integrate_orbits([state, state], params, [3.0 + period, 3.0 + 2.01 * period])
+        # omega = 0 has no period: a free particle is not bounded
+        free = ModelParams(lam=0.0, omega=0.0, dim=2)
+        integrate_orbits([state], free, [1e6], samples=2)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_batch_matches_single_orbits(self, dim):

@@ -4,10 +4,11 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdm_oscillator import (
@@ -27,6 +28,29 @@ from pdm_oscillator.oracle import _eigenpairs_near, second_derivative
 from pdm_oscillator.verify import check_eigenfunction_residual
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
+
+
+def full_grid_residual(f, energy, params, half_width, num_points):
+    """|H psi - E psi| / |psi| of a CartesianEigenfunction with psi, its
+    Laplacian and |q|^2 formed on the whole N-cube grid, and the size of its
+    terms |hbar^2 lap psi| + |omega^2 q^2 psi|, over 2 (1 + lam q^2), plus
+    |E psi|, in the same norm."""
+    axis = np.linspace(-half_width, half_width, num_points)
+    factors = f.factors([axis] * params.dim)
+    psi = math.prod(np.ix_(*factors))
+    laplacian = sum(
+        math.prod(np.ix_(*factors[:i], second_derivative(factor, axis[1] - axis[0]),
+                         *factors[i + 1 :]))
+        for i, factor in enumerate(factors)
+    )
+    q_sq = sum(np.ix_(*[axis**2] * params.dim))
+    mass = 2.0 * (1.0 + params.lam * q_sq)
+    kinetic, potential = -params.hbar**2 * laplacian, params.omega**2 * q_sq * psi
+    residual = (kinetic + potential) / mass - energy * psi
+    terms = (np.abs(kinetic) + np.abs(potential)) / mass + np.abs(energy * psi)
+    trim = (slice(4, -4),) * params.dim
+    norm = np.linalg.norm(psi[trim])
+    return np.linalg.norm(residual[trim]) / norm, np.linalg.norm(terms[trim]) / norm
 
 
 class TestRadialGrid:
@@ -295,13 +319,14 @@ class TestGridResidual:
         assert res < 1e-6
 
     @pytest.mark.parametrize(
-        "occupations, num_points", [((2, 1), 501), ((1, 1, 0), 160)], ids=["dim2", "dim3"]
+        "occupations, num_points, bound",
+        [((2, 1), 501, 0.5), ((1, 1, 0), 160, 0.1)],
+        ids=["dim2", "dim3"],
     )
-    def test_traced_peak_is_a_few_grid_arrays(self, occupations, num_points):
-        # psi and the Laplacian come from the axis factors and the potential
-        # and the mass are applied in place: the traced peak (numpy buffers
-        # included) stays at three grid-sized arrays, where a point cloud and
-        # a padded copy per stencil took 10 to 12
+    def test_traced_peak_is_a_slab_not_a_grid(self, occupations, num_points, bound):
+        # the residual is summed slab by slab from 1-D terms: the traced peak
+        # (numpy buffers included) is a fraction of one grid-sized array,
+        # where forming psi, its Laplacian and the mass on the grid took 3
         p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=len(occupations))
         f = CartesianEigenfunction.from_occupations(occupations, p)
         grid_array = 8 * num_points ** p.dim
@@ -314,7 +339,39 @@ class TestGridResidual:
         finally:
             tracemalloc.stop()
         assert res < 1e-6
-        assert peak <= 3.5 * grid_array
+        assert peak <= bound * grid_array
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(1, 3),
+        lam=st.just(0.0) | st.floats(math.log(1e-4), math.log(0.5)).map(math.exp),
+        data=st.data(),
+        shift=st.sampled_from([0.0, 1e-4]),
+        width=st.floats(3.0, 10.0),
+        slab_points=st.sampled_from([oracle._SLAB_POINTS, 100, 1]),
+    )
+    @example(dim=1, lam=0.02, data=None, shift=0.0, width=9.5, slab_points=oracle._SLAB_POINTS)
+    @example(dim=2, lam=0.02, data=None, shift=1e-4, width=9.5, slab_points=oracle._SLAB_POINTS)
+    def test_slabs_match_full_grid(self, dim, lam, data, shift, width, slab_points):
+        # against the residual formed on the whole grid. Slabs of 100 points
+        # and most drawn sizes leave a shorter last slab; the explicit
+        # examples are 20,011 points at N = 1 (two slabs, the second of
+        # 3,619 rows) and 333^2 at N = 2 (slabs of 50 rows, the last of 25)
+        if data is None:
+            occupations, num_points = (3,) * dim, (20_011, 333)[dim - 1]
+        else:
+            occupations = data.draw(st.tuples(*[st.integers(0, 3)] * dim))
+            num_points = data.draw(st.integers(11, (2_000, 300, 60)[dim - 1]))
+        p = ModelParams(lam=lam, omega=1.3, hbar=0.8, dim=dim)
+        f = CartesianEigenfunction.from_occupations(occupations, p)
+        energy = f.state.energy * (1 + shift)
+        grid = dict(half_width=width / f.state.beta, num_points=num_points)
+        with mock.patch.object(oracle, "_SLAB_POINTS", slab_points):
+            res = grid_eigen_residual(f, energy, p, **grid)
+        ref, scale = full_grid_residual(f, energy, p, **grid)
+        # a rounding per term and point, and the sums of squares
+        eps = np.finfo(float).eps
+        assert abs(res - ref) <= eps * (2 * (dim + 2) * scale + (num_points - 8) ** dim * ref)
 
     def test_wrong_energy_or_width_fails(self):
         # the (2,1) state on the grid of the eigenfunction-residual check:
