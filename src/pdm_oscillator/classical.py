@@ -401,7 +401,8 @@ def integrate_orbits(
     integrated alone. Every trajectory carries the work of the whole batch
     as `stats`. An orbit may span at most _MAX_PERIODS undeformed periods
     2 pi/omega, which bounds the work, since the deformed period is longer
-    still; a longer span raises DomainError.
+    still; a longer span raises DomainError, and so does an omega at which
+    omega^2 or omega^2 q^2 of a start overflows a double.
     """
     states = list(states)
     t_ends = np.asarray(t_ends, dtype=float)
@@ -425,6 +426,10 @@ def integrate_orbits(
             f"an orbit spans {periods:.3g} periods 2 pi/omega; at most {_MAX_PERIODS} "
             f"are integrated, so shorten t_end"
         )
+    # hamilton_rhs forms omega^2, and the energy omega^2 q^2
+    reach = params.omega * max(1.0, max(float(np.max(np.abs(state.q))) for state in states))
+    if not math.isfinite(reach * reach):
+        raise DomainError(f"omega={params.omega:g} is out of range: omega^2 q^2 overflows a double")
     control = max(0.1 * tol, _CONTROL_FLOOR) / math.sqrt(len(states))
     if control < _CONTROL_FLOOR:
         raise DomainError(

@@ -163,14 +163,9 @@ def _cmd_spectrum(args, params) -> tuple[str, str, int]:
 
 
 def _cmd_oracle(args, params) -> tuple[str, str, int]:
-    grid = None
-    if args.r_max is not None:
-        base = default_radial_grid(params, args.l, args.k)
-        grid = RadialGrid(base.r_min, args.r_max, args.grid_points)
-    elif args.grid_points != 4000:
-        base = default_radial_grid(params, args.l, args.k)
-        grid = RadialGrid(base.r_min, base.r_max, args.grid_points)
-    table = oracle_report(params, l_max=args.l, k_max=args.k, grid=grid)
+    base = default_radial_grid(params, args.l, args.k)  # lengths in sqrt(hbar/omega)
+    r_max = base.r_max if args.r_max is None else args.r_max * np.sqrt(params.omega / params.hbar)
+    table = oracle_report(params, args.l, args.k, RadialGrid(base.r_min, r_max, args.grid_points))
     worst = float(table.extra_columns["rel_error"].max())
     summary = f"oracle: {len(table)} states, worst relative error {worst:.3e}"
     return _artifact(table, args), summary, 0

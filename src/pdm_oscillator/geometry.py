@@ -87,7 +87,9 @@ def scalar_curvature(r, params: ModelParams):
     r = _check_radius(r)
     lam, n = params.lam, params.dim
     lr2 = lam * r * r
-    out = -lam * (n - 1) * (n * (2.0 + 3.0 * lr2) - 6.0 * lr2) / (1.0 + lr2) ** 3
+    m = 1.0 + lr2
+    # the cube as a product: np.power's result depends on numpy's SIMD target
+    out = -lam * (n - 1) * (n * (2.0 + 3.0 * lr2) - 6.0 * lr2) / (m * m * m)
     return out if out.ndim else float(out)
 
 

@@ -1,18 +1,19 @@
 """Independent finite-difference oracle for the radial eigenproblem.
 
-Discretizes the weighted radial equation in self-adjoint form,
+Discretizes the weighted radial equation in self-adjoint form, in units of
+hbar*omega and sqrt(hbar/omega), where its one parameter is g = lam*hbar/omega,
 
-    -(hbar^2/2) (r^(N-1) phi')' + [hbar^2 l(l+N-2)/(2 r^2)
-        + omega^2 r^2 / 2] r^(N-1) phi  =  E (1 + lam r^2) r^(N-1) phi,
+    -(1/2) (r^(N-1) phi')' + [l(l+N-2)/(2 r^2) + r^2/2] r^(N-1) phi
+        =  E (1 + g r^2) r^(N-1) phi,
 
 as a generalized symmetric-tridiagonal eigenproblem A u = E B u with
 diagonal positive B, reduced by the congruence B^(-1/2) A B^(-1/2) and
 scaled to unit norm. The given grid is solved by LAPACK Sturm-sequence
 bisection (stebz); its half-spacing refinement by inverse iteration (stein)
 at those eigenvalues, each refined eigenvalue being the Rayleigh quotient of
-its vector. The eigensolve never reads the closed-form spectrum, so
-agreement between the two routes is a genuine cross-check; only the default
-box size (default_radial_grid) is taken from it.
+its vector. Neither the eigensolve nor the default box (default_radial_grid)
+reads the closed-form spectrum, so agreement between the two routes is a
+genuine cross-check; only oracle_report's comparison columns read it.
 
 Also provides a grid-based operator check: the eigenfunction residual of a
 Cartesian state, a product of N one-dimensional Hermite factors, on an
@@ -32,8 +33,8 @@ from .errors import ConvergenceError, DomainError
 from .geometry import ModelParams
 from .spectrum import (
     SpectrumTable,
+    _check_spectrum,
     _omega_eff,
-    _width,
     continuum_threshold,
     degeneracy,
     energy_closed_form,
@@ -62,8 +63,8 @@ class RadialGrid:
     num_points: int = 4000
 
     def __post_init__(self):
-        if not 0 < self.r_min < self.r_max:
-            raise DomainError("need 0 < r_min < r_max")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise DomainError("need 0 < r_min < r_max < inf")
         if self.num_points < 100:
             raise DomainError("num_points must be >= 100")
 
@@ -79,31 +80,28 @@ class RadialGrid:
         return RadialGrid(self.r_min, self.r_max, 2 * self.num_points - 1)
 
 
-def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
-    """Box sized to the slowest-decaying requested state.
+def _dimensionless(params: ModelParams) -> ModelParams:
+    """The model at hbar = omega = 1, lam = g = lam*hbar/omega, once _check_spectrum passes."""
+    _check_spectrum(params)
+    return ModelParams(lam=params.lam * (params.hbar / params.omega), dim=params.dim)
 
-    The eigenfunctions decay with the Gaussian width beta(E) of the highest
-    state, so the box extends to max(12/beta, 3 * outer turning radius).
-    Omega = E/(hbar (n + N/2)) is exact, also where E rounds to the threshold.
-    A beta that underflows to 0 (hbar far above omega's scale), or a box
-    inside the fixed inner cutoff (sqrt(hbar/omega) below it), raises
-    DomainError.
+
+def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
+    """Box, in units of sqrt(hbar/omega), for every state up to n = 2 k_max + l.
+
+    In units of hbar*omega, level n lies in [top/2, top], top = min(nu, 1/(2g)),
+    nu = n + N/2 (the bracket of energy_implicit; no closed form is read). So
+    r_max = max(12 sqrt(2 nu/top), 6 nu/sqrt(top)) holds 12 Gaussian widths
+    sqrt(nu/E) and 3 outer turning radii nu sqrt(2/E) of the level.
     """
-    n_top = 2 * k_max + l
-    e_top = energy_closed_form(n_top, params)
-    omega_eff = e_top / (params.hbar * (n_top + params.dim / 2.0))
-    beta = _width(n_top, e_top, params)
-    r_turn = math.sqrt(2.0 * e_top) / omega_eff
+    if l < 0 or k_max < 0:
+        raise DomainError(f"l and k_max must be >= 0, got {l} and {k_max}")
+    nu = 2 * k_max + l + params.dim / 2.0
+    top = min(nu, continuum_threshold(_dimensionless(params)))
     # for N = 1 the measure does not vanish at the origin, so the inner
     # cutoff displaces the wall and shifts eigenvalues by O(r_min)
     r_min = 1e-9 if params.dim == 1 else 1e-6
-    r_max = max(12.0 / beta, 3.0 * r_turn)
-    if r_max <= r_min:
-        raise DomainError(
-            f"omega={params.omega:g} and hbar={params.hbar:g} are out of range: "
-            f"the box r_max={r_max:g} lies inside the inner cutoff r_min={r_min:g}"
-        )
-    return RadialGrid(r_min=r_min, r_max=r_max)
+    return RadialGrid(r_min, max(12.0 * math.sqrt(2.0 * nu / top), 6.0 * nu / math.sqrt(top)))
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,11 @@ class DiscretizedOperator:
 def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> DiscretizedOperator:
     """Assemble the generalized eigenproblem at angular quantum number l.
 
-    Dirichlet at r_max always. At the inner end: Dirichlet for l >= 1
-    (solutions vanish like r^l); for l = 0 the wall is flux-free
-    (phi'(0) = 0). The l = 0 wall row is the natural-boundary row of the
+    In units of hbar*omega and sqrt(hbar/omega), the grid's too, so only
+    g = lam*hbar/omega and N matter; an operator that overflows a double
+    raises DomainError. Dirichlet at r_max always. At the inner end:
+    Dirichlet for l >= 1 (solutions vanish like r^l); for l = 0 the wall is
+    flux-free (phi'(0) = 0). The l = 0 wall row is the natural-boundary row of the
     lumped P1 finite-element form: for N = 1 the first node keeps a
     half-size cell, while for N >= 2 the node at r_min is dropped entirely
     because its measure r^(N-1) is degenerate there (keeping it inflates
@@ -137,7 +137,7 @@ def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> Discreti
     if l < 0 or int(l) != l:
         raise DomainError(f"l must be an integer >= 0, got {l}")
     l = int(l)
-    n_dim = params.dim
+    n_dim, g = params.dim, _dimensionless(params).lam
     h = np.float64(grid.spacing)  # so that h**2 may overflow to inf, caught below
     r = grid.nodes()
 
@@ -146,15 +146,15 @@ def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> Discreti
     ri = r[lo : grid.num_points - 1]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        p = lambda rr: 0.5 * params.hbar**2 * rr ** (n_dim - 1)
+        p = lambda rr: 0.5 * rr ** (n_dim - 1)
         p_right = p(ri + 0.5 * h)
         p_left = p(ri - 0.5 * h)
 
-        centrifugal = params.hbar**2 * l * (l + n_dim - 2) / (2.0 * ri**2)
-        well = 0.5 * params.omega**2 * ri**2
+        centrifugal = l * (l + n_dim - 2) / (2.0 * ri**2)
+        well = 0.5 * ri**2
         diag = (p_right + p_left) / h**2 + (centrifugal + well) * ri ** (n_dim - 1)
         offdiag = -p_right[:-1] / h**2
-        weight = (1.0 + params.lam * ri**2) * ri ** (n_dim - 1)
+        weight = (1.0 + g * ri**2) * ri ** (n_dim - 1)
         if l == 0:
             if n_dim == 1:
                 diag[0] = p_right[0] / h**2 + 0.5 * well[0]
@@ -162,7 +162,8 @@ def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> Discreti
             else:
                 diag[0] = p_right[0] / h**2 + well[0] * ri[0] ** (n_dim - 1)
     if not all(np.isfinite(v).all() for v in (diag, offdiag, weight)):
-        raise DomainError(f"r_max={grid.r_max:g} overflows the discretized operator")
+        raise DomainError(f"r_max={grid.r_max:g} sqrt(hbar/omega) overflows the operator at "
+                          f"lam={params.lam:g}, hbar={params.hbar:g}, omega={params.omega:g}")
     return DiscretizedOperator(
         diag=diag, offdiag=offdiag, weight=weight, nodes=ri, l=l, params=params
     )
@@ -175,7 +176,7 @@ def _reduced(op: DiscretizedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarra
     off-diagonal of B^(-1/2) A B^(-1/2) divided by scale, the power of two
     just above the largest entry. So the scaling is exact, and the squares
     of the off-diagonal that LAPACK forms neither underflow nor overflow
-    for any omega and hbar.
+    for any g at which the operator fits a double.
     """
     if np.any(op.weight <= 0):
         raise DomainError("mass weight must be positive")
@@ -188,7 +189,7 @@ def _reduced(op: DiscretizedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def solve_generalized_eigen(op: DiscretizedOperator, count: int) -> np.ndarray:
-    """Lowest `count` eigenvalues of A u = E B u (ascending).
+    """Lowest `count` eigenvalues of A u = E B u (ascending), in units of hbar*omega.
 
     Reduces to standard form with the diagonal congruence B^(-1/2) A
     B^(-1/2), scaled to unit norm, then runs LAPACK Sturm-sequence
@@ -269,20 +270,23 @@ def oracle_report(
 ) -> SpectrumTable:
     """Compare oracle eigenvalues against the closed form for k <= k_max, l <= l_max.
 
-    Each l is bisected on the given grid, and the half-spacing refinement's
-    eigenpairs come from inverse iteration at those eigenvalues; the
-    reported energy is the Richardson combination (4 E_half - E_full)/3
-    and the convergence order is estimated from the two errors against the
-    closed form. States holding more than 1% of their weighted mass in the
+    Solved at g = lam*hbar/omega in units of hbar*omega and sqrt(hbar/omega),
+    on the grid (in those units; by default one box for every l), and each l
+    is bisected on it. The half-spacing refinement's eigenpairs come from
+    inverse iteration at those eigenvalues; the reported energy is the
+    Richardson combination (4 E_half - E_full)/3, times hbar*omega, and the
+    convergence order is estimated from the two errors against the closed
+    form at g. States holding more than 1% of their weighted mass in the
     outer 10% of the box are flagged as boundary-contaminated.
     """
     if l_max < 0 or k_max < 0:
         raise DomainError(f"l_max and k_max must be >= 0, got {l_max} and {k_max}")
+    scaled = _dimensionless(params)
+    grid = grid if grid is not None else default_radial_grid(scaled, l_max, k_max)
     parts = []
     for ell in range(l_max + 1):
-        g = grid if grid is not None else default_radial_grid(params, ell, k_max)
-        op_half = discretize_radial(params, ell, g.refined())
-        e_full = solve_generalized_eigen(discretize_radial(params, ell, g), k_max + 1)
+        op_half = discretize_radial(params, ell, grid.refined())
+        e_full = solve_generalized_eigen(discretize_radial(params, ell, grid), k_max + 1)
         e_half, vectors = _eigenpairs_near(op_half, e_full)
         flagged = [float(_boundary_contaminated(op_half, v)) for v in vectors.T]
         k = np.arange(k_max + 1)
@@ -291,7 +295,7 @@ def oracle_report(
     by_level = np.lexsort((columns[2], columns[0]))  # by n, then by l
     n, k, l, e_full, e_half, flagged = (c[by_level] for c in columns)
 
-    exact = energy_closed_form(n, params)
+    exact = energy_closed_form(n, scaled)
     energy = (4.0 * e_half - e_full) / 3.0
     err_full, err_half = np.abs(e_full - exact), np.abs(e_half - exact)
     floor = 1e3 * np.finfo(float).eps * exact
@@ -299,18 +303,19 @@ def oracle_report(
         math.log2(a / b) if a > f and b > f else math.nan
         for a, b, f in zip(err_full, err_half, floor)
     ]
-    flat_level = params.hbar * _omega_eff(energy, params) * (n + params.dim / 2.0)
+    flat_level = _omega_eff(energy, scaled) * (n + params.dim / 2.0)
+    unit = params.hbar * params.omega
     return SpectrumTable(
         params=params,
         n=n,
-        energy=energy,
+        energy=unit * energy,
         degeneracy=[degeneracy(int(v), params.dim) for v in n],
-        gap_to_threshold=continuum_threshold(params) - energy,
-        residual=np.abs(energy - flat_level),
+        gap_to_threshold=unit * (continuum_threshold(scaled) - energy),
+        residual=unit * np.abs(energy - flat_level),
         extra_columns={
             "k": k.astype(float),
             "l": l.astype(float),
-            "closed_form": exact,
+            "closed_form": unit * exact,
             "rel_error": np.abs(energy - exact) / exact,
             "convergence_order": np.array(order),
             "boundary_contaminated": flagged,

@@ -227,14 +227,50 @@ class TestOracleCommand:
         assert all(float(r["rel_error"]) < 1e-4 for r in rows)
 
 
+    def test_one_box_for_every_grid(self, tmp_path):
+        # the box is sized at (l_max, k_max) for every l, whether or not
+        # --grid-points is given
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.run(["oracle", "--out", str(a)]) == 0
+        assert cli.run(["oracle", "--grid-points", "4000", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_r_max_is_a_physical_length(self, tmp_path):
+        # the oracle's unit of length is sqrt(hbar/omega) = 2 at hbar = 4, so
+        # --r-max 20 there is the box 10 of the model at g = lam hbar/omega = 0.08
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        grid = ["--grid-points", "400"]
+        assert cli.run(["oracle", "--hbar", "4", "--r-max", "20", *grid, "--out", str(a)]) == 0
+        assert cli.run(["oracle", "--lambda", "0.08", "--r-max", "10", *grid, "--out", str(b)]) == 0
+        a, b = read_csv(a), read_csv(b)
+        for column in ("rel_error", "convergence_order", "boundary_contaminated"):
+            assert [r[column] for r in a] == [r[column] for r in b]
+
+    def test_huge_omega_writes_a_table(self, tmp_path):
+        # omega^2 = 1e320 overflows, but g = lam hbar/omega = 1e-140 is flat in
+        # double precision: the table's errors and orders are those of lam = 0,
+        # and its energies 1e160 times theirs
+        huge, flat = tmp_path / "huge.csv", tmp_path / "flat.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["oracle", "--omega", "1e160", "--lambda", "1e20", "--out", str(huge)])
+        assert code == 0
+        assert cli.run(["oracle", "--lambda", "0", "--out", str(flat)]) == 0
+        huge, flat = read_csv(huge), read_csv(flat)
+        assert len(huge) == 9
+        assert all(float(r["rel_error"]) < 1e-10 for r in huge)
+        for column in ("n", "k", "l", "rel_error", "convergence_order"):
+            assert [r[column] for r in huge] == [r[column] for r in flat]
+        for h, f in zip(huge, flat):
+            assert float(h["energy"]) == pytest.approx(1e160 * float(f["energy"]), rel=1e-15)
+
     @pytest.mark.parametrize(
         "scale, lam",
         [("1e-100", lam) for lam in ("0", "1e-30", "1e-8", "0.02")]
         + [("1e100", lam) for lam in ("0", "1e-30", "1e-8", "0.02", "1e8")],
     )
     def test_extreme_scales_write_tables(self, tmp_path, scale, lam):
-        # at omega = hbar = 1e-100 the squared off-diagonals of the reduced
-        # matrix underflow, and at 1e100 they overflow, unless it is scaled
+        # at omega = hbar, g = lam: the oracle solves the model at omega = hbar = 1
         out = tmp_path / "oracle.csv"
         argv = ["oracle", "--omega", scale, "--hbar", scale, "--lambda", lam, "--dim", "3",
                 "--l", "1", "--k", "1", "--grid-points", "400", "--out", str(out)]
@@ -250,13 +286,17 @@ class TestOracleCommand:
     @pytest.mark.parametrize("hbar", ["1e-100", "1e-8", "1", "1e8", "1e100"])
     def test_corner_sweep(self, tmp_path, capsys, lam, omega, hbar):
         # every corner either writes a table that agrees with the closed form
-        # or ends in one error line, never in a traceback or a warning
+        # or ends in one error line, never in a traceback or a warning; the
+        # oracle sees only g = lam hbar/omega, and every corner with lam = 0
+        # or g <= 1e8 writes a table
         out = tmp_path / "oracle.csv"
         argv = ["oracle", "--lambda", lam, "--omega", omega, "--hbar", hbar, "--dim", "3",
                 "--l", "1", "--k", "1", "--grid-points", "400", "--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.run(argv)
+        g = float(lam) * (float(hbar) / float(omega))
+        assert code == 0 or g > 1e8
         if code == 0:
             assert all(float(r["rel_error"]) < 1e-4 for r in read_csv(out))
         else:
@@ -285,6 +325,47 @@ class TestDeterminism:
         assert cli.run(["verify-all", "--out", str(a)]) == 0
         assert cli.run(["verify-all", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+    # every command but verify-all and wavefunction, whose np.exp values
+    # differ between numpy's SIMD targets
+    DISPATCH_COMMANDS = [
+        ["spectrum", "--n-max", "20"],
+        ["deform", "--n-max", "5"],
+        ["effective-potential", "--grid-points", "101"],
+        ["classical", "--t-end", "5", "--samples", "11"],
+        ["oracle", "--l", "1", "--k", "1", "--grid-points", "400"],
+        *(["geometry", "--quantity", q] for q in ("metric", "curvature", "potential")),
+    ]
+
+    def test_independent_of_cpu_dispatch(self, tmp_path):
+        # numpy picks each loop's SIMD kernel at run time; a child with every
+        # enabled dispatch target above the baseline switched off writes the
+        # same bytes (on a machine with none, it is the same run)
+        from numpy._core import _multiarray_umath as umath
+
+        disabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+        script = (
+            "import sys\n"
+            "from pdm_oscillator import cli\n"
+            "for i, argv in enumerate(eval(sys.argv[2])):\n"
+            "    for fmt in ('csv', 'json'):\n"
+            "        out = f'{sys.argv[1]}/{i}.{fmt}'\n"
+            "        assert cli.run(argv + ['--format', fmt, '--out', out]) == 0, argv\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        for name, features in (("enabled", ""), ("baseline", " ".join(disabled))):
+            (tmp_path / name).mkdir()
+            env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=features)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / name), repr(self.DISPATCH_COMMANDS)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for i, argv in enumerate(self.DISPATCH_COMMANDS):
+            for fmt in ("csv", "json"):
+                enabled = (tmp_path / "enabled" / f"{i}.{fmt}").read_bytes()
+                assert enabled == (tmp_path / "baseline" / f"{i}.{fmt}").read_bytes(), argv
 
 
 class TestErrorPaths:
@@ -372,24 +453,23 @@ class TestErrorPaths:
         assert "hbar=1e+100, omega=1e-08" in lines[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["oracle"])
-    def test_overflow_is_one_error_line(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classical", "--omega", "1e160", "--t-end", "1e-159"],
+            ["classical", "--omega", "1e100", "--q0", "1e60,0,0", "--t-end", "1e-99"],
+        ],
+        ids=["classical-omega-squared", "classical-energy"],
+    )
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, argv):
+        # omega^2 = 1e320, and omega^2 q^2 = 1e320, overflow a double
         out = tmp_path / "x.csv"
-        argv = [command, "--omega", "1e160", "--lambda", "1e20", "--out", str(out)]
-        assert cli.run(argv) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv + ["--out", str(out)]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        assert not out.exists()
-
-    def test_box_inside_cutoff_names_the_scale(self, tmp_path, capsys):
-        # at omega = 1e160 the default box is 1.2e-79 wide, inside the fixed
-        # inner cutoff r_min = 1e-6
-        out = tmp_path / "x.csv"
-        argv = ["oracle", "--omega", "1e160", "--lambda", "1e20", "--out", str(out)]
-        assert cli.run(argv) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "omega" in lines[0] and "hbar" in lines[0]
+        assert "omega=" in lines[0]
         assert not out.exists()
 
     def test_huge_box_is_one_error_line(self, tmp_path, capsys):

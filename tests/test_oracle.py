@@ -60,6 +60,8 @@ class TestRadialGrid:
         with pytest.raises(DomainError):
             RadialGrid(r_min=2.0, r_max=1.0)
         with pytest.raises(DomainError):
+            RadialGrid(r_min=1e-6, r_max=math.inf)
+        with pytest.raises(DomainError):
             RadialGrid(r_min=1e-6, r_max=10.0, num_points=50)
 
     def test_spacing_and_nodes(self):
@@ -259,6 +261,68 @@ class TestOracleReport:
         header = report.header()
         assert header[:5] == ["n", "energy", "degeneracy", "gap_to_threshold", "residual"]
         assert "rel_error" in header and "convergence_order" in header
+
+
+class TestScaleFree:
+    def test_reads_no_closed_form(self, monkeypatch):
+        # the box, the assembly and both eigensolves run with the closed form
+        # and the fixed-point levels unreadable; oracle_report reads the
+        # closed form for the table's comparison columns
+        from pdm_oscillator import spectrum
+
+        class ClosedFormRead(Exception):
+            pass
+
+        def unreadable(*args, **kwargs):
+            raise ClosedFormRead
+
+        for module, name in [(oracle, "energy_closed_form"), (spectrum, "energy_closed_form"),
+                             (spectrum, "energy_implicit")]:
+            monkeypatch.setattr(module, name, unreadable)
+        grid = default_radial_grid(P3, 2, 2)
+        shifts = solve_generalized_eigen(discretize_radial(P3, 2, grid), 3)
+        values, _ = _eigenpairs_near(discretize_radial(P3, 2, grid.refined()), shifts)
+        assert np.all(np.diff(values) > 0)
+        with pytest.raises(ClosedFormRead):
+            oracle_report(P3, l_max=2, k_max=2)
+
+    def test_one_box_per_table(self, monkeypatch):
+        boxes = []
+        sized = oracle.default_radial_grid
+
+        def recording(params, l, k_max):
+            boxes.append((l, k_max))
+            return sized(params, l, k_max)
+
+        monkeypatch.setattr(oracle, "default_radial_grid", recording)
+        oracle_report(P3, l_max=2, k_max=1)
+        assert boxes == [(2, 1)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        log_g=st.none() | st.floats(math.log(1e-30), math.log(1e8)),
+        log_omega=st.floats(math.log(1e-100), math.log(1e100)),
+        log_hbar=st.floats(math.log(1e-100), math.log(1e100)),
+        dim=st.integers(1, 8),
+        l=st.integers(0, 1),
+        k=st.integers(0, 1),
+    )
+    def test_only_g_reaches_the_grid(self, log_g, log_omega, log_hbar, dim, l, k):
+        # lam is 0 or log-uniform with g = lam hbar/omega <= 1e8: the table is
+        # the one at ModelParams(lam=g, dim=N), its energies times hbar omega
+        omega, hbar = math.exp(log_omega), math.exp(log_hbar)
+        lam = 0.0 if log_g is None else math.exp(log_g) * omega / hbar
+        p = ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim)
+        g = ModelParams(lam=lam * (hbar / omega), dim=dim)
+        box = default_radial_grid(p, l, k)
+        grid = RadialGrid(box.r_min, box.r_max, 400)
+        report, scaled = oracle_report(p, l, k, grid), oracle_report(g, l, k, grid)
+        cols, ref = report.extra_columns, scaled.extra_columns
+        assert np.all(cols["rel_error"] < 1e-4)
+        for name in ("rel_error", "convergence_order"):
+            np.testing.assert_array_equal(cols[name], ref[name])
+        expected = hbar * omega * scaled.energy
+        assert np.all(np.abs(report.energy - expected) <= 2 * np.spacing(expected))
 
 
 class TestSecondDerivative:
