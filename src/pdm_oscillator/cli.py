@@ -165,6 +165,11 @@ def _cmd_spectrum(args, params) -> tuple[str, str, int]:
 def _cmd_oracle(args, params) -> tuple[str, str, int]:
     base = default_radial_grid(params, args.l, args.k)  # lengths in sqrt(hbar/omega)
     r_max = base.r_max if args.r_max is None else args.r_max * np.sqrt(params.omega / params.hbar)
+    if r_max <= base.r_min:
+        raise DomainError(
+            f"--r-max {args.r_max:g} lies inside the inner cutoff r_min={base.r_min:g} "
+            f"sqrt(hbar/omega) at hbar={params.hbar:g}, omega={params.omega:g}"
+        )
     table = oracle_report(params, args.l, args.k, RadialGrid(base.r_min, r_max, args.grid_points))
     worst = float(table.extra_columns["rel_error"].max())
     summary = f"oracle: {len(table)} states, worst relative error {worst:.3e}"

@@ -277,7 +277,8 @@ def oracle_report(
     Richardson combination (4 E_half - E_full)/3, times hbar*omega, and the
     convergence order is estimated from the two errors against the closed
     form at g. States holding more than 1% of their weighted mass in the
-    outer 10% of the box are flagged as boundary-contaminated.
+    outer 10% of the box are flagged as boundary-contaminated. Levels that
+    overflow a double once multiplied by hbar*omega raise DomainError.
     """
     if l_max < 0 or k_max < 0:
         raise DomainError(f"l_max and k_max must be >= 0, got {l_max} and {k_max}")
@@ -305,6 +306,12 @@ def oracle_report(
     ]
     flat_level = _omega_eff(energy, scaled) * (n + params.dim / 2.0)
     unit = params.hbar * params.omega
+    top = max(float(energy.max()), float(exact.max()))
+    if not math.isfinite(unit * top):
+        raise DomainError(
+            f"levels overflow a double: at hbar={params.hbar:g}, omega={params.omega:g} "
+            f"the top level is {top:.3g} hbar*omega"
+        )
     return SpectrumTable(
         params=params,
         n=n,

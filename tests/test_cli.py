@@ -458,11 +458,13 @@ class TestErrorPaths:
         [
             ["classical", "--omega", "1e160", "--t-end", "1e-159"],
             ["classical", "--omega", "1e100", "--q0", "1e60,0,0", "--t-end", "1e-99"],
+            ["oracle", "--omega", "1e200", "--hbar", "1e200", "--grid-points", "400"],
         ],
-        ids=["classical-omega-squared", "classical-energy"],
+        ids=["classical-omega-squared", "classical-energy", "oracle"],
     )
     def test_overflow_is_one_error_line(self, tmp_path, capsys, argv):
-        # omega^2 = 1e320, and omega^2 q^2 = 1e320, overflow a double
+        # omega^2 = 1e320, omega^2 q^2 = 1e320 and the unit hbar omega = 1e400
+        # overflow a double
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -470,6 +472,19 @@ class TestErrorPaths:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "omega=" in lines[0]
+        assert not out.exists()
+
+    def test_box_inside_cutoff_names_the_scale(self, tmp_path, capsys):
+        # at hbar = 1e-20 the unit of length is 1e-10, so --r-max 1e-17 is the
+        # box 1e-7, inside the fixed inner cutoff r_min = 1e-6
+        out = tmp_path / "x.csv"
+        argv = ["oracle", "--hbar", "1e-20", "--r-max", "1e-17", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "r_min" in lines[0] and "hbar=1e-20, omega=1" in lines[0]
         assert not out.exists()
 
     def test_huge_box_is_one_error_line(self, tmp_path, capsys):
