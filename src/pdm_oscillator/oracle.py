@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .geometry import ModelParams
 from .spectrum import (
+    _TINY,
     SpectrumTable,
     _check_spectrum,
     _omega_eff,
@@ -81,9 +82,29 @@ class RadialGrid:
 
 
 def _dimensionless(params: ModelParams) -> ModelParams:
-    """The model at hbar = omega = 1, lam = g = lam*hbar/omega, once _check_spectrum passes."""
+    """The model at hbar = omega = 1, lam = g = lam*hbar/omega, once _check_spectrum passes.
+
+    Raises DomainError where g overflows or its threshold 1/(2g), in units
+    of hbar*omega, is not a normal double.
+    """
     _check_spectrum(params)
-    return ModelParams(lam=params.lam * (params.hbar / params.omega), dim=params.dim)
+    g = 0.0
+    if params.lam > 0:
+        quotient = params.hbar / params.omega
+        if _TINY <= quotient < math.inf:
+            g = params.lam * quotient
+        else:  # hbar/omega alone leaves the normal doubles where g may not
+            g = params.lam * params.hbar / params.omega
+        if g > 0 and not 1.0 / (2.0 * g) >= _TINY:
+            raise DomainError(
+                f"the threshold 1/(2g) hbar*omega underflows a double at {_scale(params, g)}"
+            )
+    return ModelParams(lam=g, dim=params.dim)
+
+
+def _scale(params: ModelParams, g: float) -> str:
+    return (f"g = lam*hbar/omega = {g:.3g} (lam={params.lam:g}, hbar={params.hbar:g}, "
+            f"omega={params.omega:g})")
 
 
 def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
@@ -97,11 +118,17 @@ def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
     if l < 0 or k_max < 0:
         raise DomainError(f"l and k_max must be >= 0, got {l} and {k_max}")
     nu = 2 * k_max + l + params.dim / 2.0
-    top = min(nu, continuum_threshold(_dimensionless(params)))
+    scaled = _dimensionless(params)
+    top = min(nu, continuum_threshold(scaled))
     # for N = 1 the measure does not vanish at the origin, so the inner
     # cutoff displaces the wall and shifts eigenvalues by O(r_min)
     r_min = 1e-9 if params.dim == 1 else 1e-6
-    return RadialGrid(r_min, max(12.0 * math.sqrt(2.0 * nu / top), 6.0 * nu / math.sqrt(top)))
+    r_max = max(12.0 * math.sqrt(2.0 * nu / top), 6.0 * nu / math.sqrt(top))
+    if r_max == math.inf:
+        raise DomainError(
+            f"the box for n = {2 * k_max + l} overflows a double at {_scale(params, scaled.lam)}"
+        )
+    return RadialGrid(r_min, r_max)
 
 
 @dataclass(frozen=True)

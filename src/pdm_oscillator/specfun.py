@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -84,20 +85,20 @@ def _laguerre(k: int, alpha: float, x, log_factor):
     return out if out.ndim else float(out)
 
 
-def integrate(f: Callable, degree: int, alpha: float | None = None) -> float:
-    """Gauss rule for the integral of f, exact when f is a polynomial of at
-    most `degree` times the rule's weight.
+_RULE_CACHE_SIZE = 64
 
-    With alpha None the weight is exp(-x^2) on the real line (Gauss-Hermite);
-    otherwise it is x^alpha exp(-x) on (0, inf) (generalized Gauss-Laguerre,
-    alpha > -1). f includes the weight and is called once, on the nodes: the
-    eigenvalues of the m x m Jacobi matrix (Golub & Welsch 1969), polished by
-    a Newton step. The weights, with w divided out, are 1/(a_m p_m' p_{m-1} w)
-    by Christoffel-Darboux, formed in the log scale, so they stay finite.
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _rule(m: int, alpha: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss rule's nodes and weights, w divided out, read-only.
+
+    With alpha None the weight is w = exp(-x^2) on the real line
+    (Gauss-Hermite); otherwise it is x^alpha exp(-x) on (0, inf)
+    (generalized Gauss-Laguerre, alpha > -1). The nodes are the eigenvalues
+    of the m x m Jacobi matrix (Golub & Welsch 1969), polished by a Newton
+    step. The weights are 1/(a_m p_m' p_{m-1} w) by Christoffel-Darboux,
+    formed in the log scale, so they stay finite. Built once per (m, alpha).
     """
-    if degree < 0 or int(degree) != degree:
-        raise DomainError(f"polynomial degree must be an integer >= 0, got {degree}")
-    m = int(degree) // 2 + 1
     b, a, _ = _jacobi(m, alpha)
 
     def newton_step_and_weights(x):
@@ -111,4 +112,26 @@ def integrate(f: Callable, degree: int, alpha: float | None = None) -> float:
 
     x = np.linalg.eigvalsh(np.diag(b[:m]) + np.diag(a[1:m], -1))
     x = x - newton_step_and_weights(x)[0]
-    return float(newton_step_and_weights(x)[1] @ f(x))
+    weights = newton_step_and_weights(x)[1]
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
+
+
+def integrate(f: Callable, degree: int, alpha: float | None = None) -> float | np.ndarray:
+    """Gauss rule for the integral of f, exact when f is a polynomial of at
+    most `degree` times the rule's weight.
+
+    With alpha None the weight is exp(-x^2) on the real line (Gauss-Hermite);
+    otherwise it is x^alpha exp(-x) on (0, inf) (generalized Gauss-Laguerre,
+    alpha > -1). f includes the weight and is called once, on the nodes of
+    the rule `_rule` builds once per size and family. f may return one value
+    per node, for a float, or a stacked (k, m) array of k integrands, for an
+    array of their k integrals, each equal to its own scalar integral.
+    """
+    if degree < 0 or int(degree) != degree:
+        raise DomainError(f"polynomial degree must be an integer >= 0, got {degree}")
+    x, weights = _rule(int(degree) // 2 + 1, alpha)
+    values = f(x)
+    if np.ndim(values) == 2:
+        return np.array([weights @ v for v in values])
+    return float(weights @ values)

@@ -129,10 +129,12 @@ def weighted_inner_product(f, g, params: ModelParams) -> float:
 
     Both operands are eigenfunctions of one family. Cartesian: the integral
     of f*g*(1 + lam*|q|^2) over R^N, taken as sums and products of
-    one-dimensional Gauss-Hermite integrals. Radial: the integral of
-    f*g*(1 + lam*r^2) r^(N-1) over (0, inf) by one generalized Gauss-Laguerre
-    rule. Each rule is scaled to the combined width s^2 = (beta_f^2 +
-    beta_g^2)/2 and sized from the polynomial degrees, so it is exact.
+    one-dimensional Gauss-Hermite integrals; each factor pair is evaluated
+    once, as a stacked integrand, and one rule gives both its integral and
+    that with q_i^2. Radial: the integral of f*g*(1 + lam*r^2) r^(N-1) over
+    (0, inf) by one generalized Gauss-Laguerre rule. Each rule is scaled to
+    the combined width s^2 = (beta_f^2 + beta_g^2)/2 and sized from the
+    polynomial degrees, so it is exact.
     """
     if type(f) is not type(g) or not isinstance(f, (CartesianEigenfunction, RadialEigenfunction)):
         raise DomainError("the inner product needs two eigenfunctions of one family")
@@ -153,12 +155,14 @@ def weighted_inner_product(f, g, params: ModelParams) -> float:
     flat = []  # integral of the factor pair over q_i
     second = []  # the same with q_i^2
     for n_f, n_g in zip(f.state.n_tuple, g.state.n_tuple):
-        # x = s q
-        pair = lambda x, n_f=n_f, n_g=n_g: (
-            hermite_function(n_f, beta_f / s * x) * hermite_function(n_g, beta_g / s * x) / s
-        )
-        flat.append(integrate(pair, n_f + n_g))
-        second.append(integrate(lambda x, pair=pair: (x / s) ** 2 * pair(x), n_f + n_g + 2))
+        # x = s q; the rule exact for the q_i^2 integrand serves both
+        def pair(x, n_f=n_f, n_g=n_g):
+            h = hermite_function(n_f, beta_f / s * x) * hermite_function(n_g, beta_g / s * x) / s
+            return np.stack([h, (x / s) ** 2 * h])
+
+        m0, m2 = integrate(pair, n_f + n_g + 2).tolist()
+        flat.append(m0)
+        second.append(m2)
     total = math.prod(flat)
     for j, b in enumerate(second):
         total += lam * b * math.prod(flat[:j] + flat[j + 1 :])

@@ -487,6 +487,21 @@ class TestErrorPaths:
         assert "r_min" in lines[0] and "hbar=1e-20, omega=1" in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("hbar", ["1e7", "1e8", "1e10"])
+    def test_huge_g_names_the_scale(self, tmp_path, capsys, hbar):
+        # g = lam hbar/omega = 1e307, 1e308 and inf: the box overflows, the
+        # threshold 1/(2g) rounds to 0, and g itself overflows
+        out = tmp_path / "x.csv"
+        argv = ["oracle", "--lambda", "1e300", "--hbar", hbar, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "g = lam*hbar/omega" in lines[0]
+        assert "hbar=" in lines[0] and "omega=" in lines[0]
+        assert not out.exists()
+
     def test_huge_box_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert cli.run(["oracle", "--r-max", "1e200", "--out", str(out)]) == 1

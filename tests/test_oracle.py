@@ -298,6 +298,16 @@ class TestScaleFree:
         oracle_report(P3, l_max=2, k_max=1)
         assert boxes == [(2, 1)]
 
+    @pytest.mark.parametrize(
+        "lam,hbar,omega,g",
+        [(0.0, 1e200, 1e-200, 0.0), (1e-300, 1e200, 1e-200, 1e100), (1e300, 1e-200, 1e200, 1e-100)],
+    )
+    def test_g_where_hbar_over_omega_leaves_the_doubles(self, lam, hbar, omega, g):
+        # hbar/omega overflows or underflows, g = lam hbar/omega does not
+        scaled = oracle._dimensionless(ModelParams(lam=lam, omega=omega, hbar=hbar, dim=3))
+        assert scaled.lam == pytest.approx(g, rel=1e-15, abs=0)
+        assert scaled.hbar == scaled.omega == 1.0
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         log_g=st.none() | st.floats(math.log(1e-30), math.log(1e8)),

@@ -8,6 +8,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy import special
 
 from pdm_oscillator import DomainError, hermite_function, integrate, laguerre
+from pdm_oscillator.specfun import _rule
 
 
 def hermite_norm(n: int) -> float:
@@ -229,3 +230,38 @@ class TestOrthogonality:
                         alpha=alpha,
                     )
                     assert abs(value) < 1e-12 * norm
+
+
+class TestSharedRule:
+    @pytest.mark.parametrize("m,alpha", [(1, None), (7, None), (202, None), (5, -0.5), (61, 1.5)])
+    def test_cached_rule_is_a_fresh_build(self, m, alpha):
+        cached = _rule(m, alpha)
+        assert _rule(m, alpha) is cached
+        _rule.cache_clear()
+        fresh = _rule(m, alpha)
+        assert fresh is not cached
+        for a, b in zip(cached, fresh):
+            assert a.tobytes() == b.tobytes()
+
+    def test_rule_is_read_only(self):
+        nodes, weights = _rule(9, None)
+        for array in (nodes, weights):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize(
+        "degree,alpha", [(0, None), (13, None), (402, None), (6, 0.5), (99, -0.5)]
+    )
+    def test_stacked_integrand_is_each_scalar_integral(self, degree, alpha):
+        # rows of unequal size and sign, integrated together and one by one
+        rows = [
+            lambda x: np.exp(-x * x) if alpha is None else np.exp(-x),
+            lambda x: np.cos(3.0 * x) * np.exp(-np.abs(x)),
+            lambda x: -1e300 * np.sin(x) / (1.0 + x * x),
+        ]
+        stacked = integrate(lambda x: np.stack([row(x) for row in rows]), degree, alpha)
+        assert stacked.shape == (3,)
+        for value, row in zip(stacked, rows):
+            scalar = integrate(row, degree, alpha)
+            assert type(scalar) is float
+            assert np.float64(scalar).tobytes() == value.tobytes()

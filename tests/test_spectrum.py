@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pdm_oscillator.spectrum as spectrum_module
@@ -30,6 +30,10 @@ from pdm_oscillator import (
 from pdm_oscillator.spectrum import json_rows, write_csv
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 def bisection_oracle(n, params, iterations=200):
@@ -175,6 +179,29 @@ class TestThresholdGap:
     def test_flat_sentinel(self):
         assert threshold_gap(3, ModelParams(lam=0.0)) == math.inf
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=log_uniform(1e-100, 1e100),
+        omega=log_uniform(1e-100, 1e100),
+        hbar=log_uniform(1e-100, 1e100),
+        dim=st.integers(1, 8),
+        n=st.integers(0, 10_000),
+    )
+    def test_equals_the_difference_where_it_is_well_conditioned(self, lam, omega, hbar, dim, n):
+        # threshold T and E_n share the rounding of ratio = omega/(hypot(a,
+        # omega) + a), at most 3 eps, and T's own, at most eps; the gap is
+        # T ratio^2. To first order the two sides then differ by 3 eps (T +
+        # gap) + eps E from those, and by eps gap (the squares), 1.5 eps E
+        # (E's last products) and eps/2 gap (the difference) beyond them:
+        # at most 7.5 eps T/gap, since E = T - gap and T >= gap
+        p = ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim)
+        threshold = continuum_threshold(p)
+        gap = threshold_gap(n, p)
+        assume(gap >= 1e-6 * threshold)
+        difference = threshold - energy_closed_form(n, p)
+        bound = 8 * np.finfo(float).eps * threshold / gap
+        assert abs(difference - gap) <= bound * gap
+
 
 class TestDegeneracy:
     def count_tuples(self, n, dim):
@@ -302,10 +329,6 @@ class TestGenericDeformation:
             e = np.linspace(0.0, top, 2000)
             g = base.eval(np.sqrt(1.0 - 0.04 * e), n) - e
             assert int(np.sum(np.diff(np.sign(g)) != 0)) == 1
-
-
-def log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 class TestOneSolver:
