@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -31,7 +32,7 @@ from .geometry import (
     potential,
     scalar_curvature,
 )
-from .oracle import RadialGrid, default_radial_grid, oracle_report
+from .oracle import RadialGrid, _check_grid_size, default_radial_grid, oracle_report
 from .spectrum import (
     SpectrumTable,
     _table_levels,
@@ -89,8 +90,10 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--l", type=int, default=2, help="largest angular number")
     p.add_argument("--k", type=int, default=2, help="largest radial number")
-    p.add_argument("--grid-points", type=int, default=4000)
-    p.add_argument("--r-max", type=float, default=None)
+    p.add_argument("--grid-points", type=int, default=None,
+                   help="cells from r = 0 to the wall (default: sized from the top level)")
+    p.add_argument("--r-max", type=float, default=None,
+                   help="box wall (default: sized from the top level)")
 
     p = sub.add_parser("wavefunction", help="sample a normalized radial eigenfunction")
     _add_model_flags(p)
@@ -164,13 +167,18 @@ def _cmd_spectrum(args, params) -> tuple[str, str, int]:
 
 def _cmd_oracle(args, params) -> tuple[str, str, int]:
     base = default_radial_grid(params, args.l, args.k)  # lengths in sqrt(hbar/omega)
-    r_max = base.r_max if args.r_max is None else args.r_max * np.sqrt(params.omega / params.hbar)
-    if r_max <= base.r_min:
-        raise DomainError(
-            f"--r-max {args.r_max:g} lies inside the inner cutoff r_min={base.r_min:g} "
-            f"sqrt(hbar/omega) at hbar={params.hbar:g}, omega={params.omega:g}"
-        )
-    table = oracle_report(params, args.l, args.k, RadialGrid(base.r_min, r_max, args.grid_points))
+    r_max = base.r_max if args.r_max is None else args.r_max * math.sqrt(params.omega / params.hbar)
+    if not 0 < r_max < math.inf:
+        raise DomainError(f"--r-max {args.r_max:g} is the box {r_max:g} sqrt(hbar/omega) at "
+                          f"hbar={params.hbar:g}, omega={params.omega:g}; need 0 < r_max < inf")
+    given = args.grid_points is not None
+    try:
+        grid = RadialGrid(0.0, r_max, args.grid_points if given else base.cells)
+        _check_grid_size(grid, args.k)
+    except DomainError as exc:
+        flag = f"--grid-points {args.grid_points}" if given else f"--k {args.k}"
+        raise DomainError(f"{flag}: {exc}") from exc
+    table = oracle_report(params, args.l, args.k, grid)
     worst = float(table.extra_columns["rel_error"].max())
     summary = f"oracle: {len(table)} states, worst relative error {worst:.3e}"
     return _artifact(table, args), summary, 0

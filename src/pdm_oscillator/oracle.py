@@ -6,10 +6,10 @@ hbar*omega and sqrt(hbar/omega), where its one parameter is g = lam*hbar/omega,
     -(1/2) (r^(N-1) phi')' + [l(l+N-2)/(2 r^2) + r^2/2] r^(N-1) phi
         =  E (1 + g r^2) r^(N-1) phi,
 
-as a generalized symmetric-tridiagonal eigenproblem A u = E B u with
-diagonal positive B, reduced by the congruence B^(-1/2) A B^(-1/2) and
-scaled to unit norm. The given grid is solved by LAPACK Sturm-sequence
-bisection (stebz); its half-spacing refinement by inverse iteration (stein)
+by finite volumes on cells from r = 0, as a generalized symmetric-tridiagonal
+eigenproblem A u = E B u with diagonal positive B, reduced by the congruence
+B^(-1/2) A B^(-1/2) and scaled to unit norm. The given grid is solved by
+LAPACK Sturm-sequence bisection (stebz); its refinement by inverse iteration (stein)
 at those eigenvalues, each refined eigenvalue being the Rayleigh quotient of
 its vector. Neither the eigensolve nor the default box (default_radial_grid)
 reads the closed-form spectrum, so agreement between the two routes is a
@@ -53,32 +53,34 @@ __all__ = [
 
 _BOUNDARY_TAIL_FRACTION = 0.10
 _BOUNDARY_MASS_LIMIT = 0.01
+# cells per shortest local wavelength 2 pi / sqrt(2 top) of the top level
+_CELLS_PER_WAVELENGTH = 120
+# entries of the refined grid's eigenvector block (2**24 doubles are 128 MiB)
+_MAX_VECTOR_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid on [r_min, r_max] including both endpoints."""
+    """`cells` uniform cells from the inner face r_min (0 in every default
+    grid) to r_max; the unknowns sit at the cell centres."""
 
     r_min: float
     r_max: float
-    num_points: int = 4000
+    cells: int
 
     def __post_init__(self):
-        if not 0 < self.r_min < self.r_max < math.inf:
-            raise DomainError("need 0 < r_min < r_max < inf")
-        if self.num_points < 100:
-            raise DomainError("num_points must be >= 100")
+        if not 0 <= self.r_min < self.r_max < math.inf:
+            raise DomainError("need 0 <= r_min < r_max < inf")
+        if self.cells < 100:
+            raise DomainError(f"cells must be >= 100, got {self.cells}")
 
     @property
     def spacing(self) -> float:
-        return (self.r_max - self.r_min) / (self.num_points - 1)
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.num_points)
+        return (self.r_max - self.r_min) / self.cells
 
     def refined(self) -> "RadialGrid":
-        """Same interval with spacing halved (for Richardson extrapolation)."""
-        return RadialGrid(self.r_min, self.r_max, 2 * self.num_points - 1)
+        """Same interval with each cell halved (for Richardson extrapolation)."""
+        return RadialGrid(self.r_min, self.r_max, 2 * self.cells)
 
 
 def _dimensionless(params: ModelParams) -> ModelParams:
@@ -108,33 +110,34 @@ def _scale(params: ModelParams, g: float) -> str:
 
 
 def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
-    """Box, in units of sqrt(hbar/omega), for every state up to n = 2 k_max + l.
+    """Cells from r = 0, in units of sqrt(hbar/omega), for every state up to
+    n = 2 k_max + l.
 
     In units of hbar*omega, level n lies in [top/2, top], top = min(nu, 1/(2g)),
     nu = n + N/2 (the bracket of energy_implicit; no closed form is read). So
     r_max = max(12 sqrt(2 nu/top), 6 nu/sqrt(top)) holds 12 Gaussian widths
-    sqrt(nu/E) and 3 outer turning radii nu sqrt(2/E) of the level.
+    sqrt(nu/E) and 3 outer turning radii nu sqrt(2/E) of the level, and
+    ceil(_CELLS_PER_WAVELENGTH r_max sqrt(2 top) / (2 pi)) cells resolve its
+    shortest local wavelength 2 pi/sqrt(2 top), at the origin.
     """
     if l < 0 or k_max < 0:
         raise DomainError(f"l and k_max must be >= 0, got {l} and {k_max}")
     nu = 2 * k_max + l + params.dim / 2.0
     scaled = _dimensionless(params)
     top = min(nu, continuum_threshold(scaled))
-    # for N = 1 the measure does not vanish at the origin, so the inner
-    # cutoff displaces the wall and shifts eigenvalues by O(r_min)
-    r_min = 1e-9 if params.dim == 1 else 1e-6
     r_max = max(12.0 * math.sqrt(2.0 * nu / top), 6.0 * nu / math.sqrt(top))
     if r_max == math.inf:
         raise DomainError(
             f"the box for n = {2 * k_max + l} overflows a double at {_scale(params, scaled.lam)}"
         )
-    return RadialGrid(r_min, r_max)
+    cells = math.ceil(_CELLS_PER_WAVELENGTH * (r_max * math.sqrt(2.0 * top)) / (2.0 * math.pi))
+    return RadialGrid(0.0, r_max, cells)
 
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
     """Symmetric tridiagonal stiffness A, stored as its diagonal and its one
-    off-diagonal, and diagonal weight B."""
+    off-diagonal, and diagonal weight B, at the cell centres `nodes`."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -152,47 +155,33 @@ def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> Discreti
 
     In units of hbar*omega and sqrt(hbar/omega), the grid's too, so only
     g = lam*hbar/omega and N matter; an operator that overflows a double
-    raises DomainError. Dirichlet at r_max always. At the inner end:
-    Dirichlet for l >= 1 (solutions vanish like r^l); for l = 0 the wall is
-    flux-free (phi'(0) = 0). The l = 0 wall row is the natural-boundary row of the
-    lumped P1 finite-element form: for N = 1 the first node keeps a
-    half-size cell, while for N >= 2 the node at r_min is dropped entirely
-    because its measure r^(N-1) is degenerate there (keeping it inflates
-    the reduced matrix norm and ruins the bisection's absolute accuracy);
-    the discarded inner flux is O(h^3).
+    raises DomainError. Finite volumes: the unknowns sit at the cell centres
+    r_c, with measure r_c^(N-1), and the fluxes at the faces, with
+    p = r^(N-1)/2. Beyond the outer wall a ghost cell holds 0 (Dirichlet).
+    At the inner face the ghost u_0 = (-1)^l u_1 continues the solution by
+    its parity; for N >= 2 at r = 0, p = 0 there, so no flux crosses it.
     """
     if l < 0 or int(l) != l:
         raise DomainError(f"l must be an integer >= 0, got {l}")
     l = int(l)
     n_dim, g = params.dim, _dimensionless(params).lam
     h = np.float64(grid.spacing)  # so that h**2 may overflow to inf, caught below
-    r = grid.nodes()
-
-    # unknowns: drop the Dirichlet / degenerate-measure node(s)
-    lo = 0 if (l == 0 and n_dim == 1) else 1
-    ri = r[lo : grid.num_points - 1]
+    faces = np.linspace(grid.r_min, grid.r_max, grid.cells + 1)
+    r = faces[:-1] + 0.5 * h
 
     with np.errstate(over="ignore", invalid="ignore"):
-        p = lambda rr: 0.5 * rr ** (n_dim - 1)
-        p_right = p(ri + 0.5 * h)
-        p_left = p(ri - 0.5 * h)
-
-        centrifugal = l * (l + n_dim - 2) / (2.0 * ri**2)
-        well = 0.5 * ri**2
-        diag = (p_right + p_left) / h**2 + (centrifugal + well) * ri ** (n_dim - 1)
-        offdiag = -p_right[:-1] / h**2
-        weight = (1.0 + g * ri**2) * ri ** (n_dim - 1)
-        if l == 0:
-            if n_dim == 1:
-                diag[0] = p_right[0] / h**2 + 0.5 * well[0]
-                weight[0] = 0.5 * weight[0]
-            else:
-                diag[0] = p_right[0] / h**2 + well[0] * ri[0] ** (n_dim - 1)
+        p = 0.5 * faces ** (n_dim - 1)
+        p[0] *= 1 - (-1) ** l  # the ghost leaves u_1 - u_0 = 0, or 2 u_1 for odd l
+        measure = r ** (n_dim - 1)
+        centrifugal = l * (l + n_dim - 2) / (2.0 * r**2)
+        diag = (p[:-1] + p[1:]) / h**2 + (centrifugal + 0.5 * r**2) * measure
+        offdiag = -p[1:-1] / h**2
+        weight = (1.0 + g * r**2) * measure
     if not all(np.isfinite(v).all() for v in (diag, offdiag, weight)):
         raise DomainError(f"r_max={grid.r_max:g} sqrt(hbar/omega) overflows the operator at "
                           f"lam={params.lam:g}, hbar={params.hbar:g}, omega={params.omega:g}")
     return DiscretizedOperator(
-        diag=diag, offdiag=offdiag, weight=weight, nodes=ri, l=l, params=params
+        diag=diag, offdiag=offdiag, weight=weight, nodes=r, l=l, params=params
     )
 
 
@@ -282,6 +271,16 @@ def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.nd
     return values, z * inv_sqrt_w[:, None]
 
 
+def _check_grid_size(grid: RadialGrid, k_max: int) -> None:
+    """DomainError unless k_max + 1 levels are at most a quarter of the cells
+    and the refined grid's eigenvector block, 2 cells x (k_max + 1), holds at
+    most _MAX_VECTOR_ENTRIES doubles."""
+    levels = k_max + 1
+    if not 4 * levels <= grid.cells <= _MAX_VECTOR_ENTRIES // (2 * levels):
+        raise DomainError(f"{levels} levels need between {4 * levels} and "
+                          f"{_MAX_VECTOR_ENTRIES // (2 * levels)} cells, got {grid.cells}")
+
+
 def _boundary_contaminated(op: DiscretizedOperator, vector: np.ndarray) -> bool:
     """Weighted mass fraction in the outer tail of the box above 1%."""
     mass = op.weight * vector**2
@@ -311,6 +310,7 @@ def oracle_report(
         raise DomainError(f"l_max and k_max must be >= 0, got {l_max} and {k_max}")
     scaled = _dimensionless(params)
     grid = grid if grid is not None else default_radial_grid(scaled, l_max, k_max)
+    _check_grid_size(grid, k_max)
     parts = []
     for ell in range(l_max + 1):
         op_half = discretize_radial(params, ell, grid.refined())

@@ -229,11 +229,29 @@ class TestOracleCommand:
 
     def test_one_box_for_every_grid(self, tmp_path):
         # the box is sized at (l_max, k_max) for every l, whether or not
-        # --grid-points is given
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        # --grid-points is given, and --grid-points counts cells: its default
+        # is the cell count default_radial_grid gives the top level
+        from pdm_oscillator import ModelParams, default_radial_grid
+
+        cells = default_radial_grid(ModelParams(lam=0.02, dim=3), 2, 2).cells
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
         assert cli.run(["oracle", "--out", str(a)]) == 0
-        assert cli.run(["oracle", "--grid-points", "4000", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert cli.run(["oracle", "--grid-points", str(cells), "--out", str(b)]) == 0
+        assert cli.run(["oracle", "--grid-points", str(cells + 1), "--out", str(c)]) == 0
+        assert a.read_bytes() == b.read_bytes() != c.read_bytes()
+
+    def test_tiny_box_from_r_zero_writes_a_table(self, tmp_path):
+        # at hbar = 1e-20 the unit of length is 1e-10, so --r-max 1e-17 is the
+        # box 1e-7: with cells from r = 0 there is no inner cutoff for it to
+        # fall inside, and the table shows the states squeezed by the wall
+        out = tmp_path / "x.csv"
+        argv = ["oracle", "--hbar", "1e-20", "--r-max", "1e-17", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(argv) == 0
+        rows = read_csv(out)
+        assert len(rows) == 9
+        assert all(float(r["rel_error"]) > 1.0 for r in rows)
 
     def test_r_max_is_a_physical_length(self, tmp_path):
         # the oracle's unit of length is sqrt(hbar/omega) = 2 at hbar = 4, so
@@ -258,7 +276,7 @@ class TestOracleCommand:
         assert cli.run(["oracle", "--lambda", "0", "--out", str(flat)]) == 0
         huge, flat = read_csv(huge), read_csv(flat)
         assert len(huge) == 9
-        assert all(float(r["rel_error"]) < 1e-10 for r in huge)
+        assert all(float(r["rel_error"]) < 1e-8 for r in huge)
         for column in ("n", "k", "l", "rel_error", "convergence_order"):
             assert [r[column] for r in huge] == [r[column] for r in flat]
         for h, f in zip(huge, flat):
@@ -474,17 +492,49 @@ class TestErrorPaths:
         assert "omega=" in lines[0]
         assert not out.exists()
 
-    def test_box_inside_cutoff_names_the_scale(self, tmp_path, capsys):
-        # at hbar = 1e-20 the unit of length is 1e-10, so --r-max 1e-17 is the
-        # box 1e-7, inside the fixed inner cutoff r_min = 1e-6
+    @pytest.mark.parametrize(
+        "r_max, hbar, box",
+        [("-1", "1", "-1"), ("0", "1", "0"), ("1e200", "1e-300", "inf")],
+    )
+    def test_nonpositive_or_infinite_box_names_the_flag(self, tmp_path, capsys, r_max, hbar, box):
+        # --r-max is a length in the model's units; in units of sqrt(hbar/omega)
+        # the box must be positive and finite
         out = tmp_path / "x.csv"
-        argv = ["oracle", "--hbar", "1e-20", "--r-max", "1e-17", "--out", str(out)]
+        argv = ["oracle", "--hbar", hbar, "--r-max", r_max, "--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.run(argv) == 1
         lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "r_min" in lines[0] and "hbar=1e-20, omega=1" in lines[0]
+        assert len(lines) == 1 and lines[0].startswith(f"error: --r-max {float(r_max):g} ")
+        assert f"the box {box} sqrt(hbar/omega)" in lines[0] and f"hbar={float(hbar):g}" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--k", "999"], "--k 999: "),
+            (["--k", "161"], "--k 161: "),
+            (["--grid-points", "50"], "--grid-points 50: "),
+            (["--grid-points", "400", "--k", "150"], "--grid-points 400: "),
+            (["--grid-points", "60000", "--k", "150"], "--grid-points 60000: "),
+        ],
+        ids=["k-far-past-the-bound", "k-past-the-bound", "too-few-cells", "k-over-cells",
+             "cells-past-the-bound"],
+    )
+    def test_grid_error_names_the_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
+        # a grid too small for --k, or an eigenvector block past the bound,
+        # ends in one error line naming --grid-points where it was given and
+        # --k otherwise, before any eigensolve runs
+        def unreachable(*args, **kwargs):
+            raise AssertionError("oracle_report was called")
+
+        monkeypatch.setattr(cli, "oracle_report", unreachable)
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(["oracle", *argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag}")
         assert not out.exists()
 
     @pytest.mark.parametrize("hbar", ["1e7", "1e8", "1e10"])

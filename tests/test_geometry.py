@@ -88,6 +88,27 @@ class TestScalarCurvature:
         p = ModelParams(lam=0.4, dim=1)
         assert scalar_curvature(2.0, p) == 0.0
 
+    @pytest.mark.parametrize("lam", [0.02, 1.0, 37.0])
+    def test_conformal_formula(self, lam):
+        # an independent route: for the metric e^(2 phi) delta, phi = ln(1 + lam r^2)/2,
+        # R = -e^(-2 phi) [2 (N-1) lap phi + (N-2)(N-1) |grad phi|^2], with
+        # lap phi = phi'' + (N-1) phi'/r (N phi''(0) at the origin) and the
+        # derivatives taken by mpmath at 40 digits
+        import mpmath
+
+        phi = lambda r: mpmath.log(1 + lam * r**2) / 2
+        eps = np.finfo(float).eps
+        with mpmath.workdps(40):
+            for r in np.linspace(0.0, 40.0, 33):
+                d1, d2 = (mpmath.diff(phi, mpmath.mpf(r), n) for n in (1, 2))
+                for dim in range(1, 9):
+                    lap = dim * d2 if r == 0 else d2 + (dim - 1) * d1 / r
+                    exact = float(-mpmath.exp(-2 * phi(mpmath.mpf(r))) * (
+                        2 * (dim - 1) * lap + (dim - 2) * (dim - 1) * d1**2
+                    ))
+                    got = scalar_curvature(r, ModelParams(lam=lam, dim=dim))
+                    assert abs(got - exact) <= 4 * eps * abs(exact), (r, dim)
+
 
 class TestPotential:
     def test_origin(self):

@@ -55,42 +55,80 @@ def full_grid_residual(f, energy, params, half_width, num_points):
 
 class TestRadialGrid:
     def test_validation(self):
+        # the inner face may be r = 0, where every default grid starts
+        assert RadialGrid(0.0, 10.0, 100).r_min == 0.0
         with pytest.raises(DomainError):
-            RadialGrid(r_min=0.0, r_max=10.0)
+            RadialGrid(-1e-6, 10.0, 100)
         with pytest.raises(DomainError):
-            RadialGrid(r_min=2.0, r_max=1.0)
+            RadialGrid(2.0, 1.0, 100)
         with pytest.raises(DomainError):
-            RadialGrid(r_min=1e-6, r_max=math.inf)
-        with pytest.raises(DomainError):
-            RadialGrid(r_min=1e-6, r_max=10.0, num_points=50)
+            RadialGrid(0.0, math.inf, 100)
+        with pytest.raises(DomainError, match="cells must be >= 100"):
+            RadialGrid(0.0, 10.0, 99)
 
     def test_spacing_and_nodes(self):
-        grid = RadialGrid(r_min=1e-6, r_max=10.0, num_points=101)
-        nodes = grid.nodes()
-        assert len(nodes) == 101
-        assert nodes[0] == 1e-6
-        assert nodes[-1] == 10.0
-        assert grid.spacing == pytest.approx((10.0 - 1e-6) / 100)
+        # 100 cells of width 0.1 from r = 0: the unknowns at the centres
+        # (i + 1/2) h, between the faces i h
+        grid = RadialGrid(0.0, 10.0, 100)
+        assert grid.spacing == 0.1
+        centres = discretize_radial(P3, 0, grid).nodes
+        assert len(centres) == 100
+        np.testing.assert_allclose(centres, (np.arange(100) + 0.5) * 0.1, rtol=1e-15)
+        assert centres[0] == 0.05 and centres[-1] == pytest.approx(9.95, rel=1e-15)
 
     def test_refinement_halves_spacing(self):
-        grid = RadialGrid(r_min=1e-6, r_max=10.0, num_points=101)
+        # each cell split in two: every centre of the grid lies on a face of
+        # its refinement, midway between two of its centres
+        grid = RadialGrid(0.0, 10.0, 101)
         fine = grid.refined()
-        assert fine.spacing == pytest.approx(grid.spacing / 2.0)
+        assert fine.cells == 202
+        assert fine.spacing == pytest.approx(grid.spacing / 2.0, rel=1e-15)
         assert fine.r_min == grid.r_min and fine.r_max == grid.r_max
+        coarse_nodes = discretize_radial(P3, 0, grid).nodes
+        fine_nodes = discretize_radial(P3, 0, fine).nodes
+        np.testing.assert_allclose(0.5 * (fine_nodes[::2] + fine_nodes[1::2]), coarse_nodes,
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.02, 1e8])
+    def test_default_cells_follow_the_top_level(self, lam):
+        # one rule: C cells per shortest local wavelength 2 pi/sqrt(2 top) of
+        # the top level, across the whole box
+        p = ModelParams(lam=lam, dim=3)
+        for k_max in (0, 2, 40):
+            grid = default_radial_grid(p, 2, k_max)
+            nu = 2 * k_max + 2 + 1.5
+            top = min(nu, 1.0 / (2.0 * lam)) if lam else nu
+            width = 2.0 * math.pi / math.sqrt(2.0 * top)
+            assert grid.r_min == 0.0
+            assert grid.cells == math.ceil(oracle._CELLS_PER_WAVELENGTH * grid.r_max / width)
 
 
 class TestDiscretization:
     def test_flat_one_dimensional_reduces_to_textbook(self):
-        # lam = 0, N = 1, l = 0: -(hbar^2/2) phi'' + (omega^2/2) r^2 phi
+        # lam = 0, N = 1: -(hbar^2/2) phi'' + (omega^2/2) r^2 phi at the cell
+        # centres; the ghost u_0 = (-1)^l u_1 makes the origin face flux-free
+        # for even l and doubles its flux for odd l
         p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=1)
-        grid = RadialGrid(r_min=1e-9, r_max=10.0, num_points=500)
-        op = discretize_radial(p, 0, grid)
-        h = grid.spacing
-        assert np.allclose(op.offdiag, -0.5 / h**2)
-        interior = op.diag[1:]
-        r = op.nodes[1:]
-        assert np.allclose(interior, 1.0 / h**2 + 0.5 * r**2)
-        assert np.allclose(op.weight[1:], 1.0)
+        grid = RadialGrid(0.0, 10.0, 500)
+        for l in (0, 1):
+            op = discretize_radial(p, l, grid)
+            h, r = grid.spacing, op.nodes
+            np.testing.assert_allclose(r, (np.arange(500) + 0.5) * h, rtol=1e-15)
+            assert np.allclose(op.offdiag, -0.5 / h**2)
+            assert np.allclose(op.diag[1:], 1.0 / h**2 + 0.5 * r[1:] ** 2)
+            assert op.diag[0] == pytest.approx((0.5 + l) / h**2 + 0.5 * r[0] ** 2, rel=1e-14)
+            assert np.all(op.weight == 1.0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_no_flux_through_the_origin(self, dim):
+        # for N >= 2, p = r^(N-1)/2 vanishes at r = 0: the first row is the
+        # same for every parity of l, less the centrifugal term
+        grid = RadialGrid(0.0, 10.0, 200)
+        p = ModelParams(lam=0.02, dim=dim)
+        even, odd = discretize_radial(p, 0, grid), discretize_radial(p, 1, grid)
+        r = 0.5 * grid.spacing
+        centrifugal = (dim - 1) / (2.0 * r**2) * r ** (dim - 1)
+        assert odd.diag[0] - centrifugal == pytest.approx(even.diag[0], rel=1e-12)
 
     def test_weight_matches_measure(self):
         op = discretize_radial(P3, 2, RadialGrid(1e-6, 8.0, 300))
@@ -105,7 +143,9 @@ class TestDiscretization:
 class TestGeneralizedEigen:
     def test_flat_oscillator_levels(self):
         p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=3)
-        op = discretize_radial(p, 0, default_radial_grid(p, 0, 2))
+        # the default box's refinement, the grid of the oracle's second
+        # eigensolve: one grid's levels carry their O(h^2) error
+        op = discretize_radial(p, 0, default_radial_grid(p, 0, 2).refined())
         values = solve_generalized_eigen(op, 3)
         assert values == pytest.approx([1.5, 3.5, 5.5], abs=2e-4)
 
@@ -261,6 +301,43 @@ class TestOracleReport:
         header = report.header()
         assert header[:5] == ["n", "energy", "degeneracy", "gap_to_threshold", "residual"]
         assert "rel_error" in header and "convergence_order" in header
+
+
+class TestCellsFromOrigin:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 0.02])
+    def test_richardson_error_falls_as_h4(self, dim, lam):
+        # with no inner cutoff to set a floor, the extrapolated error of each
+        # state (l <= 2, k <= 2) falls 2^4 = 16 times when the cells double
+        p = ModelParams(lam=lam, dim=dim)
+        box = default_radial_grid(p, 2, 2)
+        coarse, fine = (
+            oracle_report(p, 2, 2, RadialGrid(box.r_min, box.r_max, cells)).extra_columns["rel_error"]
+            for cells in (500, 1000)
+        )
+        np.testing.assert_allclose(coarse / fine, 16.0, rtol=0.15)
+
+    def test_uniform_accuracy_in_k(self):
+        # the default cell count follows the top level, so the levels up to
+        # k = 40 (n = 80) are as accurate as the lowest
+        report = oracle_report(P3, l_max=0, k_max=40)
+        assert len(report) == 41
+        assert report.extra_columns["rel_error"].max() <= 1e-8
+
+    @pytest.mark.parametrize(
+        "grid, k_max, message",
+        [(None, 999, "1000 levels need between 4000 and 8388 cells"),
+         (RadialGrid(0.0, 12.0, 400), 100, "101 levels need between 404 and")],
+        ids=["vector-block", "cells"],
+    )
+    def test_size_bound_before_any_solve(self, monkeypatch, grid, k_max, message):
+        # the bound is checked before the first operator is assembled
+        def unreachable(*args, **kwargs):
+            raise AssertionError("discretize_radial was called")
+
+        monkeypatch.setattr(oracle, "discretize_radial", unreachable)
+        with pytest.raises(DomainError, match=message):
+            oracle_report(P3, l_max=0, k_max=k_max, grid=grid)
 
 
 class TestScaleFree:
