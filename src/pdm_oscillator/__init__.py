@@ -20,7 +20,7 @@ from .classical import (
     hamiltonian,
     integrate_orbit,
 )
-from .errors import BracketingError, ConvergenceError, DomainError
+from .errors import BracketingError, ConvergenceError, DomainError, GridSizeError
 from .geometry import (
     EffectivePotentialSpec,
     ModelParams,

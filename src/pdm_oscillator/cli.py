@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from .classical import PhaseState, conserved_series, integrate_orbits
-from .errors import BracketingError, ConvergenceError, DomainError
+from .errors import BracketingError, ConvergenceError, DomainError, GridSizeError
 from .geometry import (
     EffectivePotentialSpec,
     ModelParams,
@@ -32,7 +32,7 @@ from .geometry import (
     potential,
     scalar_curvature,
 )
-from .oracle import RadialGrid, _check_grid_size, default_radial_grid, oracle_report
+from .oracle import RadialGrid, default_radial_grid, oracle_report
 from .spectrum import (
     SpectrumTable,
     _table_levels,
@@ -171,14 +171,15 @@ def _cmd_oracle(args, params) -> tuple[str, str, int]:
     if not 0 < r_max < math.inf:
         raise DomainError(f"--r-max {args.r_max:g} is the box {r_max:g} sqrt(hbar/omega) at "
                           f"hbar={params.hbar:g}, omega={params.omega:g}; need 0 < r_max < inf")
-    given = args.grid_points is not None
+    if args.grid_points is not None:
+        flag, cells = f"--grid-points {args.grid_points}", args.grid_points
+    else:  # the default cell width, or finer in a box smaller than the default
+        flag = f"--k {args.k}" + ("" if args.r_max is None else f" --r-max {args.r_max:g}")
+        cells = max(base.cells, math.ceil(base.cells * min(r_max / base.r_max, 2.0**40)))
     try:
-        grid = RadialGrid(0.0, r_max, args.grid_points if given else base.cells)
-        _check_grid_size(grid, args.k)
-    except DomainError as exc:
-        flag = f"--grid-points {args.grid_points}" if given else f"--k {args.k}"
+        table = oracle_report(params, args.l, args.k, RadialGrid(0.0, r_max, cells))
+    except GridSizeError as exc:
         raise DomainError(f"{flag}: {exc}") from exc
-    table = oracle_report(params, args.l, args.k, grid)
     worst = float(table.extra_columns["rel_error"].max())
     summary = f"oracle: {len(table)} states, worst relative error {worst:.3e}"
     return _artifact(table, args), summary, 0

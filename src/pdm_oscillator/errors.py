@@ -11,3 +11,7 @@ class ConvergenceError(RuntimeError):
 
 class BracketingError(RuntimeError):
     """A root bracket could not be established or was inconsistent."""
+
+
+class GridSizeError(DomainError):
+    """A grid has too few cells for the levels asked of it, or too many to solve."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, GridSizeError
 from .geometry import ModelParams
 from .spectrum import (
     _TINY,
@@ -53,8 +53,13 @@ __all__ = [
 
 _BOUNDARY_TAIL_FRACTION = 0.10
 _BOUNDARY_MASS_LIMIT = 0.01
-# cells per shortest local wavelength 2 pi / sqrt(2 top) of the top level
-_CELLS_PER_WAVELENGTH = 120
+# cells per shortest local wavelength 2 pi / sqrt(2 top) of the top level: the
+# relative error the three-point stencil leaves after extrapolation, about
+# (kappa h)^4 / 3000 at local wavenumber kappa, is then at most 1.6e-10
+_CELLS_PER_WAVELENGTH = 240
+# Gaussian widths of the top level kept beyond its outer turning radius: the
+# wall then moves a ground state by about 1e-12 of its energy
+_TAIL_WIDTHS = 4.5
 # entries of the refined grid's eigenvector block (2**24 doubles are 128 MiB)
 _MAX_VECTOR_ENTRIES = 2**24
 
@@ -72,7 +77,7 @@ class RadialGrid:
         if not 0 <= self.r_min < self.r_max < math.inf:
             raise DomainError("need 0 <= r_min < r_max < inf")
         if self.cells < 100:
-            raise DomainError(f"cells must be >= 100, got {self.cells}")
+            raise GridSizeError(f"cells must be >= 100, got {self.cells}")
 
     @property
     def spacing(self) -> float:
@@ -114,18 +119,24 @@ def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:
     n = 2 k_max + l.
 
     In units of hbar*omega, level n lies in [top/2, top], top = min(nu, 1/(2g)),
-    nu = n + N/2 (the bracket of energy_implicit; no closed form is read). So
-    r_max = max(12 sqrt(2 nu/top), 6 nu/sqrt(top)) holds 12 Gaussian widths
-    sqrt(nu/E) and 3 outer turning radii nu sqrt(2/E) of the level, and
-    ceil(_CELLS_PER_WAVELENGTH r_max sqrt(2 top) / (2 pi)) cells resolve its
-    shortest local wavelength 2 pi/sqrt(2 top), at the origin.
+    nu = n + N/2 (the bracket of energy_implicit; no closed form is read). At
+    energy E the radial equation is an oscillator of frequency
+    W = sqrt(1 - 2gE) = E/nu, so the level's Gaussian width 1/sqrt(W) is at
+    most w = min(sqrt(2 nu/top), (1 - 2g top)^(-1/4)), and its outer turning
+    radius sqrt(2 nu/W) at most w sqrt(2 nu). The wall
+    r_max = w (sqrt(2 nu) + _TAIL_WIDTHS) lies _TAIL_WIDTHS widths beyond it,
+    and ceil(_CELLS_PER_WAVELENGTH r_max sqrt(2 top) / (2 pi)) cells resolve the
+    level's shortest local wavelength 2 pi/sqrt(2 top), at the origin.
     """
     if l < 0 or k_max < 0:
         raise DomainError(f"l and k_max must be >= 0, got {l} and {k_max}")
     nu = 2 * k_max + l + params.dim / 2.0
     scaled = _dimensionless(params)
     top = min(nu, continuum_threshold(scaled))
-    r_max = max(12.0 * math.sqrt(2.0 * nu / top), 6.0 * nu / math.sqrt(top))
+    width = math.sqrt(2.0 * nu / top)
+    if 2.0 * scaled.lam * top < 0.75:  # top = nu there, and this bound is below sqrt(2)
+        width = (1.0 - 2.0 * scaled.lam * top) ** -0.25
+    r_max = width * (math.sqrt(2.0 * nu) + _TAIL_WIDTHS)
     if r_max == math.inf:
         raise DomainError(
             f"the box for n = {2 * k_max + l} overflows a double at {_scale(params, scaled.lam)}"
@@ -211,11 +222,11 @@ def solve_generalized_eigen(op: DiscretizedOperator, count: int) -> np.ndarray:
     B^(-1/2), scaled to unit norm, then runs LAPACK Sturm-sequence
     bisection (stebz) through scipy's eigh_tridiagonal. A LAPACK failure
     raises ConvergenceError. Only the low-lying states are trustworthy,
-    hence count <= size/4.
+    hence count <= size/4, or GridSizeError.
     """
     size = op.size()
     if count < 1 or count > size // 4:
-        raise DomainError(f"count must be in [1, {size // 4}] for {size} nodes")
+        raise GridSizeError(f"count must be in [1, {size // 4}] for {size} cells")
     d, e, _, scale = _reduced(op)
 
     from scipy.linalg import LinAlgError, eigh_tridiagonal
@@ -271,16 +282,6 @@ def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.nd
     return values, z * inv_sqrt_w[:, None]
 
 
-def _check_grid_size(grid: RadialGrid, k_max: int) -> None:
-    """DomainError unless k_max + 1 levels are at most a quarter of the cells
-    and the refined grid's eigenvector block, 2 cells x (k_max + 1), holds at
-    most _MAX_VECTOR_ENTRIES doubles."""
-    levels = k_max + 1
-    if not 4 * levels <= grid.cells <= _MAX_VECTOR_ENTRIES // (2 * levels):
-        raise DomainError(f"{levels} levels need between {4 * levels} and "
-                          f"{_MAX_VECTOR_ENTRIES // (2 * levels)} cells, got {grid.cells}")
-
-
 def _boundary_contaminated(op: DiscretizedOperator, vector: np.ndarray) -> bool:
     """Weighted mass fraction in the outer tail of the box above 1%."""
     mass = op.weight * vector**2
@@ -304,13 +305,19 @@ def oracle_report(
     convergence order is estimated from the two errors against the closed
     form at g. States holding more than 1% of their weighted mass in the
     outer 10% of the box are flagged as boundary-contaminated. Levels that
-    overflow a double once multiplied by hbar*omega raise DomainError.
+    overflow a double once multiplied by hbar*omega raise DomainError; a grid
+    with fewer than 4 cells per level, or so many that the refined grid's
+    eigenvectors would pass _MAX_VECTOR_ENTRIES doubles, raises GridSizeError
+    before any eigensolve.
     """
     if l_max < 0 or k_max < 0:
         raise DomainError(f"l_max and k_max must be >= 0, got {l_max} and {k_max}")
     scaled = _dimensionless(params)
     grid = grid if grid is not None else default_radial_grid(scaled, l_max, k_max)
-    _check_grid_size(grid, k_max)
+    most = _MAX_VECTOR_ENTRIES // (2 * (k_max + 1))  # cells, for the refined eigenvectors
+    if grid.cells > most:
+        raise GridSizeError(f"{k_max + 1} levels allow at most {most} cells, "
+                            f"got {grid.cells} up to r_max={grid.r_max:g}")
     parts = []
     for ell in range(l_max + 1):
         op_half = discretize_radial(params, ell, grid.refined())

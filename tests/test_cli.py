@@ -253,6 +253,27 @@ class TestOracleCommand:
         assert len(rows) == 9
         assert all(float(r["rel_error"]) > 1.0 for r in rows)
 
+    def test_r_max_keeps_the_cell_width(self, tmp_path, monkeypatch):
+        # a given box keeps the default cell width: 3 times the default box
+        # gets 3 times its cells and the same accuracy, and a smaller box
+        # keeps the default count
+        from pdm_oscillator import ModelParams, default_radial_grid
+
+        base = default_radial_grid(ModelParams(lam=0.02, dim=3), 2, 2)
+        grids, report = [], cli.oracle_report
+
+        def recording(params, l_max, k_max, grid):
+            grids.append(grid)
+            return report(params, l_max, k_max, grid)
+
+        monkeypatch.setattr(cli, "oracle_report", recording)
+        out = tmp_path / "x.csv"
+        assert cli.run(["oracle", "--r-max", str(3.0 * base.r_max), "--out", str(out)]) == 0
+        assert all(float(r["rel_error"]) < 1e-10 for r in read_csv(out))
+        assert cli.run(["oracle", "--r-max", str(0.5 * base.r_max), "--out", str(out)]) == 0
+        assert 3 * base.cells <= grids[0].cells <= 3 * base.cells + 1
+        assert grids[1].cells == base.cells
+
     def test_r_max_is_a_physical_length(self, tmp_path):
         # the oracle's unit of length is sqrt(hbar/omega) = 2 at hbar = 4, so
         # --r-max 20 there is the box 10 of the model at g = lam hbar/omega = 0.08
@@ -276,7 +297,7 @@ class TestOracleCommand:
         assert cli.run(["oracle", "--lambda", "0", "--out", str(flat)]) == 0
         huge, flat = read_csv(huge), read_csv(flat)
         assert len(huge) == 9
-        assert all(float(r["rel_error"]) < 1e-8 for r in huge)
+        assert all(float(r["rel_error"]) < 1e-10 for r in huge)
         for column in ("n", "k", "l", "rel_error", "convergence_order"):
             assert [r[column] for r in huge] == [r[column] for r in flat]
         for h, f in zip(huge, flat):
@@ -513,22 +534,28 @@ class TestErrorPaths:
         "argv, flag",
         [
             (["--k", "999"], "--k 999: "),
-            (["--k", "161"], "--k 161: "),
+            (["--k", "182"], "--k 182: "),
+            (["--r-max", "1e300"], "--k 2 --r-max 1e+300: "),
             (["--grid-points", "50"], "--grid-points 50: "),
             (["--grid-points", "400", "--k", "150"], "--grid-points 400: "),
             (["--grid-points", "60000", "--k", "150"], "--grid-points 60000: "),
         ],
-        ids=["k-far-past-the-bound", "k-past-the-bound", "too-few-cells", "k-over-cells",
-             "cells-past-the-bound"],
+        ids=["k-far-past-the-bound", "k-past-the-bound", "box-past-the-bound", "too-few-cells",
+             "k-over-cells", "cells-past-the-bound"],
     )
     def test_grid_error_names_the_flag(self, tmp_path, capsys, monkeypatch, argv, flag):
-        # a grid too small for --k, or an eigenvector block past the bound,
-        # ends in one error line naming --grid-points where it was given and
-        # --k otherwise, before any eigensolve runs
-        def unreachable(*args, **kwargs):
-            raise AssertionError("oracle_report was called")
+        # a grid too small for --k, or an eigenvector block past the bound
+        # (at the default l = 2, first passed at k = 182), ends in one error
+        # line naming --grid-points where it was given and --k, with --r-max
+        # where it was given, otherwise, before any eigensolve runs
+        import scipy.linalg
+        import scipy.linalg.lapack
 
-        monkeypatch.setattr(cli, "oracle_report", unreachable)
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an eigensolve was called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", unreachable)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", unreachable)
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -15,6 +15,7 @@ from pdm_oscillator import (
     CartesianEigenfunction,
     ConvergenceError,
     DomainError,
+    GridSizeError,
     ModelParams,
     RadialGrid,
     default_radial_grid,
@@ -143,9 +144,7 @@ class TestDiscretization:
 class TestGeneralizedEigen:
     def test_flat_oscillator_levels(self):
         p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=3)
-        # the default box's refinement, the grid of the oracle's second
-        # eigensolve: one grid's levels carry their O(h^2) error
-        op = discretize_radial(p, 0, default_radial_grid(p, 0, 2).refined())
+        op = discretize_radial(p, 0, default_radial_grid(p, 0, 2))
         values = solve_generalized_eigen(op, 3)
         assert values == pytest.approx([1.5, 3.5, 5.5], abs=2e-4)
 
@@ -308,12 +307,13 @@ class TestCellsFromOrigin:
     @pytest.mark.parametrize("lam", [0.0, 0.02])
     def test_richardson_error_falls_as_h4(self, dim, lam):
         # with no inner cutoff to set a floor, the extrapolated error of each
-        # state (l <= 2, k <= 2) falls 2^4 = 16 times when the cells double
+        # state (l <= 2, k <= 2) falls 2^4 = 16 times when the cells double;
+        # 250 and 500 cells keep every error above 4e-11, clear of rounding
         p = ModelParams(lam=lam, dim=dim)
         box = default_radial_grid(p, 2, 2)
         coarse, fine = (
             oracle_report(p, 2, 2, RadialGrid(box.r_min, box.r_max, cells)).extra_columns["rel_error"]
-            for cells in (500, 1000)
+            for cells in (250, 500)
         )
         np.testing.assert_allclose(coarse / fine, 16.0, rtol=0.15)
 
@@ -324,20 +324,37 @@ class TestCellsFromOrigin:
         assert len(report) == 41
         assert report.extra_columns["rel_error"].max() <= 1e-8
 
-    @pytest.mark.parametrize(
-        "grid, k_max, message",
-        [(None, 999, "1000 levels need between 4000 and 8388 cells"),
-         (RadialGrid(0.0, 12.0, 400), 100, "101 levels need between 404 and")],
-        ids=["vector-block", "cells"],
-    )
-    def test_size_bound_before_any_solve(self, monkeypatch, grid, k_max, message):
-        # the bound is checked before the first operator is assembled
+    def test_vector_bound_before_any_operator(self, monkeypatch):
+        # the refined eigenvector block is bounded before the first operator
+        # is assembled: at k = 999 the default grid passes 2^24 / 2000 cells
         def unreachable(*args, **kwargs):
             raise AssertionError("discretize_radial was called")
 
         monkeypatch.setattr(oracle, "discretize_radial", unreachable)
-        with pytest.raises(DomainError, match=message):
-            oracle_report(P3, l_max=0, k_max=k_max, grid=grid)
+        with pytest.raises(GridSizeError, match="1000 levels allow at most 8388 cells, got"):
+            oracle_report(P3, l_max=0, k_max=999)
+
+    def test_four_cells_per_level_before_any_eigensolve(self, monkeypatch):
+        import scipy.linalg
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("eigh_tridiagonal was called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", unreachable)
+        with pytest.raises(GridSizeError, match=r"count must be in \[1, 100\] for 400 cells"):
+            oracle_report(P3, l_max=0, k_max=100, grid=RadialGrid(0.0, 12.0, 400))
+
+    @pytest.mark.parametrize("lam", [0.0, 10.0])
+    def test_box_holds_the_top_level(self, lam):
+        # the wall lies 4.5 Gaussian widths beyond the outer turning radius
+        # of the top level, with the width bounded by the oscillator at
+        # frequency sqrt(1 - 2 g top) or by E >= top/2: at g = 0 it is
+        # sqrt(2 nu) + 4.5; at g = 10, top = 1/(2g) and the bound is sqrt(2 nu/top)
+        for l, k_max in ((0, 0), (2, 2), (0, 40)):
+            nu = 2 * k_max + l + 1.5
+            width = 1.0 if lam == 0 else math.sqrt(2.0 * nu * 2.0 * lam)
+            box = default_radial_grid(ModelParams(lam=lam, dim=3), l, k_max)
+            assert box.r_max == pytest.approx(width * (math.sqrt(2.0 * nu) + 4.5), rel=1e-15)
 
 
 class TestScaleFree:
