@@ -15,8 +15,9 @@ The pair is DOP853, the Dormand-Prince 8(5,3) pair (Prince & Dormand 1981;
 Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), written here in numpy
 with the tableau, error estimate and step-size controller of scipy's
 DOP853, so that it takes the same steps while the classical layer loads no
-scipy module. Its 7th-order dense output writes the samples and is not
-kept.
+scipy module. A step that holds samples writes them as one product of their
+values of the basis x, x(1 - x), x^2 (1 - x), ..., x^4 (1 - x)^3 with the 7
+rows of its 7th-order dense output, which is not kept.
 """
 
 from __future__ import annotations
@@ -141,26 +142,30 @@ def hamilton_rhs(params: ModelParams):
     it loses no digits at large lam q^2.
 
     The state is one or more orbits stacked end to end, each laid out as
-    [q, p], so its length is a multiple of 2N.
+    [q, p], so its length is a multiple of 2N; its squares times a (2N, 2)
+    selector give lam q^2 and lam p^2 of every orbit at once.
     """
     n = params.dim
-    lam, omega_sq = params.lam, params.omega**2
+    select = np.zeros((2 * n, 2))
+    select[:n, 0] = select[n:, 1] = params.lam
+    # turns (lam q^2, lam p^2) into (1 + lam q^2, lam p^2 - omega^2)
+    shift = np.array([1.0, -params.omega**2])
 
     def rhs(_t, y):
-        z = y.reshape(-1, 2 * n)
-        q, p = z[:, :n], z[:, n:]
-        q_sq = (q * q).sum(axis=1, keepdims=True)
-        p_sq = (p * p).sum(axis=1, keepdims=True)
-        inv_m = 1.0 / (1.0 + lam * q_sq)
-        pdot = q * ((lam * p_sq - omega_sq) * inv_m * inv_m)
-        return np.concatenate([p * inv_m, pdot], axis=1).ravel()
+        coeffs = np.dot((y * y).reshape(-1, 2 * n), select)
+        coeffs += shift
+        inv_m, force = coeffs[:, 0], coeffs[:, 1]
+        np.divide(1.0, inv_m, out=inv_m)
+        force *= inv_m
+        force *= inv_m
+        return (y.reshape(-1, 2, n)[:, ::-1] * coeffs[:, :, None]).ravel()
 
     return rhs
 
 
 _CONTROL_FLOOR = 2.5e-14
 # undeformed periods 2 pi/omega per orbit: the default `classical` run over
-# this many takes about 7-9 s on a 2-vCPU VM
+# this many takes about 3-4 s on a 2-vCPU VM
 _MAX_PERIODS = 1000
 _EPS = float(np.finfo(float).eps)
 _NEWTON_ITERATIONS = 100
@@ -274,56 +279,57 @@ _D = _from_rows(16, (
 ))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8  # the embedded error is of order 7 + 1
+_E53 = np.vstack((_E5, _E3))
+# rows F0..F6 of the dense output, y(t + x h) - y(t) = sum_j b_j(x) F_j, are h
+# times these combinations of the 16 stages k: F0 = y(t + h) - y(t) = h B k,
+# F1 = h k0 - F0, F2 = 2 F0 - h (k0 + k12), and F3..F6 = h _D k. The basis
+# x, x(1 - x), x^2 (1 - x), ..., x^4 (1 - x)^3 is a running product of x and,
+# where True, 1 - x.
+_B16 = np.append(_B, np.zeros(4))
+_K0, _K12 = np.eye(16)[[0, 12]]
+_F = np.vstack((_B16, _K0 - _B16, 2.0 * _B16 - _K0 - _K12, _D))
+_TIMES_ONE_MINUS_X = np.arange(7) % 2 == 1
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size**0.5
-
-
-def _error_norm(k, h, scale):
-    """Scaled error of a step, h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n), from
-    its fifth- and third-order estimates e5 and e3."""
-    err5_sq = np.linalg.norm(np.dot(k.T, _E5) / scale) ** 2
-    err3_sq = np.linalg.norm(np.dot(k.T, _E3) / scale) ** 2
-    if err5_sq == 0 and err3_sq == 0:
+    """Root mean square of x, from x / max |x| so that no square overflows."""
+    top = float(np.max(np.abs(x)))
+    if top == 0.0:
         return 0.0
-    return h * err5_sq / np.sqrt((err5_sq + 0.01 * err3_sq) * len(scale))
+    return top * (float(np.linalg.norm(x / top)) / math.sqrt(x.size))
 
 
-def _dense_increment(coeffs, x):
-    """y(t + x h) - y(t) from the 7th-order dense output of the step [t, t + h],
-    x(F0 + (1 - x)(F1 + x(F2 + ... F6))) for its rows F0..F6 in `coeffs`."""
-    y = coeffs[-1] * x
-    for i, row in enumerate(coeffs[-2::-1], start=1):
-        y = (y + row) * (1 - x if i % 2 else x)
-    return y
+def _dop853(rhs, scale, y0, grid, tol):
+    """Integrate y' = scale * rhs(t, y) from grid[0] to grid[-1] by DOP853.
 
-
-def _dop853(fun, y0, grid, tol):
-    """Integrate y' = fun(t, y) from grid[0] to grid[-1] by DOP853.
-
-    A step is accepted when its error norm (`_error_norm`), scaled by
-    tol + max(|y|, |y_new|) tol, is below 1. The next step is the current one
-    times 0.9 err^(-1/8), clamped to [0.2, 10], and never grows right after
-    a rejection; the first step follows Hairer, Norsett & Wanner, Sec. II.4,
-    for order 7. A NaN error counts as a rejection, so a right-hand side
-    that returns NaN or inf shrinks the step until it falls below
-    10 ulp(t), where this raises ConvergenceError; so does a NaN first step.
+    A step is accepted when its error, h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2)
+    n) for its fifth- and third-order estimates e5 and e3, each divided by
+    tol + max(|y|, |y_new|) tol, is below 1. The next step is the current
+    one times 0.9 err^(-1/8), clamped to [0.2, 10], and never grows right
+    after a rejection; the first step follows Hairer, Norsett & Wanner,
+    Sec. II.4, for order 7. A NaN error counts as a rejection, so a
+    right-hand side that returns NaN or inf shrinks the step until it falls
+    below 10 ulp(t), where this raises ConvergenceError; so does a NaN first
+    step.
 
     A step that holds a sample spends 3 more evaluations on its 7th-order
-    dense output. Returns the solution at `grid`, shape (len(y0), len(grid)),
-    each sample from the dense output of the step that contains it, and the
-    work done.
+    dense output, and writes its samples as one product of their basis
+    values (samples in the step x 7) with the output's 7 rows h `_F` k.
+    Returns the solution at `grid`, shape (len(grid), len(y0)), and the work
+    done.
     """
     t, t_end = float(grid[0]), float(grid[-1])
     y = y0
-    samples = np.empty((len(y0), len(grid)))
-    k = np.empty((16, len(y0)))
-    f = fun(t, y)
-    scale = tol + np.abs(y) * tol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    samples = np.empty((len(grid), len(y0)))
+    k = np.empty((16, len(y0)))  # row 0 holds f(t) at each step's start
+    ah = np.empty_like(_A)
+    # each stage's node, weights h A[s, :s] and inputs k[:s], and its row of k
+    stages = [(c, ah[s, :s], k[:s], k[s]) for s, c in enumerate(_C.tolist())]
+    f = np.multiply(rhs(t, y), scale, out=k[0])
+    weight = tol + np.abs(y) * tol
+    d0, d1 = _rms(y / weight), _rms(f / weight)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end - t)
-    d2 = _rms((fun(t + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _rms((scale * rhs(t + h0, y + h0 * f) - f) / weight) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -343,15 +349,16 @@ def _dop853(fun, y0, grid, tol):
                 )
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            k[0] = f
-            for s in range(1, 12):
-                k[s] = fun(t + _C[s] * h, y + np.dot(k[:s].T, _A[s, :s]) * h)
-            y_new = y + h * np.dot(k[:12].T, _B)
-            f_new = fun(t + h, y_new)
-            k[12] = f_new
+            np.multiply(_A, h, out=ah)
+            for c, a, ks, out in stages[1:12]:
+                np.multiply(rhs(t + c * h, y + np.dot(a, ks)), scale, out=out)
+            y_new = y + np.dot(ah[12, :12], k[:12])
+            np.multiply(rhs(t + h, y_new), scale, out=k[12])
             nfev += 12
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error_norm = _error_norm(k[:13], h, scale)
+            err = np.dot(_E53, k[:13]) / (tol + np.maximum(np.abs(y), np.abs(y_new)) * tol)
+            (err5_sq, _), (_, err3_sq) = np.dot(err, err.T).tolist()
+            denom = math.sqrt((err5_sq + 0.01 * err3_sq) * len(y))
+            error_norm = h * err5_sq / denom if denom else 0.0
             if error_norm < 1:
                 factor = (
                     _MAX_FACTOR
@@ -366,17 +373,15 @@ def _dop853(fun, y0, grid, tol):
             rejected += 1
         stop = int(np.searchsorted(grid, t_new, side="right"))
         if stop > next_sample:
-            for s in range(13, 16):
-                k[s] = fun(t + _C[s] * h, y + np.dot(k[:s].T, _A[s, :s]) * h)
+            for c, a, ks, out in stages[13:]:
+                np.multiply(rhs(t + c * h, y + np.dot(a, ks)), scale, out=out)
             nfev += 3
-            delta = y_new - y
-            coeffs = np.vstack(
-                (delta, h * k[0] - delta, 2 * delta - h * (f_new + k[0]), h * np.dot(_D, k))
-            )
-            x = (grid[next_sample:stop] - t) / h
-            samples[:, next_sample:stop] = _dense_increment(coeffs[:, :, None], x) + y[:, None]
+            x = (grid[next_sample:stop, None] - t) / h
+            basis = np.cumprod(np.where(_TIMES_ONE_MINUS_X, 1.0 - x, x), axis=1)
+            np.add(np.dot(basis, np.dot(_F * h, k)), y, out=samples[next_sample:stop])
             next_sample = stop
-        t, y, f = t_new, y_new, f_new
+        t, y = t_new, y_new
+        k[0] = k[12]
     return samples, RKStats(nfev, accepted, rejected)
 
 
@@ -437,27 +442,21 @@ def integrate_orbits(
             f"{_CONTROL_FLOOR}; integrate fewer orbits per call"
         )
 
-    rhs = hamilton_rhs(params)
-    scale = np.repeat(spans, 2 * n)
-
-    def stacked_rhs(s, y):
-        return scale * rhs(s, y)
-
     y0 = np.concatenate([np.concatenate([state.q, state.p]) for state in states])
-    ys, stats = _dop853(stacked_rhs, y0, np.linspace(0.0, 1.0, samples), control)
-    trajs = []
-    for i in range(len(states)):
-        rows = slice(2 * n * i, 2 * n * (i + 1))
-        trajs.append(
-            Trajectory(
-                t=np.linspace(t0[i], t_ends[i], samples),
-                q=ys[rows][:n].T.copy(),
-                p=ys[rows][n:].T.copy(),
-                params=params,
-                stats=stats,
-            )
+    ys, stats = _dop853(
+        hamilton_rhs(params), np.repeat(spans, 2 * n), y0, np.linspace(0.0, 1.0, samples), control
+    )
+    orbits = ys.reshape(samples, len(states), 2, n)  # sample, orbit, q or p, axis
+    return [
+        Trajectory(
+            t=np.linspace(t0[i], t_ends[i], samples),
+            q=orbits[:, i, 0],
+            p=orbits[:, i, 1],
+            params=params,
+            stats=stats,
         )
-    return trajs
+        for i in range(len(states))
+    ]
 
 
 def integrate_orbit(
@@ -503,9 +502,10 @@ def exact_orbit(
                         + C / (2 Omega) (1 - cos(2 Omega tau))).
 
     Its slope 1 + lam |q(tau)|^2 is at least 1, so Newton's method, kept
-    inside a bracket, inverts it. Only cross-checks read this; the
-    integrator never does. Newton, not the shared bisection: bisection took
-    4x as long on classical-conservation's 20 x 2001 inversions (2-vCPU Xeon).
+    inside a bracket and started from one fixed-point step, inverts it.
+    Only cross-checks read this; the integrator never does. Newton, not the
+    shared bisection: bisection took 4x as long on classical-conservation's
+    20 x 2001 inversions (2-vCPU Xeon).
     """
     w = effective_frequency(hamiltonian(state, params), params)
     q0, p0, lam = state.q, state.p, params.lam
@@ -518,13 +518,17 @@ def exact_orbit(
     s = np.asarray(times, dtype=float) - state.t
     lo = (s - lam * (v + amp)) / rate
     hi = (s - lam * (v - amp)) / rate
-    tau = 0.5 * (lo + hi)
+    # one fixed-point step from s / rate, then Newton with one sin and cos each
+    tau = s / rate
+    sin1, cos1 = np.sin(w * tau), np.cos(w * tau)
+    tau = np.clip((s - lam * (u * 2.0 * sin1 * cos1 + 2.0 * v * sin1 * sin1)) / rate, lo, hi)
     for _ in range(_NEWTON_ITERATIONS):
-        sin2, cos2 = np.sin(2.0 * w * tau), np.cos(2.0 * w * tau)
-        resid = rate * tau + lam * (u * sin2 + 2.0 * v * np.sin(w * tau) ** 2) - s
+        sin1, cos1 = np.sin(w * tau), np.cos(w * tau)
+        sin2, sin1_sq = 2.0 * sin1 * cos1, sin1 * sin1  # cos 2x = 1 - 2 sin^2 x
+        resid = rate * tau + lam * (u * sin2 + 2.0 * v * sin1_sq) - s
         lo = np.where(resid < 0, tau, lo)
         hi = np.where(resid > 0, tau, hi)
-        newton = tau - resid / (rate + 2.0 * w * lam * (u * cos2 + v * sin2))
+        newton = tau - resid / (rate + 2.0 * w * lam * (u * (1.0 - 2.0 * sin1_sq) + v * sin2))
         step = np.where((newton > lo) & (newton < hi), newton, 0.5 * (lo + hi))
         done = np.all(np.abs(step - tau) <= 4.0 * _EPS * (np.abs(step) + 1.0 / w))
         tau = step

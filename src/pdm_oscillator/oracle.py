@@ -246,11 +246,13 @@ def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.nd
     LAPACK stein iterates at each shift on the scaled standard form; each
     eigenvalue is the Rayleigh quotient z^T T z / z^T z of its vector, which
     is accurate to second order in the vector's error, and each eigenvector
-    is returned in the original phi variables. A LAPACK failure raises
-    ConvergenceError, and so does a quotient that lies no nearer its own
-    shift than another shift (two shifts landing on one eigenpair), unless
-    it is within rounding of its own: shifts that agree to rounding belong to
-    a cluster that double precision holds as one eigenvalue.
+    is returned in the original phi variables, formed in place on stein's
+    block a chunk of columns at a time. A LAPACK failure raises
+    ConvergenceError. A quotient that lies no nearer its own shift than
+    another shift, unless within rounding of its own (shifts that agree to
+    rounding belong to a cluster that double precision holds as one
+    eigenvalue), raises GridSizeError where the shifts are distinct, as they
+    are then off by more than the level spacing, and ConvergenceError else.
     """
     d, e, inv_sqrt_w, scale = _reduced(op)
     shifts = np.asarray(shifts, dtype=float)
@@ -263,23 +265,35 @@ def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.nd
     z, info = dstein(d, e, shifts / scale, np.ones(n, dtype=np.int32), isplit)
     if info != 0:
         raise ConvergenceError(f"tridiagonal eigensolve failed: stein info={info}")
-    # T z first, so that each term z_i (T z)_i is near E z_i^2: summing d z^2
-    # and 2 e z z' directly cancels O(|T|) partial sums down to E
-    tz = d[:, None] * z
-    tz[:-1] += e[:, None] * z[1:]
-    tz[1:] += e[:, None] * z[:-1]
-    values = (z * tz).sum(axis=0) / (z * z).sum(axis=0) * scale
+    values = np.empty(len(shifts))
+    width = math.ceil(len(shifts) / 8)  # columns per chunk: 8 chunks at most
+    for j in range(0, len(shifts), width):
+        chunk = z[:, j : j + width]
+        # T z first, so that each term z_i (T z)_i is near E z_i^2: summing d z^2
+        # and 2 e z z' directly cancels O(|T|) partial sums down to E
+        tz = d[:, None] * chunk
+        tz[:-1] += e[:, None] * chunk[1:]
+        tz[1:] += e[:, None] * chunk[:-1]
+        tz *= chunk
+        values[j : j + width] = tz.sum(axis=0) / (chunk * chunk).sum(axis=0) * scale
+        chunk *= inv_sqrt_w[:, None]
     # a-priori bound on the rounding error of z^T T z: n terms, |T| <= 3
     rounding = 3.0 * n * np.finfo(float).eps * scale
     own = np.abs(values - shifts)
     others = np.abs(values[:, None] - shifts)
     np.fill_diagonal(others, np.inf)
-    if not np.all((own < others.min(axis=1)) | (own <= rounding)):
+    lost = ~((own < others.min(axis=1)) | (own <= rounding))
+    if np.any(lost) and np.all(np.diff(shifts) > rounding):
+        raise GridSizeError(
+            f"grid too coarse for the level spacing: inverse iteration from its level "
+            f"{np.argmax(lost)} (counted from 0) converged nearer another level"
+        )
+    if np.any(lost):
         raise ConvergenceError(
             "tridiagonal eigensolve failed: inverse iteration left an eigenvalue "
             "nearer another shift than its own"
         )
-    return values, z * inv_sqrt_w[:, None]
+    return values, z
 
 
 def _boundary_contaminated(op: DiscretizedOperator, vector: np.ndarray) -> bool:

@@ -429,6 +429,24 @@ class TestDormandPrince:
             bound = 1e-13 * np.max(np.abs(ref))
             assert np.max(np.abs(np.hstack([traj.q, traj.p]) - ref)) <= bound
 
+    def test_battery_work_is_pinned(self):
+        # the verify-all details of both classical checks: a faster integrator
+        # must take these very steps, not fewer
+        (conservation, _), closure = verify.check_classical_conservation(), verify.check_orbit_closure()
+        work = ("rk_nfev", "rk_accepted_steps", "rk_rejected_steps")
+        assert [conservation.details[key] for key in work] == [3614, 240, 1]
+        assert [closure.details[key] for key in work] == [2160, 170, 8]
+
+    def test_rms_does_not_overflow(self):
+        # the first step's norms of states and rates near 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classical._rms(np.array([1e300, -1e300, 0.0, 0.0])) == pytest.approx(
+                1e300 / math.sqrt(2), rel=1e-15
+            )
+            assert classical._rms(np.zeros(3)) == 0.0
+        assert classical._rms(np.array([3.0, 4.0])) == pytest.approx(math.sqrt(12.5), rel=1e-15)
+
     @pytest.mark.parametrize("after", [0, 5])
     def test_nan_rhs_raises(self, monkeypatch, after):
         calls = counting_rhs(monkeypatch, after=after)

@@ -182,6 +182,18 @@ class TestClassicalCommand:
         )
         assert code == 1
 
+    def test_extreme_omega_without_warnings(self, tmp_path, capsys):
+        # at omega = 1e150 the state's momenta and rates reach 1e150: the
+        # first step's RMS norms must not square them
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.run(["classical", "--omega", "1e150", "--t-end", "1e-149", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        rows = read_csv(out)
+        assert len(rows) == 2001
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+
 
 class TestDeformCommand:
     def test_matches_closed_form(self, tmp_path):
@@ -562,6 +574,20 @@ class TestErrorPaths:
             assert cli.run(["oracle", *argv, "--out", str(out)]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {flag}")
+        assert not out.exists()
+
+    def test_grid_too_coarse_for_the_level_spacing_names_the_flag(self, tmp_path, capsys):
+        # 1000 cells hold k = 80 within the size bounds, but the coarse
+        # grid's top levels are off by more than their spacing, so inverse
+        # iteration on the refined grid lands on a neighbouring level
+        out = tmp_path / "x.csv"
+        argv = ["oracle", "--lambda", "0.02", "--l", "0", "--k", "80", "--grid-points", "1000"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run([*argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --grid-points 1000: ")
+        assert "too coarse for the level spacing" in lines[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("hbar", ["1e7", "1e8", "1e10"])

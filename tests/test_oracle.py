@@ -235,6 +235,23 @@ class TestGeneralizedEigen:
         with pytest.raises(ConvergenceError):
             _eigenpairs_near(discretize_radial(P3, 0, grid.refined()), [e0, e0])
 
+    def test_traced_peak_is_stein_block_and_a_chunk(self):
+        # Rayleigh quotients and the returned vectors are formed on stein's
+        # block in place, a chunk of columns at a time: the traced peak
+        # (numpy buffers included) stays near one block
+        grid = default_radial_grid(P3, 0, 40)
+        shifts = solve_generalized_eigen(discretize_radial(P3, 0, grid), 41)
+        op = discretize_radial(P3, 0, grid.refined())
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            values, vectors = _eigenpairs_near(op, shifts)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert vectors.shape == (op.size(), 41)
+        assert peak <= 2.1 * vectors.nbytes
+
     def test_one_bisection_per_l(self, monkeypatch):
         # the given grid is bisected, and the refined grid gets one inverse
         # iteration at those eigenvalues: 3 + 3 LAPACK calls for l <= 2
