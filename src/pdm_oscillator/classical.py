@@ -413,8 +413,8 @@ def integrate_orbits(
     t_ends = np.asarray(t_ends, dtype=float)
     if not states or len(t_ends) != len(states):
         raise DomainError("need one t_end per initial state, and at least one state")
-    if tol <= 0:
-        raise DomainError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tol must be finite and > 0")
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples}")
     n = params.dim

@@ -7,13 +7,19 @@ default; JSON for verify-all) and prints a one-line summary. Exit codes:
 0 success, 1 parse/domain error, 2 verification failure (verify-all only).
 Outputs contain no timestamps and all randomness is seed-fixed, so
 identical invocations produce byte-identical artifacts.
+
+The module imports the errors and the geometry, which every command uses.
+Each command imports the other layers it runs inside its own function:
+`spectrum` and `deform` the spectrum, `geometry` and
+`effective-potential` the spectrum's column writers, and `wavefunction`,
+`classical`, `oracle` and `verify-all` their own layer with what it
+imports. `json` is imported only for a JSON artifact.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import math
 import os
 import sys
@@ -21,7 +27,6 @@ import tempfile
 
 import numpy as np
 
-from .classical import PhaseState, conserved_series, integrate_orbits
 from .errors import BracketingError, ConvergenceError, DomainError, GridSizeError
 from .geometry import (
     EffectivePotentialSpec,
@@ -32,19 +37,6 @@ from .geometry import (
     potential,
     scalar_curvature,
 )
-from .oracle import RadialGrid, default_radial_grid, oracle_report
-from .spectrum import (
-    SpectrumTable,
-    _table_levels,
-    energy_closed_form,
-    harmonic_base,
-    json_rows,
-    solve_deformed_spectrum,
-    spectrum_table,
-    write_csv,
-)
-from .verify import run_all
-from .wavefunctions import RadialEigenfunction, normalize
 
 __all__ = ["run", "main"]
 
@@ -143,6 +135,8 @@ def _artifact(columns, args) -> str:
     """Named columns, or a SpectrumTable, as CSV or as JSON rows under the
     invocation's config. A table goes through its own to_csv and
     to_json_rows, the same writers, which perfbench's traced run times."""
+    from .spectrum import SpectrumTable, json_rows, write_csv
+
     is_table = isinstance(columns, SpectrumTable)
     if args.format == "csv":
         buf = io.StringIO()
@@ -151,11 +145,15 @@ def _artifact(columns, args) -> str:
         else:
             write_csv(columns, buf)
         return buf.getvalue()
+    import json
+
     rows = columns.to_json_rows() if is_table else json_rows(columns)
     return json.dumps({"config": _config_dict(args), "rows": rows}, indent=2)
 
 
 def _cmd_spectrum(args, params) -> tuple[str, str, int]:
+    from .spectrum import spectrum_table
+
     table = spectrum_table(args.n_max, params)
     last = float(table.energy[-1])
     summary = (
@@ -166,6 +164,8 @@ def _cmd_spectrum(args, params) -> tuple[str, str, int]:
 
 
 def _cmd_oracle(args, params) -> tuple[str, str, int]:
+    from .oracle import RadialGrid, default_radial_grid, oracle_report
+
     base = default_radial_grid(params, args.l, args.k)  # lengths in sqrt(hbar/omega)
     r_max = base.r_max if args.r_max is None else args.r_max * math.sqrt(params.omega / params.hbar)
     if not 0 < r_max < math.inf:
@@ -190,16 +190,36 @@ def _check_grid_points(args) -> None:
         raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
 
 
+def _check_r_max(r_max: float) -> None:
+    if not 0 < r_max < math.inf:
+        raise DomainError(f"--r-max must be finite and > 0, got {r_max:g}")
+
+
+def _finite_curve(fn, r, arg, label: str, r_max: float) -> np.ndarray:
+    """fn(r, arg) at every sample; a value that leaves the doubles, as the
+    closed forms do once r^2 overflows, is an error, not a NaN or inf row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.atleast_1d(fn(r, arg))
+    if not np.isfinite(values).all():
+        raise DomainError(f"the {label} is not a finite double on the grid to --r-max {r_max:g}")
+    return values
+
+
 def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
+    from .wavefunctions import RadialEigenfunction, normalize
+
     _check_grid_points(args)
+    if args.r_max is not None:
+        _check_r_max(args.r_max)
     f = normalize(RadialEigenfunction.from_quantum_numbers(args.k, args.l, params))
     r_max = args.r_max if args.r_max is not None else 10.0 / f.beta
     r = np.linspace(0.0, r_max, args.grid_points)
     with np.errstate(over="ignore", invalid="ignore"):
         weight = (1.0 + params.lam * r**2) * r ** (params.dim - 1)
     if not np.isfinite(weight).all():
+        box = f"r_max={r_max:g}" if args.r_max is None else f"--r-max {r_max:g}"
         raise DomainError(
-            f"r_max={r_max:g} is out of range at hbar={params.hbar:g}, "
+            f"{box} is out of range at hbar={params.hbar:g}, "
             f"omega={params.omega:g}: the weight factor (1 + lam r^2) r^(N-1) overflows"
         )
     values = f(r)
@@ -222,6 +242,8 @@ def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
 
 
 def _cmd_classical(args, params) -> tuple[str, str, int]:
+    from .classical import PhaseState, conserved_series, integrate_orbits
+
     dim = params.dim
     if args.q0 is not None:
         q0 = _parse_vector(args.q0, dim, "--q0")
@@ -260,11 +282,12 @@ def _cmd_classical(args, params) -> tuple[str, str, int]:
 
 def _cmd_effective_potential(args, params) -> tuple[str, str, int]:
     _check_grid_points(args)
+    _check_r_max(args.r_max)
     spec = EffectivePotentialSpec(params, args.cn)
     start = 0.0 if args.cn == 0 else args.r_max / (10.0 * args.grid_points)
     r = np.linspace(start, args.r_max, args.grid_points)
-    values = effective_potential(r, spec)
-    artifact = _artifact({"r": r, "value": np.atleast_1d(values)}, args)
+    values = _finite_curve(effective_potential, r, spec, "effective potential", args.r_max)
+    artifact = _artifact({"r": r, "value": values}, args)
     if args.cn > 0 and params.omega > 0:
         r_min, u_min = effective_minimum(spec)
         summary = f"effective-potential: minimum {_fmt(u_min)} at r={_fmt(r_min)}"
@@ -280,17 +303,20 @@ def _cmd_geometry(args, params) -> tuple[str, str, int]:
         "potential": potential,
     }
     _check_grid_points(args)
+    _check_r_max(args.r_max)
     r = np.linspace(0.0, args.r_max, args.grid_points)
-    values = fns[args.quantity](r, params)
-    artifact = _artifact({"r": r, "value": np.atleast_1d(values)}, args)
+    values = _finite_curve(fns[args.quantity], r, params, args.quantity, args.r_max)
+    artifact = _artifact({"r": r, "value": values}, args)
     summary = (
         f"geometry: {args.quantity} sampled at {args.grid_points} points, "
-        f"value({_fmt(args.r_max)})={_fmt(float(np.atleast_1d(values)[-1]))}"
+        f"value({_fmt(args.r_max)})={_fmt(float(values[-1]))}"
     )
     return artifact, summary, 0
 
 
 def _cmd_deform(args, params) -> tuple[str, str, int]:
+    from .spectrum import _table_levels, energy_closed_form, harmonic_base, solve_deformed_spectrum
+
     levels = _table_levels(args.n_max)
     fixed = solve_deformed_spectrum(harmonic_base(params), levels, params)
     closed = energy_closed_form(levels, params)
@@ -307,6 +333,10 @@ def _cmd_deform(args, params) -> tuple[str, str, int]:
 
 
 def _cmd_verify_all(args) -> tuple[str, str, int]:
+    import json
+
+    from .verify import run_all
+
     results = run_all()
     all_passed = all(r.passed for r in results)
     payload = {

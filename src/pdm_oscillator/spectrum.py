@@ -10,7 +10,6 @@ or an array of levels and make one vectorized bisection.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -420,6 +419,8 @@ class SpectrumTable:
         return json_rows(self.columns())
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_rows(), indent=2)
 
 

@@ -182,8 +182,9 @@ class TestIntegrateOrbit:
         state = PhaseState(q=np.zeros(3), p=np.zeros(3))
         with pytest.raises(DomainError):
             integrate_orbit(state, P3, t_end=-1.0)
-        with pytest.raises(DomainError):
-            integrate_orbit(state, P3, t_end=1.0, tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="tol must be finite and > 0"):
+                integrate_orbit(state, P3, t_end=1.0, tol=tol)
         for t_end in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 integrate_orbit(state, P3, t_end=t_end)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pdm_oscillator.cli as cli
-from pdm_oscillator import classical, verify
+from pdm_oscillator import classical, oracle, verify
 from pdm_oscillator.verify import CheckResult
 
 
@@ -272,13 +272,13 @@ class TestOracleCommand:
         from pdm_oscillator import ModelParams, default_radial_grid
 
         base = default_radial_grid(ModelParams(lam=0.02, dim=3), 2, 2)
-        grids, report = [], cli.oracle_report
+        grids, report = [], oracle.oracle_report
 
         def recording(params, l_max, k_max, grid):
             grids.append(grid)
             return report(params, l_max, k_max, grid)
 
-        monkeypatch.setattr(cli, "oracle_report", recording)
+        monkeypatch.setattr(oracle, "oracle_report", recording)
         out = tmp_path / "x.csv"
         assert cli.run(["oracle", "--r-max", str(3.0 * base.r_max), "--out", str(out)]) == 0
         assert all(float(r["rel_error"]) < 1e-10 for r in read_csv(out))
@@ -457,6 +457,38 @@ class TestErrorPaths:
         assert cli.run(argv + ["--out", str(out)]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["geometry", "--r-max", "nan"], "--r-max"),
+            (["geometry", "--r-max", "0"], "--r-max"),
+            (["geometry", "--r-max", "inf"], "--r-max"),
+            (["geometry", "--quantity", "potential", "--r-max", "1e200"], "--r-max"),
+            (["geometry", "--quantity", "metric", "--r-max", "1e200"], "--r-max"),
+            (["effective-potential", "--r-max", "nan"], "--r-max"),
+            (["effective-potential", "--r-max", "1e200"], "--r-max"),
+            (["wavefunction", "--r-max", "0"], "--r-max"),
+            (["wavefunction", "--r-max", "nan"], "--r-max"),
+            (["classical", "--tol", "nan"], "tol must be finite and > 0"),
+            (["classical", "--tol", "inf"], "tol must be finite and > 0"),
+        ],
+        ids=["geometry-nan", "geometry-zero", "geometry-inf", "geometry-potential-overflows",
+             "geometry-metric-overflows", "effective-potential-nan",
+             "effective-potential-overflows", "wavefunction-zero", "wavefunction-nan",
+             "classical-tol-nan", "classical-tol-inf"],
+    )
+    def test_bad_box_or_tolerance_is_one_error_line(self, tmp_path, capsys, argv, flag):
+        # a box that is not a positive double, or whose r^2 overflows in the
+        # closed forms, would give rows at r = 0 only or NaN rows; a NaN or
+        # infinite tolerance would stall the step-size control
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run(argv + ["--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -681,7 +713,7 @@ class TestVerifyAll:
             CheckResult(name="bad", passed=False, measured=9.0, expected="x",
                         tolerance=1.0),
         ]
-        monkeypatch.setattr(cli, "run_all", lambda: fake)
+        monkeypatch.setattr(verify, "run_all", lambda: fake)
         out = tmp_path / "verify.json"
         code = cli.run(["verify-all", "--out", str(out)])
         assert code == 2
@@ -695,7 +727,7 @@ class TestVerifyAll:
             CheckResult(name="good", passed=True, measured=0.0, expected="x",
                         tolerance=1.0, details={"extra": math.inf}),
         ]
-        monkeypatch.setattr(cli, "run_all", lambda: fake)
+        monkeypatch.setattr(verify, "run_all", lambda: fake)
         out = tmp_path / "verify.json"
         assert cli.run(["verify-all", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
@@ -732,13 +764,89 @@ assert pdm_oscillator.closure_check(orbit, tol=1e-6)[0]
 assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
 """
 
-    def test_closed_form_commands_load_no_scipy(self, tmp_path):
-        # a fresh interpreter: this test process has loaded scipy long ago
+    # the public names of each layer that the package exports
+    PUBLIC = {
+        "classical": ["PhaseState", "Trajectory", "closure_check", "conserved_series",
+                      "estimate_radial_period", "exact_orbit", "hamiltonian", "integrate_orbit"],
+        "errors": ["BracketingError", "ConvergenceError", "DomainError", "GridSizeError"],
+        "geometry": ["EffectivePotentialSpec", "ModelParams", "effective_minimum",
+                     "effective_potential", "metric_factor", "potential", "scalar_curvature"],
+        "oracle": ["DiscretizedOperator", "RadialGrid", "default_radial_grid", "discretize_radial",
+                   "grid_eigen_residual", "oracle_report", "solve_generalized_eigen"],
+        "specfun": ["hermite_function", "integrate", "laguerre"],
+        "spectrum": ["BaseSpectrum", "QuantumState", "SpectrumTable", "angular_multiplicity",
+                     "continuum_threshold", "degeneracy", "effective_frequency",
+                     "energy_closed_form", "energy_implicit", "harmonic_base",
+                     "solve_deformed_spectrum", "spectrum_table", "threshold_gap"],
+        "wavefunctions": ["CartesianEigenfunction", "RadialEigenfunction", "normalize",
+                          "weighted_inner_product"],
+    }
+
+    @staticmethod
+    def fresh(script, *args) -> str:
+        """Standard output of `script` in a fresh interpreter: this test
+        process has loaded every module long ago."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "s.csv"), str(tmp_path / "w.csv"),
-             str(tmp_path / "c.csv")],
+            [sys.executable, "-c", script, *map(str, args)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_closed_form_commands_load_no_scipy(self, tmp_path):
+        self.fresh(self.SCRIPT, tmp_path / "s.csv", tmp_path / "w.csv", tmp_path / "c.csv")
+
+    def test_package_import_loads_no_layer(self):
+        script = """
+import json, sys
+import pdm_oscillator
+
+loaded = sorted(m for m in sys.modules if m.startswith("pdm_oscillator"))
+listed = dir(pdm_oscillator)
+public = json.loads(sys.argv[1])
+same = {name: getattr(pdm_oscillator, name) is getattr(getattr(pdm_oscillator, layer), name)
+        for layer, names in public.items() for name in names}
+print(json.dumps({"loaded": loaded, "listed": listed, "same": same}))
+"""
+        result = json.loads(self.fresh(script, json.dumps(self.PUBLIC)))
+        assert result["loaded"] == ["pdm_oscillator"]
+        names = [name for names in self.PUBLIC.values() for name in names]
+        assert set(result["listed"]) >= set(self.PUBLIC) | set(names)
+        assert result["same"] == dict.fromkeys(names, True)
+
+    @pytest.mark.parametrize(
+        "argv, layers",
+        [
+            (["spectrum", "--n-max", "3"], ["geometry", "spectrum"]),
+            (["deform", "--n-max", "3"], ["geometry", "spectrum"]),
+            (["geometry", "--grid-points", "5"], ["geometry", "spectrum"]),
+            (["effective-potential", "--grid-points", "5"], ["geometry", "spectrum"]),
+            (["wavefunction", "--grid-points", "5"],
+             ["geometry", "specfun", "spectrum", "wavefunctions"]),
+            (["classical", "--t-end", "1", "--samples", "3"], ["classical", "geometry", "spectrum"]),
+            (["oracle", "--l", "0", "--k", "0"], ["geometry", "oracle", "spectrum"]),
+        ],
+        ids=["spectrum", "deform", "geometry", "effective-potential", "wavefunction", "classical",
+             "oracle"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_command_loads_only_its_layer(self, tmp_path, argv, layers, fmt):
+        script = """
+import sys
+import pdm_oscillator.cli
+
+code = pdm_oscillator.cli.run(sys.argv[1:])
+loaded = sorted(m for m in sys.modules if m.startswith("pdm_oscillator."))
+has_json = "json" in sys.modules
+import json
+print(json.dumps({"code": code, "loaded": loaded, "json": has_json}))
+"""
+        stdout = self.fresh(script, *argv, "--format", fmt, "--out", tmp_path / f"x.{fmt}")
+        result = json.loads(stdout.splitlines()[-1])
+        assert result["code"] == 0
+        want = ["cli", "errors", *layers]
+        assert result["loaded"] == sorted(f"pdm_oscillator.{m}" for m in want)
+        # scipy, which the oracle loads, imports json itself
+        assert result["json"] == (fmt == "json" or "oracle" in layers)

@@ -11,6 +11,10 @@ names: `warm_up` imports and calls both.
 and requires warm_up's orbit to be reported closed.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pdm_oscillator
@@ -53,3 +57,37 @@ def test_traced_warm_up_runs_and_restores(monkeypatch):
     for (layer, name), fn in originals.items():
         assert getattr(getattr(pdm_oscillator, layer), name) is fn
     assert verdicts == [(1e-3, True)]
+
+
+TRACED_CLI = """
+import json, sys
+import pdm_oscillator.cli as cli
+import tracer
+
+rec = tracer.Recorder()
+tracer.install(rec)
+assert cli.run(["oracle", "--l", "0", "--k", "0", "--out", sys.argv[1]]) == 0
+assert cli.run(["classical", "--t-end", "1", "--samples", "3", "--out", sys.argv[2]]) == 0
+print(json.dumps({"spans": sorted({span[0] for span in rec.spans}), "counts": rec.counts}))
+"""
+
+
+def test_traced_cli_sees_every_layer(tmp_path):
+    # trace_cli.py imports the CLI before it installs the tracer, which
+    # patches the package's modules loaded at that moment; the layers a
+    # command imports later must be among them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_CLI, str(tmp_path / "o.csv"), str(tmp_path / "c.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert set(result["spans"]) >= {
+        "oracle.oracle_report",
+        "oracle.discretize_radial",
+        "oracle.solve_generalized_eigen",
+    }
+    assert result["counts"]["oracle.unknowns"] > 0
+    assert result["counts"]["classical.rhs.calls"] > 0
