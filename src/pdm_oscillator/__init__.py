@@ -51,8 +51,6 @@ _EXPORTS = {
     ),
     "specfun": ("hermite_function", "integrate", "laguerre"),
     "spectrum": (
-        "BaseSpectrum",
-        "QuantumState",
         "SpectrumTable",
         "angular_multiplicity",
         "continuum_threshold",

@@ -197,7 +197,8 @@ def _check_r_max(r_max: float) -> None:
 
 def _finite_curve(fn, r, arg, label: str, r_max: float) -> np.ndarray:
     """fn(r, arg) at every sample; a value that leaves the doubles, as the
-    closed forms do once r^2 overflows, is an error, not a NaN or inf row."""
+    metric factor and the flat (lam = 0) potentials do once r^2 overflows,
+    is an error, not a NaN or inf row."""
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.atleast_1d(fn(r, arg))
     if not np.isfinite(values).all():

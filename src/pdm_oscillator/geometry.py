@@ -78,18 +78,45 @@ def metric_factor(r, params: ModelParams):
     return out if out.ndim else float(out)
 
 
+def _split(r, lam):
+    """Split the radii at sqrt(lam)*r = 2^26, past which 1 + lam*r^2 rounds to lam*r^2.
+
+    Returns the mask of the far radii, r with those set to 0, and
+    z = 1/(lam*r^2) <= 2^-52 at them (0 elsewhere), taken as (1/r)/lam/r:
+    no step overflows, whereas r^2 and lam*r^2 do from r of about 1e154.
+    """
+    if lam == 0:
+        return np.zeros(r.shape, dtype=bool), r, np.zeros(r.shape)
+    far = r > 2.0**26 / math.sqrt(lam)
+    z = np.divide(1.0, r, out=np.zeros(r.shape), where=far)
+    z /= lam
+    np.divide(z, r, out=z, where=far)
+    return far, np.where(far, 0.0, r), z
+
+
 def scalar_curvature(r, params: ModelParams):
     """Scalar curvature R(r); negative, increasing, and -> 0 at infinity.
 
+    R = -lam (N-1) (2N + 3(N-2) lam r^2) / (1 + lam r^2)^3, so
     R(0) = -2*lam*N*(N-1), the curvature of the hyperbolic space with
-    sectional curvature -2*lam. Identically zero for N = 1.
+    sectional curvature -2*lam. Identically zero for N = 1. Past the split
+    of _split, numerator and denominator are divided by (lam r^2)^3, so R
+    underflows gracefully instead of overflowing the cube.
     """
     r = _check_radius(r)
     lam, n = params.lam, params.dim
-    lr2 = lam * r * r
-    m = 1.0 + lr2
-    # the cube as a product: np.power's result depends on numpy's SIMD target
-    out = -lam * (n - 1) * (n * (2.0 + 3.0 * lr2) - 6.0 * lr2) / (m * m * m)
+    far, r, z = _split(r, lam)
+    x = lam * r * r
+    m = 1.0 + x
+    w = 1.0 + z
+    coef = -lam * (n - 1)
+    # the cubes as products: np.power's result depends on numpy's SIMD target;
+    # z^2 comes last, so only the final rounding can fall below the normals
+    out = np.where(
+        far,
+        coef * (2.0 * n * z + 3.0 * (n - 2)) / (w * w * w) * z * z,
+        coef * (2.0 * n + 3.0 * (n - 2) * x) / (m * m * m),
+    )
     return out if out.ndim else float(out)
 
 
@@ -97,9 +124,13 @@ def potential(r, params: ModelParams):
     """Central potential omega^2 r^2 / (2 (1 + lam r^2)).
 
     Vanishes at the origin and saturates at omega^2/(2*lam) for lam > 0.
+    Past the split of _split it is omega^2/(2*lam) / (1 + z), z = 1/(lam r^2).
     """
     r = _check_radius(r)
-    out = params.omega**2 * r * r / (2.0 * (1.0 + params.lam * r * r))
+    far, near, z = _split(r, params.lam)
+    out = params.omega**2 * near * near / (2.0 * (1.0 + params.lam * near * near))
+    if params.lam > 0:
+        out = np.where(far, params.omega / (2.0 * params.lam) * params.omega / (1.0 + z), out)
     return out if out.ndim else float(out)
 
 
@@ -108,15 +139,19 @@ def effective_potential(r, spec: EffectivePotentialSpec):
 
     Diverges as r -> 0+ when c_n > 0 and tends to omega^2/(2*lam) at
     infinity. For c_n = 0 the value at r = 0 is the removable limit 0.
+    Past the split of _split the centrifugal term is c_n lam z^2/(2(1+z))
+    with z = 1/(lam r^2), z^2 taken last, as in scalar_curvature.
     """
     r = _check_radius(r)
     p = spec.params
     if spec.c_n > 0 and np.any(r == 0):
         raise DomainError("effective potential is singular at r=0 for c_n > 0")
-    m = 1.0 + p.lam * r * r
+    far, near, z = _split(r, p.lam)
+    m = 1.0 + p.lam * near * near
     with np.errstate(divide="ignore", invalid="ignore"):
-        cent = np.where(r > 0, spec.c_n / (2.0 * m * np.where(r > 0, r, 1.0) ** 2), 0.0)
-    out = cent + p.omega**2 * r * r / (2.0 * m)
+        cent = np.where(near > 0, spec.c_n / (2.0 * m * np.where(near > 0, near, 1.0) ** 2), 0.0)
+    cent = np.where(far, spec.c_n * p.lam / (2.0 * (1.0 + z)) * z * z, cent)
+    out = cent + potential(r, p)
     return out if out.ndim else float(out)
 
 

@@ -20,8 +20,6 @@ from .errors import BracketingError, ConvergenceError, DomainError
 from .geometry import ModelParams
 
 __all__ = [
-    "QuantumState",
-    "BaseSpectrum",
     "harmonic_base",
     "effective_frequency",
     "energy_closed_form",
@@ -189,15 +187,15 @@ def threshold_gap(n, params: ModelParams):
     return out if out.ndim else float(out)
 
 
-def _fixed_point(eval, n, params: ModelParams):
-    """Fixed point E = eval(Omega(E), n) of each level n, by one bisection.
+def _fixed_point(base, n, params: ModelParams):
+    """Fixed point E = base(Omega(E), n) of each level n, by one bisection.
 
-    g(E) = eval(Omega(E), n) - E decreases in E for a base increasing in
-    frequency, and Omega <= omega, so eval(omega, n) bounds the root from
+    g(E) = base(Omega(E), n) - E decreases in E for a base increasing in
+    frequency, and Omega <= omega, so base(omega, n) bounds the root from
     above, as does the threshold: the bracket is [0, top], top the smaller.
     """
-    top = np.minimum(eval(params.omega, n), continuum_threshold(params))
-    return _bisect(lambda e: eval(_omega_eff(e, params), n) - e, np.zeros(np.shape(n)), top)
+    top = np.minimum(base(params.omega, n), continuum_threshold(params))
+    return _bisect(lambda e: base(_omega_eff(e, params), n) - e, np.zeros(np.shape(n)), top)
 
 
 def energy_implicit(n, params: ModelParams):
@@ -214,7 +212,7 @@ def energy_implicit(n, params: ModelParams):
     if params.lam == 0:
         out = params.hbar * params.omega * (n + params.dim / 2.0)
         return out if out.ndim else float(out)
-    return _fixed_point(harmonic_base(params).eval, n, params)
+    return _fixed_point(harmonic_base(params), n, params)
 
 
 def degeneracy(n: int, dim: int) -> int:
@@ -246,111 +244,40 @@ def angular_multiplicity(l: int, dim: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class QuantumState:
-    """Quantum numbers of one bound state with its self-consistent width.
-
-    Either a Cartesian occupation tuple or a radial pair (k, l); in both
-    cases the principal number n (sum of occupations, or 2k + l) fixes the
-    energy, and beta = sqrt(Omega(E)/hbar) is the Gaussian width.
-    """
-
-    mode: str
-    n: int
-    energy: float
-    beta: float
-    n_tuple: tuple[int, ...] | None = None
-    k: int | None = None
-    l: int | None = None
-
-    @classmethod
-    def cartesian(cls, n_tuple, params: ModelParams) -> "QuantumState":
-        n_tuple = tuple(int(v) for v in n_tuple)
-        if len(n_tuple) != params.dim:
-            raise DomainError(
-                f"need {params.dim} occupation numbers, got {len(n_tuple)}"
-            )
-        if any(v < 0 for v in n_tuple):
-            raise DomainError("occupation numbers must be >= 0")
-        n = sum(n_tuple)
-        energy = energy_closed_form(n, params)
-        return cls(
-            mode="cartesian", n=n, energy=energy, beta=_width(n, energy, params),
-            n_tuple=n_tuple,
-        )
-
-    @classmethod
-    def radial(cls, k: int, l: int, params: ModelParams) -> "QuantumState":
-        if k < 0 or l < 0 or int(k) != k or int(l) != l:
-            raise DomainError("radial quantum numbers k, l must be integers >= 0")
-        n = 2 * int(k) + int(l)
-        energy = energy_closed_form(n, params)
-        return cls(
-            mode="radial", n=n, energy=energy, beta=_width(n, energy, params),
-            k=int(k), l=int(l),
-        )
+def harmonic_base(params: ModelParams) -> Callable:
+    """Isotropic-oscillator base spectrum base(w, n) = hbar*w*(n + N/2)."""
+    return lambda w, n: params.hbar * w * (n + params.dim / 2.0)
 
 
-def _width(n: int, energy: float, params: ModelParams) -> float:
-    """Gaussian width sqrt(Omega/hbar) of level n.
-
-    Omega = E/(hbar (n + N/2)) holds exactly by the self-consistent equation
-    and involves no cancellation; sqrt(omega^2 - 2 lam E) loses a relative
-    eps (omega/Omega)^2 near the continuum edge. A width that underflows to
-    0 (hbar far above omega's scale) raises DomainError.
-    """
-    beta = math.sqrt(energy / (params.hbar * (n + params.dim / 2.0)) / params.hbar)
-    if not beta > 0:
-        raise DomainError(
-            f"hbar={params.hbar:g} and omega={params.omega:g} are out of range: "
-            f"the Gaussian width beta = sqrt(Omega/hbar) underflows to 0"
-        )
-    return beta
-
-
-@dataclass(frozen=True)
-class BaseSpectrum:
-    """A solvable reference spectrum eval(frequency, n) -> energy.
-
-    eval broadcasts over arrays of frequency and n, as numpy arithmetic
-    does. The deformation fixed point is well defined only when eval is
-    finite, continuous and strictly increasing in the frequency;
-    solve_deformed_spectrum spot-checks that at each level.
-    """
-
-    eval: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def harmonic_base(params: ModelParams) -> BaseSpectrum:
-    """Isotropic-oscillator base spectrum hbar*w*(n + N/2)."""
-    return BaseSpectrum(eval=lambda w, n: params.hbar * w * (n + params.dim / 2.0))
-
-
-def solve_deformed_spectrum(base: BaseSpectrum, n, params: ModelParams):
+def solve_deformed_spectrum(base: Callable, n, params: ModelParams):
     """Deformed energies of levels n for an arbitrary solvable base spectrum.
 
-    The fixed point of E = base.eval(Omega(E), n) at each level, by one
-    bisection (see _fixed_point); scalar n gives a float, array n an array.
-    One (levels, 33) sample of the base on [0, omega] and one of
-    g(E) = base.eval(Omega(E), n) - E on the bracket [0, top] come first:
-    BracketingError is raised if, at any level, the base is not finite and
-    increasing in frequency, g(0) > 0 >= g(top) fails, or g is not decreasing.
+    The base spectrum is a callable base(frequency, n) -> energy that
+    broadcasts over arrays of frequency and n, as numpy arithmetic does.
+    The fixed point of E = base(Omega(E), n) at each level, by one
+    bisection (see _fixed_point), is well defined only when the base is
+    finite, continuous and strictly increasing in the frequency; scalar n
+    gives a float, array n an array. One (levels, 33) sample of the base
+    on [0, omega] and one of g(E) = base(Omega(E), n) - E on the bracket
+    [0, top] come first: BracketingError is raised if, at any level, the
+    base is not finite and increasing in frequency, g(0) > 0 >= g(top)
+    fails, or g is not decreasing.
     """
     if params.lam <= 0:
         raise DomainError("deformation fixed point requires lam > 0")
     _check_spectrum(params)
     n = _check_levels(n)
     levels = np.atleast_1d(n)
-    vals = base.eval(np.linspace(0.0, params.omega, _BASE_SAMPLES), levels[:, None])
+    vals = base(np.linspace(0.0, params.omega, _BASE_SAMPLES), levels[:, None])
     if not np.all(np.isfinite(vals)):
         raise BracketingError("base spectrum returned non-finite energies")
     scale = np.max(np.abs(vals), axis=-1, keepdims=True) + 1e-300
     if np.any(np.diff(vals) <= -1e-12 * scale):
         raise BracketingError("base spectrum is not increasing in frequency on the sample")
 
-    top = np.minimum(base.eval(params.omega, levels), continuum_threshold(params))
+    top = np.minimum(base(params.omega, levels), continuum_threshold(params))
     e = np.linspace(np.zeros(len(levels)), top, _BASE_SAMPLES, axis=-1)
-    gvals = base.eval(_omega_eff(e, params), levels[:, None]) - e
+    gvals = base(_omega_eff(e, params), levels[:, None]) - e
     bad = np.flatnonzero(~((gvals[:, 0] > 0) & (gvals[:, -1] <= 0)))
     if bad.size:
         i = bad[0]
@@ -360,7 +287,7 @@ def solve_deformed_spectrum(base: BaseSpectrum, n, params: ModelParams):
     scale = np.max(np.abs(gvals), axis=-1, keepdims=True) + 1e-300
     if np.any(np.diff(gvals) >= 1e-12 * scale):
         raise BracketingError("fixed-point map is not decreasing on the bracket")
-    return _fixed_point(base.eval, n, params)
+    return _fixed_point(base, n, params)
 
 
 def write_csv(columns: dict, stream) -> None:

@@ -246,7 +246,7 @@ def check_eigenfunction_residual() -> CheckResult:
         for tup in tuples:
             f = CartesianEigenfunction.from_occupations(tup, p)
             details[f"N={dim},n={tup}"] = grid_eigen_residual(
-                f, f.state.energy, p, half_width=9.5 / f.state.beta, num_points=points[dim]
+                f, f.energy, p, half_width=9.5 / f.beta, num_points=points[dim]
             )
     worst = max(details.values())
     return CheckResult(
@@ -373,7 +373,7 @@ def check_generic_deformation() -> CheckResult:
     p_tiny = ModelParams(lam=1e-12, omega=1.0, hbar=1.0, dim=3)
     base_tiny = harmonic_base(p_tiny)
     levels = np.array([0, 3, 10])
-    limit = solve_deformed_spectrum(base_tiny, levels, p_tiny) - base_tiny.eval(1.0, levels)
+    limit = solve_deformed_spectrum(base_tiny, levels, p_tiny) - base_tiny(1.0, levels)
     limit_err = float(np.max(np.abs(limit)))
     return CheckResult(
         name="generic-deformation",

@@ -1,8 +1,9 @@
 """Bound-state eigenfunctions and the weighted inner product.
 
-Both families carry the energy-dependent Gaussian width beta =
-sqrt(Omega(E)/hbar), so every state of the same principal number shares
-one width and distinct levels have distinct widths. Normalization is
+Each eigenfunction holds its quantum numbers (a Cartesian occupation tuple,
+or a radial pair (k, l)) with its level's energy E_n and Gaussian width
+beta = sqrt(Omega(E_n)/hbar), so every state of the same principal number
+shares one width and distinct levels have distinct widths. Normalization is
 taken in the weighted space L^2((1 + lam*q^2) dq) where the Hamiltonian
 is self-adjoint; the measure for the radial family is
 (1 + lam*r^2) r^(N-1) dr with the angular factor assumed orthonormal.
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import ModelParams
 from .specfun import _laguerre, hermite_function, integrate
-from .spectrum import QuantumState, continuum_threshold
+from .spectrum import continuum_threshold, energy_closed_form
 
 __all__ = [
     "CartesianEigenfunction",
@@ -34,28 +35,59 @@ __all__ = [
 ]
 
 
+def _level(n: int, params: ModelParams) -> tuple[float, float]:
+    """Energy E_n and Gaussian width beta = sqrt(Omega/hbar) of level n.
+
+    Omega = E/(hbar (n + N/2)) holds exactly by the self-consistent equation
+    and involves no cancellation; sqrt(omega^2 - 2 lam E) loses a relative
+    eps (omega/Omega)^2 near the continuum edge. A width that underflows to
+    0 (hbar far above omega's scale) raises DomainError.
+    """
+    energy = energy_closed_form(n, params)
+    beta = math.sqrt(energy / (params.hbar * (n + params.dim / 2.0)) / params.hbar)
+    if not beta > 0:
+        raise DomainError(
+            f"hbar={params.hbar:g} and omega={params.omega:g} are out of range: "
+            f"the Gaussian width beta = sqrt(Omega/hbar) underflows to 0"
+        )
+    return energy, beta
+
+
+def _check_bound(f) -> None:
+    """Reject a state in the continuum regime, or one of width beta <= 0."""
+    if f.params.lam > 0 and f.energy > continuum_threshold(f.params):
+        raise DomainError("state lies in the continuum regime")
+    if not f.beta > 0:
+        raise DomainError(f"the Gaussian width beta must be > 0, got {f.beta}")
+
+
 @dataclass(frozen=True)
 class CartesianEigenfunction:
-    """Product eigenfunction prod_i h_{n_i}(beta q_i).
+    """Product eigenfunction prod_i h_{n_i}(beta q_i) of level n = sum(n_tuple).
 
     h_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)) is the orthonormal
-    Hermite function. norm_constant multiplies the raw product; call
-    `normalize` to fix it so the weighted norm is 1.
+    Hermite function, and energy and beta are those of level n.
+    norm_constant multiplies the raw product; call `normalize` to fix it so
+    the weighted norm is 1.
     """
 
-    state: QuantumState
+    n_tuple: tuple[int, ...]
     params: ModelParams
+    energy: float
+    beta: float
     norm_constant: float = 1.0
 
     def __post_init__(self):
-        if self.state.mode != "cartesian" or self.state.n_tuple is None:
-            raise DomainError("CartesianEigenfunction needs a cartesian QuantumState")
-        if self.params.lam > 0 and self.state.energy > continuum_threshold(self.params):
-            raise DomainError("state lies in the continuum regime")
+        _check_bound(self)
 
     @classmethod
     def from_occupations(cls, n_tuple, params: ModelParams) -> "CartesianEigenfunction":
-        return cls(state=QuantumState.cartesian(n_tuple, params), params=params)
+        n_tuple = tuple(int(v) for v in n_tuple)
+        if len(n_tuple) != params.dim:
+            raise DomainError(f"need {params.dim} occupation numbers, got {len(n_tuple)}")
+        if any(v < 0 for v in n_tuple):
+            raise DomainError("occupation numbers must be >= 0")
+        return cls(n_tuple, params, *_level(sum(n_tuple), params))
 
     def _positions(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -79,8 +111,7 @@ class CartesianEigenfunction:
         per dimension, whose n-point factors (N * n Hermite evaluations)
         give the state on the tensor grid by broadcasting.
         """
-        beta = self.state.beta
-        first, *rest = [hermite_function(n, beta * q) for n, q in zip(self.state.n_tuple, coords)]
+        first, *rest = [hermite_function(n, self.beta * q) for n, q in zip(self.n_tuple, coords)]
         return [self.norm_constant * first, *rest]
 
 
@@ -88,7 +119,8 @@ class CartesianEigenfunction:
 class RadialEigenfunction:
     """Radial eigenfunction r^l exp(-beta^2 r^2/2) L_k^(l+(N-2)/2)(beta^2 r^2).
 
-    Behaves as r^l at the origin and has exactly k nodes on (0, inf).
+    Of level n = 2k + l, whose energy and beta it carries. Behaves as r^l
+    at the origin and has exactly k nodes on (0, inf).
     """
 
     k: int
@@ -99,17 +131,14 @@ class RadialEigenfunction:
     norm_constant: float = 1.0
 
     def __post_init__(self):
-        if self.params.lam > 0 and self.energy > continuum_threshold(self.params):
-            raise DomainError("state lies in the continuum regime")
-        if not self.beta > 0:
-            raise DomainError(f"the Gaussian width beta must be > 0, got {self.beta}")
+        _check_bound(self)
 
     @classmethod
     def from_quantum_numbers(cls, k: int, l: int, params: ModelParams) -> "RadialEigenfunction":
-        state = QuantumState.radial(k, l, params)
-        return cls(
-            k=state.k, l=state.l, params=params, energy=state.energy, beta=state.beta
-        )
+        if k < 0 or l < 0 or int(k) != k or int(l) != l:
+            raise DomainError("radial quantum numbers k, l must be integers >= 0")
+        k, l = int(k), int(l)
+        return cls(k, l, params, *_level(2 * k + l, params))
 
     @property
     def laguerre_parameter(self) -> float:
@@ -150,11 +179,11 @@ def weighted_inner_product(f, g, params: ModelParams) -> float:
         alpha = 0.5 * (f.l + g.l + params.dim - 2)
         return integrate(integrand, f.k + g.k + 1, alpha)
 
-    beta_f, beta_g = f.state.beta, g.state.beta
+    beta_f, beta_g = f.beta, g.beta
     s = math.sqrt(0.5 * (beta_f**2 + beta_g**2))
     flat = []  # integral of the factor pair over q_i
     second = []  # the same with q_i^2
-    for n_f, n_g in zip(f.state.n_tuple, g.state.n_tuple):
+    for n_f, n_g in zip(f.n_tuple, g.n_tuple):
         # x = s q; the rule exact for the q_i^2 integrand serves both
         def pair(x, n_f=n_f, n_g=n_g):
             h = hermite_function(n_f, beta_f / s * x) * hermite_function(n_g, beta_g / s * x) / s
@@ -187,9 +216,8 @@ def _log_norm_squared(f) -> float:
             - (2 * alpha + 2) * math.log(f.beta)
             + math.log1p(lam * (2 * f.k + alpha + 1) / f.beta**2)
         )
-    beta = f.state.beta
-    return -f.params.dim * math.log(beta) + math.log1p(
-        lam / beta**2 * sum(n + 0.5 for n in f.state.n_tuple)
+    return -f.params.dim * math.log(f.beta) + math.log1p(
+        lam / f.beta**2 * sum(n + 0.5 for n in f.n_tuple)
     )
 
 

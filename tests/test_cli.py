@@ -99,6 +99,26 @@ class TestGeometryCommand:
         rows = read_csv(out)
         assert float(rows[0]["value"]) == pytest.approx(-0.24, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            (["geometry", "--quantity", "potential"], 25.0),
+            (["geometry", "--quantity", "curvature"], -0.0),
+            (["effective-potential"], 25.0),
+        ],
+        ids=["potential", "curvature", "effective-potential"],
+    )
+    def test_far_box_is_finite(self, tmp_path, argv, last):
+        # r^2 overflows at the wall, yet at lam > 0 each curve saturates there
+        out = tmp_path / "far.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.run(argv + ["--r-max", "1e160", "--grid-points", "5", "--out", str(out)])
+        assert code == 0
+        values = [float(row["value"]) for row in read_csv(out)]
+        assert all(math.isfinite(v) for v in values)
+        assert values[-1] == last
+
 
 class TestWavefunctionCommand:
     def test_columns_and_weight(self, tmp_path):
@@ -358,13 +378,27 @@ class TestOracleCommand:
 
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["spectrum", "--n-max", "50", "--out"]
+    # every command but verify-all, at small sizes
+    RERUN_COMMANDS = {
+        "spectrum": ["spectrum", "--n-max", "50"],
+        "deform": ["deform", "--n-max", "5"],
+        "wavefunction": ["wavefunction", "--k", "2", "--l", "1", "--grid-points", "51"],
+        "classical": ["classical", "--t-end", "5", "--samples", "11"],
+        "effective-potential": ["effective-potential", "--grid-points", "101"],
+        "geometry": ["geometry", "--quantity", "curvature", "--grid-points", "101"],
+        "oracle": ["oracle", "--l", "1", "--k", "1", "--grid-points", "400"],
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(RERUN_COMMANDS))
+    def test_byte_identical_command_reruns(self, tmp_path, command, fmt):
+        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        argv = self.RERUN_COMMANDS[command] + ["--format", fmt, "--out"]
         assert cli.run(argv + [str(a)]) == 0
         assert cli.run(argv + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         # verify-all runs the real battery code on its sub-second checks.
         monkeypatch.setattr(verify, "ALL_CHECKS", (
             verify.check_effective_minimum,
@@ -465,10 +499,11 @@ class TestErrorPaths:
             (["geometry", "--r-max", "nan"], "--r-max"),
             (["geometry", "--r-max", "0"], "--r-max"),
             (["geometry", "--r-max", "inf"], "--r-max"),
-            (["geometry", "--quantity", "potential", "--r-max", "1e200"], "--r-max"),
+            (["geometry", "--quantity", "potential", "--lambda", "0", "--r-max", "1e200"],
+             "--r-max"),
             (["geometry", "--quantity", "metric", "--r-max", "1e200"], "--r-max"),
             (["effective-potential", "--r-max", "nan"], "--r-max"),
-            (["effective-potential", "--r-max", "1e200"], "--r-max"),
+            (["effective-potential", "--lambda", "0", "--r-max", "1e200"], "--r-max"),
             (["wavefunction", "--r-max", "0"], "--r-max"),
             (["wavefunction", "--r-max", "nan"], "--r-max"),
             (["classical", "--tol", "nan"], "tol must be finite and > 0"),
@@ -480,8 +515,9 @@ class TestErrorPaths:
              "classical-tol-nan", "classical-tol-inf"],
     )
     def test_bad_box_or_tolerance_is_one_error_line(self, tmp_path, capsys, argv, flag):
-        # a box that is not a positive double, or whose r^2 overflows in the
-        # closed forms, would give rows at r = 0 only or NaN rows; a NaN or
+        # a box that is not a positive double, or one where a closed form
+        # leaves the doubles (the metric factor, or the flat potential, once
+        # r^2 overflows), would give rows at r = 0 only or NaN rows; a NaN or
         # infinite tolerance would stall the step-size control
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
@@ -774,10 +810,10 @@ assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
         "oracle": ["DiscretizedOperator", "RadialGrid", "default_radial_grid", "discretize_radial",
                    "grid_eigen_residual", "oracle_report", "solve_generalized_eigen"],
         "specfun": ["hermite_function", "integrate", "laguerre"],
-        "spectrum": ["BaseSpectrum", "QuantumState", "SpectrumTable", "angular_multiplicity",
-                     "continuum_threshold", "degeneracy", "effective_frequency",
-                     "energy_closed_form", "energy_implicit", "harmonic_base",
-                     "solve_deformed_spectrum", "spectrum_table", "threshold_gap"],
+        "spectrum": ["SpectrumTable", "angular_multiplicity", "continuum_threshold", "degeneracy",
+                     "effective_frequency", "energy_closed_form", "energy_implicit",
+                     "harmonic_base", "solve_deformed_spectrum", "spectrum_table",
+                     "threshold_gap"],
         "wavefunctions": ["CartesianEigenfunction", "RadialEigenfunction", "normalize",
                           "weighted_inner_product"],
     }

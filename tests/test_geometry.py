@@ -202,3 +202,66 @@ class TestEffectiveMinimum:
             effective_minimum(
                 EffectivePotentialSpec(ModelParams(lam=0.02, omega=0.0), 1.0)
             )
+
+
+def ulps_from(got: float, exact) -> float:
+    """|got - exact| in units of the spacing of doubles at the rounded exact value."""
+    import mpmath
+
+    return float(abs(mpmath.mpf(got) - exact) / np.spacing(abs(float(exact))))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFarField:
+    # r^2 overflows from r = 1.3e154 and (1 + lam r^2)^3 from lam r^2 = 5.6e102;
+    # the closed forms must not: radii up to the largest double, both sides of
+    # the split at sqrt(lam) r = 2^26, against mpmath at 50 digits
+    LAMS = (1e-4, 0.02, 1.0, 37.0)
+
+    @staticmethod
+    def radii(lam):
+        split = 2.0**26 / math.sqrt(lam)
+        near_split = [np.nextafter(split, 0.0), split, np.nextafter(split, np.inf)]
+        return np.concatenate([np.logspace(0, 308, 120), near_split, [1e60, 1e160]])
+
+    def test_curvature(self):
+        import mpmath
+
+        worst = 0.0
+        with mpmath.workdps(50):
+            for lam in self.LAMS:
+                r = self.radii(lam)
+                for dim in range(1, 9):
+                    got = scalar_curvature(r, ModelParams(lam=lam, dim=dim))
+                    for ri, g in zip(r, got):
+                        x = lam * mpmath.mpf(ri) ** 2
+                        exact = -lam * (dim - 1) * (2 * dim + 3 * (dim - 2) * x) / (1 + x) ** 3
+                        worst = max(worst, ulps_from(g, exact))
+        assert worst <= 6, worst
+        assert scalar_curvature(1e60, P3) == pytest.approx(-3e-238, rel=1e-14)
+
+    def test_potentials(self):
+        import mpmath
+
+        worst = 0.0
+        with mpmath.workdps(50):
+            for lam in self.LAMS:
+                r = self.radii(lam)
+                for omega, c_n in [(1.0, 100.0), (0.3, 0.0), (7.0, 2.5), (0.0, 2.5)]:
+                    p = ModelParams(lam=lam, omega=omega)
+                    pot = potential(r, p)
+                    eff = effective_potential(r, EffectivePotentialSpec(p, c_n))
+                    for ri, v, u in zip(r, pot, eff):
+                        r2 = mpmath.mpf(ri) ** 2
+                        m = 1 + lam * r2
+                        exact = mpmath.mpf(omega) ** 2 * r2 / (2 * m)
+                        if omega > 0:
+                            worst = max(worst, ulps_from(v, exact))
+                        worst = max(worst, ulps_from(u, exact + c_n / (2 * m * r2)))
+        assert worst <= 6, worst
+        assert potential(1e160, P3) == 25.0
+
+    def test_flat_potential_still_overflows(self):
+        # at lam = 0 the potential omega^2 r^2/2 itself leaves the doubles
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            potential(1e160, ModelParams(lam=0.0))

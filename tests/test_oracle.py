@@ -499,7 +499,7 @@ class TestGridResidual:
     def test_three_dimensional_state(self):
         f = CartesianEigenfunction.from_occupations((1, 1, 0), P3)
         res = grid_eigen_residual(
-            f, f.state.energy, P3, half_width=9.0 / f.state.beta, num_points=160
+            f, f.energy, P3, half_width=9.0 / f.beta, num_points=160
         )
         assert res < 1e-6
 
@@ -518,7 +518,7 @@ class TestGridResidual:
         tracemalloc.start()
         try:
             res = grid_eigen_residual(
-                f, f.state.energy, p, half_width=9.0 / f.state.beta, num_points=num_points
+                f, f.energy, p, half_width=9.0 / f.beta, num_points=num_points
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -549,8 +549,8 @@ class TestGridResidual:
             num_points = data.draw(st.integers(11, (2_000, 300, 60)[dim - 1]))
         p = ModelParams(lam=lam, omega=1.3, hbar=0.8, dim=dim)
         f = CartesianEigenfunction.from_occupations(occupations, p)
-        energy = f.state.energy * (1 + shift)
-        grid = dict(half_width=width / f.state.beta, num_points=num_points)
+        energy = f.energy * (1 + shift)
+        grid = dict(half_width=width / f.beta, num_points=num_points)
         with mock.patch.object(oracle, "_SLAB_POINTS", slab_points):
             res = grid_eigen_residual(f, energy, p, **grid)
         ref, scale = full_grid_residual(f, energy, p, **grid)
@@ -564,8 +564,8 @@ class TestGridResidual:
         p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=2)
         f = CartesianEigenfunction.from_occupations((2, 1), p)
         flat = CartesianEigenfunction.from_occupations((2, 1), ModelParams(lam=0.0, dim=2))
-        grid = dict(half_width=9.5 / f.state.beta, num_points=501)
-        energy = f.state.energy
+        grid = dict(half_width=9.5 / f.beta, num_points=501)
+        energy = f.energy
         assert grid_eigen_residual(f, energy, p, **grid) < 1e-6
         assert grid_eigen_residual(f, energy * (1 + 1e-4), p, **grid) > 1e-6
         assert grid_eigen_residual(flat, energy, p, **grid) > 1e-6
@@ -591,7 +591,7 @@ class TestGridResidual:
         )
         p = ModelParams(lam=0.02, dim=dim)
         with pytest.raises(DomainError):
-            grid_eigen_residual(f, f.state.energy, p, half_width, num_points)
+            grid_eigen_residual(f, f.energy, p, half_width, num_points)
 
     def test_stencil_runs_on_axis_factors_only(self, monkeypatch):
         # the work of the eigenfunction-residual check: one 1-D stencil per

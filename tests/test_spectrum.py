@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 import pdm_oscillator.spectrum as spectrum_module
 from pdm_oscillator import (
-    BaseSpectrum,
     BracketingError,
     ConvergenceError,
     DomainError,
     ModelParams,
-    QuantumState,
     angular_multiplicity,
     continuum_threshold,
     degeneracy,
@@ -246,28 +244,6 @@ class TestAngularMultiplicity:
         assert [angular_multiplicity(l, 2) for l in range(4)] == [1, 2, 2, 2]
 
 
-class TestQuantumState:
-    def test_cartesian_invariants(self):
-        state = QuantumState.cartesian((2, 0, 1), P3)
-        assert state.n == 3
-        assert state.energy == pytest.approx(energy_closed_form(3, P3), rel=1e-15)
-        omega_eff = effective_frequency(state.energy, P3)
-        assert state.beta**2 == pytest.approx(omega_eff / P3.hbar, rel=1e-14)
-
-    def test_radial_principal_number(self):
-        state = QuantumState.radial(2, 1, P3)
-        assert state.n == 5
-        assert 0.0 < state.energy < continuum_threshold(P3)
-
-    def test_wrong_tuple_length(self):
-        with pytest.raises(DomainError):
-            QuantumState.cartesian((1, 2), P3)
-
-    def test_negative_occupation(self):
-        with pytest.raises(DomainError):
-            QuantumState.cartesian((1, -1, 0), P3)
-
-
 class TestGenericDeformation:
     def test_harmonic_base_matches_closed_form(self):
         levels = np.array([0, 1, 5, 20])
@@ -291,13 +267,13 @@ class TestGenericDeformation:
     def test_nonharmonic_base(self):
         # quartic-like solvable family, still increasing in frequency
         p = ModelParams(lam=0.03, omega=1.0, hbar=1.0, dim=1)
-        base = BaseSpectrum(eval=lambda w, n: w ** 1.5 * (n + 0.7))
+        base = lambda w, n: w ** 1.5 * (n + 0.7)
         energy = solve_deformed_spectrum(base, 3, p)
         omega_eff = effective_frequency(energy, p)
-        assert energy == pytest.approx(base.eval(omega_eff, 3), abs=1e-10)
+        assert energy == pytest.approx(base(omega_eff, 3), abs=1e-10)
 
     def test_non_monotone_base_rejected(self):
-        base = BaseSpectrum(eval=lambda w, n: np.sin(20.0 * w))
+        base = lambda w, n: np.sin(20.0 * w)
         with pytest.raises(BracketingError):
             solve_deformed_spectrum(base, 0, P3)
 
@@ -306,13 +282,13 @@ class TestGenericDeformation:
         # the other levels' scale, so one check on all levels together
         # would miss it
         levels = np.arange(10)
-        base = BaseSpectrum(eval=lambda w, n: np.where(n == 7, 2.0 - 1e-6 * w, 1e9 * w * (n + 1.5)))
+        base = lambda w, n: np.where(n == 7, 2.0 - 1e-6 * w, 1e9 * w * (n + 1.5))
         assert np.all(np.isfinite(solve_deformed_spectrum(base, np.delete(levels, 7), P3)))
         with pytest.raises(BracketingError, match="not increasing"):
             solve_deformed_spectrum(base, levels, P3)
 
     def test_no_sign_change_rejected(self):
-        base = BaseSpectrum(eval=lambda w, n: -1.0 - 0.0 * w + 1e-9 * w)
+        base = lambda w, n: -1.0 - 0.0 * w + 1e-9 * w
         with pytest.raises(BracketingError):
             solve_deformed_spectrum(base, 0, P3)
 
@@ -327,7 +303,7 @@ class TestGenericDeformation:
         top = continuum_threshold(P3) * (1.0 - 1e-12)
         for n in (0, 3, 40):
             e = np.linspace(0.0, top, 2000)
-            g = base.eval(np.sqrt(1.0 - 0.04 * e), n) - e
+            g = base(np.sqrt(1.0 - 0.04 * e), n) - e
             assert int(np.sum(np.diff(np.sign(g)) != 0)) == 1
 
 

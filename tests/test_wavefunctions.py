@@ -13,10 +13,10 @@ from pdm_oscillator import (
     CartesianEigenfunction,
     DomainError,
     ModelParams,
-    QuantumState,
     RadialEigenfunction,
     continuum_threshold,
     effective_frequency,
+    energy_closed_form,
     hermite_function,
     integrate,
     normalize,
@@ -39,7 +39,7 @@ def count_sign_changes(values, floor=1e-9):
 class TestCartesianEigenfunction:
     def test_ground_state_gaussian_ratio(self):
         f = CartesianEigenfunction.from_occupations((0, 0, 0), P3)
-        beta = f.state.beta
+        beta = f.beta
         q = np.array([0.4, -0.3, 0.7])
         ratio = f(q) / f(np.zeros(3))
         assert ratio == pytest.approx(math.exp(-0.5 * beta**2 * float(q @ q)), rel=1e-12)
@@ -54,7 +54,7 @@ class TestCartesianEigenfunction:
     def test_second_state_zeros(self):
         # H_2 roots at x = +-1/sqrt(2) scaled by the self-consistent width
         f = CartesianEigenfunction.from_occupations((2,), P1)
-        beta = f.state.beta
+        beta = f.beta
         expected = 1.0 / (beta * math.sqrt(2.0))
         root = brentq(lambda q: f(q), 0.1 / beta, 1.2 / beta, xtol=1e-14)
         assert root == pytest.approx(expected, rel=1e-10)
@@ -62,7 +62,7 @@ class TestCartesianEigenfunction:
     def test_node_counts_match_occupations(self):
         for n in range(6):
             f = CartesianEigenfunction.from_occupations((n,), P1)
-            beta = f.state.beta
+            beta = f.beta
             q = np.linspace(-8.0 / beta, 8.0 / beta, 4001)
             assert count_sign_changes(f(q)) == n
 
@@ -75,28 +75,55 @@ class TestCartesianEigenfunction:
 
     def test_large_order_is_finite(self):
         f = CartesianEigenfunction.from_occupations((80,), P1)
-        beta = f.state.beta
+        beta = f.beta
         q = np.linspace(-20.0 / beta, 20.0 / beta, 101)
         assert np.all(np.isfinite(f(q)))
 
     def test_continuum_state_rejected(self):
-        bogus = QuantumState(mode="cartesian", n=0, energy=30.0, beta=1.0, n_tuple=(0,))
         with pytest.raises(DomainError):
-            CartesianEigenfunction(state=bogus, params=P1)
+            CartesianEigenfunction(n_tuple=(0,), params=P1, energy=30.0, beta=1.0)
+
+    def test_nonpositive_width_rejected(self):
+        for beta in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="beta must be > 0"):
+                CartesianEigenfunction(n_tuple=(0,), params=P1, energy=0.5, beta=beta)
 
     def test_level_rounded_to_the_threshold_is_bound(self):
         # at lam = 1e8 every closed-form level rounds to the threshold 5e-9,
         # though for lam > 0 every level lies below it
         p = ModelParams(lam=1e8, omega=1.0, hbar=1.0, dim=3)
         f = CartesianEigenfunction.from_occupations((2, 1, 0), p)
-        assert f.state.energy == continuum_threshold(p)
+        assert f.energy == continuum_threshold(p)
         f = normalize(f)
         assert math.isfinite(f.norm_constant) and f.norm_constant > 0
 
-    def test_requires_cartesian_state(self):
-        state = QuantumState.radial(0, 0, P3)
+
+class TestConstructors:
+    def test_cartesian_invariants(self):
+        f = CartesianEigenfunction.from_occupations((2, 0, 1), P3)
+        assert f.n_tuple == (2, 0, 1)
+        assert f.energy == energy_closed_form(3, P3)
+        omega_eff = effective_frequency(f.energy, P3)
+        assert f.beta**2 == pytest.approx(omega_eff / P3.hbar, rel=1e-14)
+
+    def test_radial_principal_number(self):
+        f = RadialEigenfunction.from_quantum_numbers(2, 1, P3)
+        assert (f.k, f.l) == (2, 1)
+        assert f.energy == energy_closed_form(5, P3)
+        assert 0.0 < f.energy < continuum_threshold(P3)
+
+    def test_wrong_tuple_length(self):
         with pytest.raises(DomainError):
-            CartesianEigenfunction(state=state, params=P3)
+            CartesianEigenfunction.from_occupations((1, 2), P3)
+
+    def test_negative_occupation(self):
+        with pytest.raises(DomainError):
+            CartesianEigenfunction.from_occupations((1, -1, 0), P3)
+
+    @pytest.mark.parametrize("k,l", [(-1, 0), (0, -1), (0.5, 0), (0, 1.5)])
+    def test_bad_radial_numbers(self, k, l):
+        with pytest.raises(DomainError, match="integers >= 0"):
+            RadialEigenfunction.from_quantum_numbers(k, l, P3)
 
 
 class TestRadialEigenfunction:
@@ -163,7 +190,7 @@ class TestWeightedInnerProduct:
         # n=0 and n=2 carry different Gaussian widths yet must be orthogonal
         f = normalize(CartesianEigenfunction.from_occupations((0,), P1))
         g = normalize(CartesianEigenfunction.from_occupations((2,), P1))
-        assert f.state.beta != g.state.beta
+        assert f.beta != g.beta
         assert abs(weighted_inner_product(f, g, P1)) < 1e-8
 
     def test_two_dimensional_norm(self):
@@ -258,7 +285,7 @@ class TestNormalize:
     def test_flat_ground_state_constant(self):
         p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=1)
         f = normalize(CartesianEigenfunction.from_occupations((0,), p))
-        beta = f.state.beta
+        beta = f.beta
         assert f(0.0) == pytest.approx((beta**2 / math.pi) ** 0.25, rel=1e-10)
 
     def test_radial_unit_norm(self):
@@ -285,15 +312,14 @@ class TestFactorEquation:
         # each Cartesian factor solves a flat oscillator problem at the
         # energy-shifted frequency: -hbar^2 psi'' + (omega^2 - 2 lam E) q^2 psi
         # = 2 mu psi with mu = hbar*Omega*(n_i + 1/2)
-        state = QuantumState.cartesian((3,), P1)
-        f = CartesianEigenfunction(state=state, params=P1)
-        beta = state.beta
-        omega_eff = effective_frequency(state.energy, P1)
+        f = CartesianEigenfunction.from_occupations((3,), P1)
+        beta = f.beta
+        omega_eff = effective_frequency(f.energy, P1)
         q = np.linspace(-11.0 / beta, 11.0 / beta, 3001)
         h = q[1] - q[0]
         psi = f(q)
         lhs = -P1.hbar**2 * second_derivative(psi, h) + (
-            P1.omega**2 - 2.0 * P1.lam * state.energy
+            P1.omega**2 - 2.0 * P1.lam * f.energy
         ) * q**2 * psi
         mu = P1.hbar * omega_eff * (3 + 0.5)
         interior = slice(4, -4)
@@ -342,10 +368,6 @@ def same_family_pairs(draw):
     return p, [RadialEigenfunction.from_quantum_numbers(draw(QUANTA), l, p) for _ in "fg"]
 
 
-def level_energy(f) -> float:
-    return f.energy if isinstance(f, RadialEigenfunction) else f.state.energy
-
-
 class TestProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(same_family_pairs())
@@ -362,9 +384,47 @@ class TestProperties:
         # what remains is the rounding of the Gauss sums: at most 9 eps over
         # these 300 examples.
         p, (f, g) = pair
-        assume(level_energy(f) != level_energy(g))
+        assume(f.energy != g.energy)
         f, g = normalize(f), normalize(g)
         assert abs(weighted_inner_product(f, g, p)) < 16 * EPS
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(1, 8),
+        lam=st.just(0.0) | log_uniform(1e-4, 0.5),
+        levels=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        data=st.data(),
+    )
+    def test_one_level_in_both_families(self, dim, lam, levels, data):
+        # A level n <= 6 in dims 1-8: a Cartesian tuple and every radial (k, l)
+        # with 2k + l = n carry one energy and one width, bit for bit; each
+        # normalized state has unit norm, and is orthogonal to a distinct
+        # tuple (of any level) and to the radial states of its l at every
+        # other k
+        p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=dim)
+
+        def cartesian(n):
+            # the gaps between dim - 1 sorted cuts in [0, n]
+            cuts = data.draw(st.lists(st.integers(0, n), min_size=dim - 1, max_size=dim - 1))
+            occupations = np.diff([0, *sorted(cuts), n])
+            return normalize(CartesianEigenfunction.from_occupations(occupations, p))
+
+        n = levels[0]
+        f, g = cartesian(n), cartesian(levels[1])
+        radial = {
+            (k, l): normalize(RadialEigenfunction.from_quantum_numbers(k, l, p))
+            for l in range(7) for k in range((6 - l) // 2 + 1)
+        }
+        level = [h for (k, l), h in radial.items() if 2 * k + l == n]
+        assert all((h.energy, h.beta) == (f.energy, f.beta) for h in level)
+        for h in [f, *level]:
+            assert abs(weighted_inner_product(h, h, p) - 1.0) <= 1e-12
+        if g.n_tuple != f.n_tuple:
+            assert abs(weighted_inner_product(f, g, p)) <= 1e-12
+        for h in level:
+            for (k, l), h2 in radial.items():
+                if l == h.l and k != h.k:
+                    assert abs(weighted_inner_product(h, h2, p)) <= 1e-12
 
     @pytest.mark.parametrize("family", [CartesianEigenfunction, RadialEigenfunction])
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -391,7 +451,7 @@ class TestProperties:
         dim = len(occupations)
         p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=dim)
         f = normalize(CartesianEigenfunction.from_occupations(tuple(occupations), p))
-        axes = [np.linspace(-6.0 / f.state.beta, 6.0 / f.state.beta, 9 - dim + i) for i in range(dim)]
+        axes = [np.linspace(-6.0 / f.beta, 6.0 / f.beta, 9 - dim + i) for i in range(dim)]
         grid = math.prod(np.ix_(*f.factors(axes)))
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         pointwise = f(points if dim > 1 else points[..., 0])
@@ -403,10 +463,10 @@ def two_rule_product(f, g, p: ModelParams) -> float:
     """<f|g> as weighted_inner_product took it with two rules per factor
     pair: the pair on the rule of degree n_f + n_g, and the pair times q^2 on
     that of degree n_f + n_g + 2."""
-    beta_f, beta_g = f.state.beta, g.state.beta
+    beta_f, beta_g = f.beta, g.beta
     s = math.sqrt(0.5 * (beta_f**2 + beta_g**2))
     flat, second = [], []
-    for a, b in zip(f.state.n_tuple, g.state.n_tuple):
+    for a, b in zip(f.n_tuple, g.n_tuple):
         pair = lambda x, a=a, b=b: (
             hermite_function(a, beta_f / s * x) * hermite_function(b, beta_g / s * x) / s
         )
