@@ -15,8 +15,9 @@ checkout, or PYTHONDONTWRITEBYTECODE set) each module is compiled on every
 start, 17 to 31 ms for all of them on a 2-vCPU machine, of which a
 closed-form command such as `spectrum` pays about a third.
 
-Each scipy submodule is imported inside the function that calls it, so
-the CLI commands that only evaluate closed forms load numpy and no scipy.
+The package needs numpy alone; no CLI command loads scipy. The oracle binds
+two LAPACK routines from the library that numpy's pip wheel bundles (see
+`pdm_oscillator.oracle`); scipy is the tests' independent reference.
 """
 
 _EXPORTS = {
@@ -30,7 +31,13 @@ _EXPORTS = {
         "hamiltonian",
         "integrate_orbit",
     ),
-    "errors": ("BracketingError", "ConvergenceError", "DomainError", "GridSizeError"),
+    "errors": (
+        "BracketingError",
+        "ConvergenceError",
+        "DomainError",
+        "GridSizeError",
+        "LapackUnavailableError",
+    ),
     "geometry": (
         "EffectivePotentialSpec",
         "ModelParams",

@@ -27,7 +27,13 @@ import tempfile
 
 import numpy as np
 
-from .errors import BracketingError, ConvergenceError, DomainError, GridSizeError
+from .errors import (
+    BracketingError,
+    ConvergenceError,
+    DomainError,
+    GridSizeError,
+    LapackUnavailableError,
+)
 from .geometry import (
     EffectivePotentialSpec,
     ModelParams,
@@ -401,7 +407,8 @@ def run(argv: list[str]) -> int:
             sys.stdout.write(artifact)
             print(summary, file=sys.stderr)
         return code
-    except (DomainError, ConvergenceError, BracketingError, ArithmeticError) as exc:
+    except (DomainError, ConvergenceError, BracketingError, ArithmeticError,
+            LapackUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -15,3 +15,7 @@ class BracketingError(RuntimeError):
 
 class GridSizeError(DomainError):
     """A grid has too few cells for the levels asked of it, or too many to solve."""
+
+
+class LapackUnavailableError(ImportError):
+    """numpy's LAPACK lacks a routine that a solver binds."""

@@ -11,9 +11,11 @@ eigenproblem A u = E B u with diagonal positive B, reduced by the congruence
 B^(-1/2) A B^(-1/2) and scaled to unit norm. The given grid is solved by
 LAPACK Sturm-sequence bisection (stebz); its refinement by inverse iteration (stein)
 at those eigenvalues, each refined eigenvalue being the Rayleigh quotient of
-its vector. Neither the eigensolve nor the default box (default_radial_grid)
-reads the closed-form spectrum, so agreement between the two routes is a
-genuine cross-check; only oracle_report's comparison columns read it.
+its vector. Both routines are bound through ctypes from the LAPACK that
+numpy's pip wheel bundles (scipy-openblas64; see _lapack). Neither the
+eigensolve nor the default box (default_radial_grid) reads the closed-form
+spectrum, so agreement between the two routes is a genuine cross-check;
+only oracle_report's comparison columns read it.
 
 Also provides a grid-based operator check: the eigenfunction residual of a
 Cartesian state, a product of N one-dimensional Hermite factors, on an
@@ -24,12 +26,14 @@ outer products of 1-D terms, summed one slab of the first axis at a time.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GridSizeError
+from .errors import ConvergenceError, DomainError, GridSizeError, LapackUnavailableError
 from .geometry import ModelParams
 from .spectrum import (
     _TINY,
@@ -62,6 +66,7 @@ _CELLS_PER_WAVELENGTH = 240
 _TAIL_WIDTHS = 4.5
 # entries of the refined grid's eigenvector block (2**24 doubles are 128 MiB)
 _MAX_VECTOR_ENTRIES = 2**24
+_LAPACK_COL_MAJOR = 102
 
 
 @dataclass(frozen=True)
@@ -196,6 +201,33 @@ def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> Discreti
     )
 
 
+@functools.cache
+def _lapack() -> tuple:
+    """LAPACKE stebz and stein from the LAPACK that numpy.linalg calls, bound once.
+
+    numpy's pip wheels link scipy-openblas64, which exports LAPACKE with
+    64-bit integers as scipy_LAPACKE_*64_; the dynamic loader finds them
+    through numpy.linalg's extension module, whose dependencies it searches
+    with it. A numpy linked to another LAPACK (a conda or a Linux
+    distribution package) lacks them: LapackUnavailableError.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        stebz, stein = lib.scipy_LAPACKE_dstebz64_, lib.scipy_LAPACKE_dstein64_
+    except (OSError, AttributeError) as exc:
+        raise LapackUnavailableError(
+            f"the oracle needs LAPACK stebz and stein from the scipy-openblas64 that numpy's "
+            f"pip wheel bundles, and this numpy has none: {exc}"
+        ) from exc
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    stebz.restype = stein.restype = i64
+    stebz.argtypes = [ctypes.c_char, ctypes.c_char, i64, f64, f64, i64, i64, f64, *[ptr] * 7]
+    stein.argtypes = [ctypes.c_int, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, i64, ptr]
+    return stebz, stein
+
+
 def _reduced(op: DiscretizedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Standard form of A u = E B u, scaled to unit norm.
 
@@ -205,11 +237,17 @@ def _reduced(op: DiscretizedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarra
     of the off-diagonal that LAPACK forms neither underflow nor overflow
     for any g at which the operator fits a double.
     """
-    if np.any(op.weight <= 0):
+    # LAPACK reads n doubles of d and n - 1 of e; the products below are fresh
+    # contiguous arrays of these shapes
+    diag, offdiag, weight = (np.asarray(a, dtype=float) for a in (op.diag, op.offdiag, op.weight))
+    n = diag.size
+    if diag.shape != (n,) or weight.shape != (n,) or offdiag.shape != (n - 1,):
+        raise DomainError(f"need {n} diagonal and weight entries and {n - 1} off-diagonal ones")
+    if np.any(weight <= 0):
         raise DomainError("mass weight must be positive")
-    inv_sqrt_w = 1.0 / np.sqrt(op.weight)
-    d = op.diag * inv_sqrt_w**2
-    e = op.offdiag * inv_sqrt_w[:-1] * inv_sqrt_w[1:]
+    inv_sqrt_w = 1.0 / np.sqrt(weight)
+    d = diag * inv_sqrt_w**2
+    e = offdiag * inv_sqrt_w[:-1] * inv_sqrt_w[1:]
     largest = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
     scale = math.ldexp(1.0, math.frexp(largest)[1])
     return d / scale, e / scale, inv_sqrt_w, scale
@@ -220,7 +258,8 @@ def solve_generalized_eigen(op: DiscretizedOperator, count: int) -> np.ndarray:
 
     Reduces to standard form with the diagonal congruence B^(-1/2) A
     B^(-1/2), scaled to unit norm, then runs LAPACK Sturm-sequence
-    bisection (stebz) through scipy's eigh_tridiagonal. A LAPACK failure
+    bisection (stebz), by index, in ascending order, at the default
+    tolerance. A LAPACK failure, or fewer than `count` eigenvalues found,
     raises ConvergenceError. Only the low-lying states are trustworthy,
     hence count <= size/4, or GridSizeError.
     """
@@ -228,16 +267,20 @@ def solve_generalized_eigen(op: DiscretizedOperator, count: int) -> np.ndarray:
     if count < 1 or count > size // 4:
         raise GridSizeError(f"count must be in [1, {size // 4}] for {size} cells")
     d, e, _, scale = _reduced(op)
-
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
-
-    try:
-        values = eigh_tridiagonal(
-            d, e, eigvals_only=True, select="i", select_range=(0, count - 1)
+    stebz, _ = _lapack()
+    found, blocks = ctypes.c_int64(), ctypes.c_int64()
+    values = np.empty(size)
+    block_of, block_ends = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    info = stebz(b"I", b"E", size, 0.0, 0.0, 1, count, 0.0, d.ctypes.data, e.ctypes.data,
+                 ctypes.byref(found), ctypes.byref(blocks), values.ctypes.data,
+                 block_of.ctypes.data, block_ends.ctypes.data)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolve failed: stebz info={info}")
+    if found.value < count:
+        raise ConvergenceError(
+            f"tridiagonal eigensolve failed: stebz found {found.value} of {count} eigenvalues"
         )
-    except LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
-    return values * scale
+    return values[:count] * scale
 
 
 def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,13 +299,16 @@ def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.nd
     """
     d, e, inv_sqrt_w, scale = _reduced(op)
     shifts = np.asarray(shifts, dtype=float)
-    n = len(d)
-
-    from scipy.linalg.lapack import dstein
-
-    isplit = np.zeros(n, dtype=np.int32)
-    isplit[0] = n
-    z, info = dstein(d, e, shifts / scale, np.ones(n, dtype=np.int32), isplit)
+    n, m = len(d), len(shifts)
+    _, stein = _lapack()
+    w = np.zeros(n)  # LAPACKE's NaN check reads n entries of w, not m
+    w[:m] = shifts / scale
+    block_of, block_ends = np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    block_ends[0] = n
+    z = np.empty((m, n)).T  # n x m, column-major as LAPACK writes it
+    failed = np.empty(m, dtype=np.int64)
+    info = stein(_LAPACK_COL_MAJOR, n, d.ctypes.data, e.ctypes.data, m, w.ctypes.data,
+                 block_of.ctypes.data, block_ends.ctypes.data, z.ctypes.data, n, failed.ctypes.data)
     if info != 0:
         raise ConvergenceError(f"tridiagonal eigensolve failed: stein info={info}")
     values = np.empty(len(shifts))

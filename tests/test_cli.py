@@ -628,14 +628,10 @@ class TestErrorPaths:
         # (at the default l = 2, first passed at k = 182), ends in one error
         # line naming --grid-points where it was given and --k, with --r-max
         # where it was given, otherwise, before any eigensolve runs
-        import scipy.linalg
-        import scipy.linalg.lapack
-
-        def unreachable(*args, **kwargs):
+        def unreachable():
             raise AssertionError("an eigensolve was called")
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", unreachable)
-        monkeypatch.setattr(scipy.linalg.lapack, "dstein", unreachable)
+        monkeypatch.setattr(oracle, "_lapack", unreachable)
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -704,17 +700,33 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_failed_eigensolve_is_one_error_line(self, tmp_path, capsys, monkeypatch):
-        import scipy.linalg
-
-        def fail(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("stein (eigh_tridiagonal) err 1")
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
+        _, stein = oracle._lapack()
+        monkeypatch.setattr(oracle, "_lapack", lambda: (lambda *args: 1, stein))
         out = tmp_path / "x.csv"
         assert cli.run(["oracle", "--l", "0", "--k", "0", "--out", str(out)]) == 1
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "eigensolve failed" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", ["library", "symbol"])
+    @pytest.mark.parametrize("argv", [["oracle", "--l", "0", "--k", "0"], ["verify-all"]],
+                             ids=["oracle", "verify-all"])
+    def test_missing_lapack_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv, missing):
+        # a numpy linked to a LAPACK without scipy-openblas64's LAPACKE names
+        import ctypes
+
+        class NoSymbols:
+            def __init__(self, path):
+                if missing == "library":
+                    raise OSError(f"{path}: cannot open shared object file")
+
+        monkeypatch.setattr(ctypes, "CDLL", NoSymbols)
+        monkeypatch.setattr(oracle, "_lapack", oracle._lapack.__wrapped__)
+        out = tmp_path / "x.out"
+        assert cli.run([*argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: the oracle needs LAPACK stebz")
         assert not out.exists()
 
     def test_failed_integration_is_one_error_line(self, tmp_path, capsys, monkeypatch):
@@ -782,12 +794,18 @@ def scipy_modules():
 import pdm_oscillator
 import pdm_oscillator.cli
 assert not scipy_modules(), f"import loads {scipy_modules()}"
-assert pdm_oscillator.cli.run(["spectrum", "--n-max", "5", "--out", sys.argv[1]]) == 0
-assert not scipy_modules(), f"spectrum loads {scipy_modules()}"
-assert pdm_oscillator.cli.run(["wavefunction", "--k", "2", "--l", "1", "--out", sys.argv[2]]) == 0
-assert not scipy_modules(), f"wavefunction loads {scipy_modules()}"
-assert pdm_oscillator.cli.run(["classical", "--t-end", "2", "--samples", "11", "--out", sys.argv[3]]) == 0
-assert not scipy_modules(), f"classical loads {scipy_modules()}"
+for argv in (
+    ["spectrum", "--n-max", "5"],
+    ["deform", "--n-max", "5"],
+    ["geometry", "--grid-points", "5"],
+    ["effective-potential", "--grid-points", "5"],
+    ["wavefunction", "--k", "2", "--l", "1"],
+    ["classical", "--t-end", "2", "--samples", "11"],
+    ["oracle", "--l", "2", "--k", "2"],
+    ["verify-all"],
+):
+    assert pdm_oscillator.cli.run([*argv, "--out", sys.argv[1]]) == 0
+    assert not scipy_modules(), f"{argv[0]} loads {scipy_modules()}"
 radial = pdm_oscillator.normalize(
     pdm_oscillator.RadialEigenfunction.from_quantum_numbers(3, 1, pdm_oscillator.ModelParams(lam=0.02))
 )
@@ -804,7 +822,8 @@ assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
     PUBLIC = {
         "classical": ["PhaseState", "Trajectory", "closure_check", "conserved_series",
                       "estimate_radial_period", "exact_orbit", "hamiltonian", "integrate_orbit"],
-        "errors": ["BracketingError", "ConvergenceError", "DomainError", "GridSizeError"],
+        "errors": ["BracketingError", "ConvergenceError", "DomainError", "GridSizeError",
+                   "LapackUnavailableError"],
         "geometry": ["EffectivePotentialSpec", "ModelParams", "effective_minimum",
                      "effective_potential", "metric_factor", "potential", "scalar_curvature"],
         "oracle": ["DiscretizedOperator", "RadialGrid", "default_radial_grid", "discretize_radial",
@@ -831,8 +850,8 @@ assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
-    def test_closed_form_commands_load_no_scipy(self, tmp_path):
-        self.fresh(self.SCRIPT, tmp_path / "s.csv", tmp_path / "w.csv", tmp_path / "c.csv")
+    def test_no_command_loads_scipy(self, tmp_path):
+        self.fresh(self.SCRIPT, tmp_path / "x.out")
 
     def test_package_import_loads_no_layer(self):
         script = """
@@ -884,5 +903,4 @@ print(json.dumps({"code": code, "loaded": loaded, "json": has_json}))
         assert result["code"] == 0
         want = ["cli", "errors", *layers]
         assert result["loaded"] == sorted(f"pdm_oscillator.{m}" for m in want)
-        # scipy, which the oracle loads, imports json itself
-        assert result["json"] == (fmt == "json" or "oracle" in layers)
+        assert result["json"] == (fmt == "json")

@@ -168,24 +168,67 @@ class TestGeneralizedEigen:
 
     @pytest.mark.parametrize("routine", ["stebz", "stein"])
     def test_lapack_failure_is_convergence_error(self, monkeypatch, routine):
-        import scipy.linalg
-        import scipy.linalg.lapack
-
-        def fail_stebz(*args, **kwargs):
-            raise scipy.linalg.LinAlgError("stebz (eigh_tridiagonal) err 1")
-
-        def fail_stein(d, e, w, iblock, isplit):
-            return np.zeros((len(d), len(w))), 1
-
+        # info > 0: not converged; info < 0: an argument LAPACKE rejected
+        stebz, stein = oracle._lapack()
         op = discretize_radial(P3, 0, RadialGrid(1e-6, 8.0, 300))
-        if routine == "stebz":
-            monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail_stebz)
-            with pytest.raises(ConvergenceError, match="stebz"):
-                solve_generalized_eigen(op, 2)
-        else:
-            monkeypatch.setattr(scipy.linalg.lapack, "dstein", fail_stein)
-            with pytest.raises(ConvergenceError, match="stein info=1"):
-                _eigenpairs_near(op, [1.5, 3.5])
+        for info in (1, -6):
+            failing = lambda *args: info
+            binding = (failing, stein) if routine == "stebz" else (stebz, failing)
+            monkeypatch.setattr(oracle, "_lapack", lambda: binding)
+            with pytest.raises(ConvergenceError, match=f"{routine} info={info}"):
+                if routine == "stebz":
+                    solve_generalized_eigen(op, 2)
+                else:
+                    _eigenpairs_near(op, [1.5, 3.5])
+
+    def test_stebz_finding_too_few_is_convergence_error(self, monkeypatch):
+        stebz, stein = oracle._lapack()
+
+        def one_short(*args):
+            info = stebz(*args)
+            args[10]._obj.value -= 1  # m, passed by reference
+            return info
+
+        monkeypatch.setattr(oracle, "_lapack", lambda: (one_short, stein))
+        op = discretize_radial(P3, 0, RadialGrid(1e-6, 8.0, 300))
+        with pytest.raises(ConvergenceError, match="stebz found 2 of 3 eigenvalues"):
+            solve_generalized_eigen(op, 3)
+
+    def test_malformed_operator_rejected_before_lapack(self):
+        op = discretize_radial(P3, 0, RadialGrid(0.0, 8.0, 300))
+        short = oracle.DiscretizedOperator(
+            diag=op.diag, offdiag=op.offdiag[:1], weight=op.weight[:1], nodes=op.nodes,
+            l=op.l, params=op.params,
+        )
+        with pytest.raises(DomainError, match="off-diagonal"):
+            solve_generalized_eigen(short, 2)
+
+    @pytest.mark.parametrize("n", [100, 1342, 20000])
+    def test_binding_matches_scipy(self, n):
+        # the binding against scipy's own LAPACK on a random symmetric
+        # tridiagonal with entries in (-1, 1), so the reduction is exact: unit
+        # weight, and a scale of 1 (largest entry in [1/2, 1))
+        from scipy.linalg import eigh_tridiagonal
+        from scipy.linalg.lapack import dstein
+
+        rng = np.random.default_rng(n)
+        d, e = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n - 1)
+        op = oracle.DiscretizedOperator(
+            diag=d, offdiag=e, weight=np.ones(n), nodes=np.arange(n), l=0, params=P3
+        )
+        assert oracle._reduced(op)[3] == 1.0
+        count = min(n // 4, 40)
+        values = solve_generalized_eigen(op, count)
+        ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, count - 1))
+        assert np.array_equal(values, ref)
+
+        _, vectors = _eigenpairs_near(op, values)
+        isplit = np.zeros(n, dtype=np.int32)
+        isplit[0] = n
+        ref_vectors, info = dstein(d, e, values, np.ones(n, dtype=np.int32), isplit)
+        assert info == 0
+        signs = np.sign(np.sum(vectors * ref_vectors, axis=0))
+        assert np.max(np.abs(signs * vectors - ref_vectors)) <= 100 * np.finfo(float).eps
 
     def test_eigenvector_node_structure(self):
         grid = default_radial_grid(P3, 0, 3)
@@ -255,24 +298,20 @@ class TestGeneralizedEigen:
     def test_one_bisection_per_l(self, monkeypatch):
         # the given grid is bisected, and the refined grid gets one inverse
         # iteration at those eigenvalues: 3 + 3 LAPACK calls for l <= 2
-        import scipy.linalg
-        import scipy.linalg.lapack
+        calls = {"stebz": 0, "stein": 0}
 
-        calls = {"eigh_tridiagonal": 0, "dstein": 0}
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
+        def counted(name, routine):
+            def wrapper(*args):
                 calls[name] += 1
-                return original(*args, **kwargs)
+                return routine(*args)
 
-            monkeypatch.setattr(module, name, wrapper)
+            return wrapper
 
-        counted(scipy.linalg, "eigh_tridiagonal")
-        counted(scipy.linalg.lapack, "dstein")
+        stebz, stein = oracle._lapack()
+        binding = (counted("stebz", stebz), counted("stein", stein))
+        monkeypatch.setattr(oracle, "_lapack", lambda: binding)
         oracle_report(P3, l_max=2, k_max=2)
-        assert calls == {"eigh_tridiagonal": 3, "dstein": 3}
+        assert calls == {"stebz": 3, "stein": 3}
 
 
 class TestOracleReport:
@@ -352,12 +391,10 @@ class TestCellsFromOrigin:
             oracle_report(P3, l_max=0, k_max=999)
 
     def test_four_cells_per_level_before_any_eigensolve(self, monkeypatch):
-        import scipy.linalg
+        def unreachable():
+            raise AssertionError("the LAPACK binding was called")
 
-        def unreachable(*args, **kwargs):
-            raise AssertionError("eigh_tridiagonal was called")
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", unreachable)
+        monkeypatch.setattr(oracle, "_lapack", unreachable)
         with pytest.raises(GridSizeError, match=r"count must be in \[1, 100\] for 400 cells"):
             oracle_report(P3, l_max=0, k_max=100, grid=RadialGrid(0.0, 12.0, 400))
 
