@@ -7,9 +7,11 @@ the motion into a flat oscillator. The integrator is a plain adaptive
 embedded Runge-Kutta pair (not symplectic) that never reads the closed-form
 orbit, which makes conservation along trajectories a genuine numerical test
 rather than an artifact of the scheme. It integrates one orbit or a batch of
-orbits as one stacked system. An orbit is closed when, integrated for
-exactly its closed-form period, it returns to its start. The exact orbit,
-also from the flat-time change, is there for cross-checks only.
+orbits as one stacked system, each orbit of one model for all or of its
+own, so that orbits of several lam and omega share one step sequence. An
+orbit is closed when, integrated for exactly its closed-form period, it
+returns to its start. The exact orbit, also from the flat-time change, is
+there for cross-checks only.
 
 The pair is DOP853, the Dormand-Prince 8(5,3) pair (Prince & Dormand 1981;
 Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10), written here in numpy
@@ -132,7 +134,18 @@ def conserved_series(traj: Trajectory, params: ModelParams) -> dict[str, np.ndar
     return out
 
 
-def hamilton_rhs(params: ModelParams):
+def _per_orbit(params, count: int) -> list[ModelParams]:
+    """One model per orbit from one model for all or a sequence of `count`,
+    all of one dimension."""
+    models = [params] * count if isinstance(params, ModelParams) else list(params)
+    if len(models) != count:
+        raise DomainError(f"need one model per orbit, or one for all: got {len(models)} for {count}")
+    if any(model.dim != models[0].dim for model in models):
+        raise DomainError("the orbits' models must all have one dimension")
+    return models
+
+
+def hamilton_rhs(params):
     """Right-hand side of Hamilton's equations as a callable rhs(t, y).
 
     qdot = p / (1 + lam q^2)
@@ -142,17 +155,28 @@ def hamilton_rhs(params: ModelParams):
     it loses no digits at large lam q^2.
 
     The state is one or more orbits stacked end to end, each laid out as
-    [q, p], so its length is a multiple of 2N; its squares times a (2N, 2)
-    selector give lam q^2 and lam p^2 of every orbit at once.
+    [q, p], so its length is a multiple of 2N. `params` is one model for
+    every orbit, or a sequence of models of dimension N, one per orbit. The
+    squares times a (2N, 2) selector give lam q^2 and lam p^2 of every
+    orbit at once; where the orbits' lam differ, the selector gives q^2 and
+    p^2 and a column of lam, one row per orbit, scales them. Each orbit's
+    shift row [1, -omega^2] is then added.
     """
-    n = params.dim
+    models = [params] if isinstance(params, ModelParams) else list(params)
+    n = models[0].dim
+    if any(model.dim != n for model in models):
+        raise DomainError("the orbits' models must all have one dimension")
+    one_lam = len({model.lam for model in models}) == 1
     select = np.zeros((2 * n, 2))
-    select[:n, 0] = select[n:, 1] = params.lam
+    select[:n, 0] = select[n:, 1] = models[0].lam if one_lam else 1.0
+    lam = None if one_lam else np.array([[model.lam] for model in models])
     # turns (lam q^2, lam p^2) into (1 + lam q^2, lam p^2 - omega^2)
-    shift = np.array([1.0, -params.omega**2])
+    shift = np.array([[1.0, -model.omega**2] for model in models])
 
     def rhs(_t, y):
         coeffs = np.dot((y * y).reshape(-1, 2 * n), select)
+        if lam is not None:
+            coeffs *= lam
         coeffs += shift
         inv_m, force = coeffs[:, 0], coeffs[:, 1]
         np.divide(1.0, inv_m, out=inv_m)
@@ -387,13 +411,15 @@ def _dop853(rhs, scale, y0, grid, tol):
 
 def integrate_orbits(
     states,
-    params: ModelParams,
+    params,
     t_ends,
     tol: float = 1e-10,
     samples: int = 2001,
 ) -> list[Trajectory]:
     """Integrate M orbits as one stacked system with the adaptive DOP853 pair.
 
+    `params` is one model for every orbit, or a sequence of M models of one
+    dimension, one per orbit; each trajectory carries its orbit's model.
     Orbit i runs from its own start time t0_i to t_ends[i]. Its time is
     rescaled to s in [0, 1] by dt = (t_ends[i] - t0_i) ds, so one grid of
     `samples` equispaced s values serves every orbit.
@@ -405,19 +431,20 @@ def integrate_orbits(
     sqrt(M) so that each orbit's own error is held as tightly as if it were
     integrated alone. Every trajectory carries the work of the whole batch
     as `stats`. An orbit may span at most _MAX_PERIODS undeformed periods
-    2 pi/omega, which bounds the work, since the deformed period is longer
-    still; a longer span raises DomainError, and so does an omega at which
-    omega^2 or omega^2 q^2 of a start overflows a double.
+    2 pi/omega of its model, which bounds the work, since the deformed
+    period is longer still; a longer span raises DomainError, and so does
+    an omega at which omega^2 or omega^2 q^2 of a start overflows a double.
     """
     states = list(states)
     t_ends = np.asarray(t_ends, dtype=float)
     if not states or len(t_ends) != len(states):
         raise DomainError("need one t_end per initial state, and at least one state")
+    models = _per_orbit(params, len(states))
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tol must be finite and > 0")
     if samples < 2:
         raise DomainError(f"samples must be >= 2, got {samples}")
-    n = params.dim
+    n = models[0].dim
     for state in states:
         if len(state.q) != n:
             raise DomainError(f"state has {len(state.q)} components, expected {n}")
@@ -425,16 +452,20 @@ def integrate_orbits(
     spans = t_ends - t0
     if not np.all(np.isfinite(spans) & (spans > 0)):
         raise DomainError("t_end must be finite and exceed the initial time")
-    periods = float(np.max(spans)) * params.omega / (2.0 * math.pi)
+    omega = np.array([model.omega for model in models])
+    periods = float(np.max(spans * omega)) / (2.0 * math.pi)
     if periods > _MAX_PERIODS:
         raise DomainError(
             f"an orbit spans {periods:.3g} periods 2 pi/omega; at most {_MAX_PERIODS} "
             f"are integrated, so shorten t_end"
         )
     # hamilton_rhs forms omega^2, and the energy omega^2 q^2
-    reach = params.omega * max(1.0, max(float(np.max(np.abs(state.q))) for state in states))
-    if not math.isfinite(reach * reach):
-        raise DomainError(f"omega={params.omega:g} is out of range: omega^2 q^2 overflows a double")
+    for state, model in zip(states, models):
+        reach = model.omega * max(1.0, float(np.max(np.abs(state.q))))
+        if not math.isfinite(reach * reach):
+            raise DomainError(
+                f"omega={model.omega:g} is out of range: omega^2 q^2 overflows a double"
+            )
     control = max(0.1 * tol, _CONTROL_FLOOR) / math.sqrt(len(states))
     if control < _CONTROL_FLOOR:
         raise DomainError(
@@ -444,7 +475,7 @@ def integrate_orbits(
 
     y0 = np.concatenate([np.concatenate([state.q, state.p]) for state in states])
     ys, stats = _dop853(
-        hamilton_rhs(params), np.repeat(spans, 2 * n), y0, np.linspace(0.0, 1.0, samples), control
+        hamilton_rhs(models), np.repeat(spans, 2 * n), y0, np.linspace(0.0, 1.0, samples), control
     )
     orbits = ys.reshape(samples, len(states), 2, n)  # sample, orbit, q or p, axis
     return [
@@ -452,7 +483,7 @@ def integrate_orbits(
             t=np.linspace(t0[i], t_ends[i], samples),
             q=orbits[:, i, 0],
             p=orbits[:, i, 1],
-            params=params,
+            params=models[i],
             stats=stats,
         )
         for i in range(len(states))
@@ -542,17 +573,23 @@ def exact_orbit(
     return q, p
 
 
-def _closure_misses(states, params: ModelParams):
+def _closure_misses(states, params):
     """How far each orbit misses its start after exactly its closed-form period.
 
-    The orbits run as one batch, at integration tolerance 1e-11, from their
-    start times for the full period T = 2 `estimate_radial_period`, with two
-    samples, and each miss is the phase-space distance |z(t0 + T) - z(t0)|.
-    Returns the misses and the work of the batch. Raises DomainError,
-    through the period, for an orbit at or above the escape threshold.
+    `params` is one model for every orbit or one per orbit, of one
+    dimension. The orbits run as one batch, at integration tolerance 1e-11,
+    from their start times for the full period T = 2 `estimate_radial_period`,
+    with two samples, and each miss is the phase-space distance
+    |z(t0 + T) - z(t0)|. Returns the misses and the work of the batch.
+    Raises DomainError, through the period, for an orbit at or above the
+    escape threshold.
     """
-    t_ends = [state.t + 2.0 * estimate_radial_period(state, params) for state in states]
-    trajs = integrate_orbits(states, params, t_ends, tol=1e-11, samples=2)
+    states = list(states)
+    models = _per_orbit(params, len(states))
+    t_ends = [
+        state.t + 2.0 * estimate_radial_period(state, model) for state, model in zip(states, models)
+    ]
+    trajs = integrate_orbits(states, models, t_ends, tol=1e-11, samples=2)
     misses = [
         float(np.linalg.norm(np.concatenate([traj.q[-1] - state.q, traj.p[-1] - state.p])))
         for state, traj in zip(states, trajs)

@@ -169,9 +169,16 @@ def _cmd_spectrum(args, params) -> tuple[str, str, int]:
     return _artifact(table, args), summary, 0
 
 
+def _check_quantum_numbers(args) -> None:
+    for flag, value in (("--k", args.k), ("--l", args.l)):
+        if value < 0:
+            raise DomainError(f"{flag} must be >= 0, got {value}")
+
+
 def _cmd_oracle(args, params) -> tuple[str, str, int]:
     from .oracle import RadialGrid, default_radial_grid, oracle_report
 
+    _check_quantum_numbers(args)
     base = default_radial_grid(params, args.l, args.k)  # lengths in sqrt(hbar/omega)
     r_max = base.r_max if args.r_max is None else args.r_max * math.sqrt(params.omega / params.hbar)
     if not 0 < r_max < math.inf:
@@ -215,6 +222,7 @@ def _finite_curve(fn, r, arg, label: str, r_max: float) -> np.ndarray:
 def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
     from .wavefunctions import RadialEigenfunction, normalize
 
+    _check_quantum_numbers(args)
     _check_grid_points(args)
     if args.r_max is not None:
         _check_r_max(args.r_max)

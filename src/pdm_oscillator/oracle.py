@@ -36,10 +36,10 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, GridSizeError, LapackUnavailableError
 from .geometry import ModelParams
 from .spectrum import (
-    _TINY,
     SpectrumTable,
-    _check_spectrum,
+    _dimensionless,
     _omega_eff,
+    _scale,
     continuum_threshold,
     degeneracy,
     energy_closed_form,
@@ -91,32 +91,6 @@ class RadialGrid:
     def refined(self) -> "RadialGrid":
         """Same interval with each cell halved (for Richardson extrapolation)."""
         return RadialGrid(self.r_min, self.r_max, 2 * self.cells)
-
-
-def _dimensionless(params: ModelParams) -> ModelParams:
-    """The model at hbar = omega = 1, lam = g = lam*hbar/omega, once _check_spectrum passes.
-
-    Raises DomainError where g overflows or its threshold 1/(2g), in units
-    of hbar*omega, is not a normal double.
-    """
-    _check_spectrum(params)
-    g = 0.0
-    if params.lam > 0:
-        quotient = params.hbar / params.omega
-        if _TINY <= quotient < math.inf:
-            g = params.lam * quotient
-        else:  # hbar/omega alone leaves the normal doubles where g may not
-            g = params.lam * params.hbar / params.omega
-        if g > 0 and not 1.0 / (2.0 * g) >= _TINY:
-            raise DomainError(
-                f"the threshold 1/(2g) hbar*omega underflows a double at {_scale(params, g)}"
-            )
-    return ModelParams(lam=g, dim=params.dim)
-
-
-def _scale(params: ModelParams, g: float) -> str:
-    return (f"g = lam*hbar/omega = {g:.3g} (lam={params.lam:g}, hbar={params.hbar:g}, "
-            f"omega={params.omega:g})")
 
 
 def default_radial_grid(params: ModelParams, l: int, k_max: int) -> RadialGrid:

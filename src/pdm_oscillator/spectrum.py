@@ -3,9 +3,13 @@
 The bound-state energies solve the self-consistent equation
 E = hbar * sqrt(omega^2 - 2*lam*E) * (n + N/2); the closed form and the
 generic fixed-point deformation of an arbitrary solvable base spectrum live
-here. There is one fixed-point solver: energy_implicit is the deformation
+here. There is one bisection, _bisect. energy_implicit is the fixed point
 of the harmonic base, and both it and solve_deformed_spectrum take a scalar
-or an array of levels and make one vectorized bisection.
+or an array of levels and make one vectorized bisection in physical units.
+In units of hbar*omega the equation has one parameter, g = lam*hbar/omega
+(_dimensionless, which the oracle shares), and _reduced_level bisects it
+for any array of g against any array of n + N/2, so that the levels of many
+models take one call.
 """
 
 from __future__ import annotations
@@ -196,6 +200,53 @@ def _fixed_point(base, n, params: ModelParams):
     """
     top = np.minimum(base(params.omega, n), continuum_threshold(params))
     return _bisect(lambda e: base(_omega_eff(e, params), n) - e, np.zeros(np.shape(n)), top)
+
+
+def _scale(params: ModelParams, g: float) -> str:
+    return (f"g = lam*hbar/omega = {g:.3g} (lam={params.lam:g}, hbar={params.hbar:g}, "
+            f"omega={params.omega:g})")
+
+
+def _dimensionless(params: ModelParams) -> ModelParams:
+    """The model at hbar = omega = 1, lam = g = lam*hbar/omega, once _check_spectrum passes.
+
+    Raises DomainError where g overflows or its threshold 1/(2g), in units
+    of hbar*omega, is not a normal double.
+    """
+    _check_spectrum(params)
+    g = 0.0
+    if params.lam > 0:
+        quotient = params.hbar / params.omega
+        if _TINY <= quotient < math.inf:
+            g = params.lam * quotient
+        else:  # hbar/omega alone leaves the normal doubles where g may not
+            g = params.lam * params.hbar / params.omega
+        if g > 0 and not 1.0 / (2.0 * g) >= _TINY:
+            raise DomainError(
+                f"the threshold 1/(2g) hbar*omega underflows a double at {_scale(params, g)}"
+            )
+    return ModelParams(lam=g, dim=params.dim)
+
+
+def _reduced_level(g, nu):
+    """Level eps = E/(hbar*omega) of nu = n + N/2 at g = lam*hbar/omega > 0.
+
+    g and nu broadcast against each other, and one bisection solves every
+    entry. In these units the self-consistent equation reads
+    eps = nu*W(eps), W = sqrt(1 - 2 g eps), taken as
+    min(1, sqrt(2g) sqrt(1/(2g) - eps)), as _omega_of_gap takes Omega; no
+    eps bisected exceeds the threshold 1/(2g). So f(eps) = nu*W(eps) - eps
+    decreases, f(0) > 0 >= f(top) on the bracket [0, top],
+    top = min(nu, 1/(2g)), and eps >= top/2 in every regime: the bracket is
+    in units of the level and collapses in about 55 halvings whatever g is.
+    """
+    threshold = 0.5 / g
+    root_2g = np.sqrt(2.0 * g)
+    return _bisect(
+        lambda e: nu * np.minimum(1.0, root_2g * np.sqrt(threshold - e)) - e,
+        0.0,
+        np.minimum(nu, threshold),
+    )
 
 
 def energy_implicit(n, params: ModelParams):

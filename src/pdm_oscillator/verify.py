@@ -3,7 +3,10 @@
 Each check returns a CheckResult with the measured value, the expected
 value, and the tolerance it was held to; `run_all` executes the full
 battery. The same battery backs both the test suite and the CLI
-`verify-all` command, with fixed seeds so runs are reproducible.
+`verify-all` command, with fixed seeds so runs are reproducible. A check
+over many models makes one solver call: spectrum-self-consistency solves
+its 27 models' levels at their g in one bisection, and orbit-closure
+integrates its 41 orbits of three models as one batch.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from .classical import (
 from .geometry import EffectivePotentialSpec, ModelParams, effective_minimum, potential
 from .oracle import grid_eigen_residual, oracle_report
 from .spectrum import (
+    _dimensionless,
+    _reduced_level,
     angular_multiplicity,
     continuum_threshold,
     degeneracy,
     energy_closed_form,
-    energy_implicit,
     harmonic_base,
     solve_deformed_spectrum,
     threshold_gap,
@@ -107,21 +111,27 @@ def check_potential_limits() -> CheckResult:
 
 
 def check_spectrum_self_consistency() -> CheckResult:
-    """Closed form satisfies the implicit equation and matches its bisection root."""
+    """Closed form satisfies the implicit equation and matches its bisection
+    root; the 27 models' levels are solved at their g by one bisection."""
     levels = np.arange(401)
-    worst_residual = 0.0
-    worst_diff = 0.0
-    for dim in (1, 2, 3):
-        for lam in (0.005, 0.02, 0.1):
-            for omega in (0.5, 1.0, 2.0):
-                p = ModelParams(lam=lam, omega=omega, hbar=1.0, dim=dim)
-                energy = energy_closed_form(levels, p)
-                nu = levels + dim / 2.0
-                omega_eff = np.sqrt(omega**2 - 2.0 * lam * energy)
-                residual = np.abs(energy - p.hbar * omega_eff * nu) / omega**2
-                worst_residual = max(worst_residual, float(residual.max()))
-                implicit = energy_implicit(levels, p)
-                worst_diff = max(worst_diff, float(np.abs(implicit - energy).max()))
+    models = [
+        ModelParams(lam=lam, omega=omega, hbar=1.0, dim=dim)
+        for dim in (1, 2, 3)
+        for lam in (0.005, 0.02, 0.1)
+        for omega in (0.5, 1.0, 2.0)
+    ]
+    # one row per model
+    lam = np.array([[p.lam] for p in models])
+    omega = np.array([[p.omega] for p in models])
+    hbar = np.array([[p.hbar] for p in models])
+    g = np.array([[_dimensionless(p).lam] for p in models])
+    nu = levels + np.array([[p.dim / 2.0] for p in models])
+    energy = np.array([energy_closed_form(levels, p) for p in models])
+    omega_eff = np.sqrt(omega**2 - 2.0 * lam * energy)
+    residual = np.abs(energy - hbar * omega_eff * nu) / omega**2
+    worst_residual = float(residual.max())
+    implicit = hbar * omega * _reduced_level(g, nu)
+    worst_diff = float(np.abs(implicit - energy).max())
     measured = max(worst_residual, worst_diff)
     return CheckResult(
         name="spectrum-self-consistency",
@@ -259,12 +269,12 @@ def check_eigenfunction_residual() -> CheckResult:
     )
 
 
-def _rk_work(*stats) -> dict:
-    """Summed Runge-Kutta work of the given integrations, as detail entries."""
+def _rk_work(stats) -> dict:
+    """The Runge-Kutta work of one integration, as detail entries."""
     return {
-        "rk_nfev": sum(s.nfev for s in stats),
-        "rk_accepted_steps": sum(s.accepted for s in stats),
-        "rk_rejected_steps": sum(s.rejected for s in stats),
+        "rk_nfev": stats.nfev,
+        "rk_accepted_steps": stats.accepted,
+        "rk_rejected_steps": stats.rejected,
     }
 
 
@@ -330,24 +340,20 @@ def check_classical_conservation() -> list[CheckResult]:
 
 def check_orbit_closure() -> CheckResult:
     """Random bounded N=2 orbits, and a flat control, return to their start
-    after the closed-form period."""
+    after the closed-form period; all 41 orbits run as one batch."""
     rng = np.random.default_rng(_CLOSURE_SEED)
-    misses, batch_stats = [], []
+    states, models = [], []
     for lam in (0.01, 0.1):
-        p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=2)
-        states = [
+        states += [
             PhaseState(q=rng.uniform(-2.0, 2.0, 2), p=rng.uniform(-1.5, 1.5, 2))
             for _ in range(20)
         ]
-        batch_misses, stats = _closure_misses(states, p)
-        misses.extend(batch_misses)
-        batch_stats.append(stats)
-    failures = sum(not miss < 1e-6 for miss in misses)
-
+        models += [ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=2)] * 20
     # at lam = 0 the closed-form period is 2 pi
-    p0 = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=2)
-    control = PhaseState(q=np.array([1.2, 0.1]), p=np.array([-0.2, 0.8]))
-    (control_miss,), control_stats = _closure_misses([control], p0)
+    states.append(PhaseState(q=np.array([1.2, 0.1]), p=np.array([-0.2, 0.8])))
+    models.append(ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=2))
+    (*misses, control_miss), stats = _closure_misses(states, models)
+    failures = sum(not miss < 1e-6 for miss in misses)
     return CheckResult(
         name="orbit-closure",
         passed=failures == 0 and control_miss < 1e-6,
@@ -358,7 +364,7 @@ def check_orbit_closure() -> CheckResult:
         details={
             "flat_control_miss": control_miss,
             "worst_miss": max(misses),
-            **_rk_work(*batch_stats, control_stats),
+            **_rk_work(stats),
         },
     )
 

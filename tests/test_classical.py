@@ -249,6 +249,22 @@ class TestStackedIntegration:
             single = np.concatenate([rhs(0.0, z) for z in orbits])
             np.testing.assert_allclose(stacked, single, rtol=1e-15, atol=1e-15)
 
+    def test_rhs_with_a_model_per_orbit(self):
+        rng = np.random.default_rng(5)
+        models = [
+            ModelParams(lam=lam, omega=omega, dim=2)
+            for lam, omega in ((0.0, 0.5), (0.01, 1.0), (0.1, 2.0))
+        ]
+        orbits = rng.normal(size=(3, 4))
+        stacked = hamilton_rhs(models)(0.0, orbits.ravel())
+        single = np.concatenate([hamilton_rhs(m)(0.0, z) for m, z in zip(models, orbits)])
+        np.testing.assert_allclose(stacked, single, rtol=1e-15, atol=1e-15)
+        # one lam for all stays in the selector, as for a single model
+        models = [ModelParams(lam=0.1, omega=omega, dim=2) for omega in (0.5, 1.0, 2.0)]
+        stacked = hamilton_rhs(models)(0.0, orbits.ravel())
+        single = np.concatenate([hamilton_rhs(m)(0.0, z) for m, z in zip(models, orbits)])
+        assert np.array_equal(stacked, single)
+
     @pytest.mark.parametrize("lam_q_sq", [0.23, 1.8e5, 2e8])
     def test_rhs_matches_exact_arithmetic(self, lam_q_sq):
         # qdot and -dH/dq = q (lam p^2 - omega^2)/(1 + lam q^2)^2 in exact
@@ -326,6 +342,11 @@ class TestStackedIntegration:
         integrate_orbits([state], P2, [1.0], tol=1e-13)
         with pytest.raises(DomainError):
             integrate_orbits([state, state], P2, [1.0, 1.0], tol=1e-13)
+        # one model per orbit, all of one dimension
+        with pytest.raises(DomainError, match="one model per orbit"):
+            integrate_orbits([state, state], [P2], [1.0, 1.0])
+        with pytest.raises(DomainError, match="one dimension"):
+            integrate_orbits([state, state], [P2, P3], [1.0, 1.0])
 
 
 def counting_rhs(monkeypatch, after=None):
@@ -358,7 +379,7 @@ class TestDormandPrince:
         step control integrate_orbits derives from tol."""
         from scipy.integrate import solve_ivp
 
-        n = params.dim
+        n = (params if isinstance(params, ModelParams) else params[0]).dim
         t0 = np.array([state.t for state in states])
         scale = np.repeat(np.asarray(t_ends) - t0, 2 * n)
         rhs = hamilton_rhs(params)
@@ -385,7 +406,9 @@ class TestDormandPrince:
         assert np.array_equal(classical._E5, ref.E5)
         assert np.array_equal(classical._D, ref.D)
 
-    @pytest.mark.parametrize("case", ["batch-of-20", "single-dense", "two-samples"])
+    @pytest.mark.parametrize(
+        "case", ["batch-of-20", "single-dense", "two-samples", "mixed-models"]
+    )
     def test_matches_scipy_dop853(self, monkeypatch, case):
         rng = np.random.default_rng(29)
         if case == "single-dense":
@@ -394,6 +417,21 @@ class TestDormandPrince:
             params, tol, samples = ModelParams(lam=0.5, omega=1.0, dim=2), 1e-6, 101
             states = [PhaseState(q=np.array([3.0, 0.0]), p=np.array([0.0, 0.3]), t=1.5)]
             t_ends = [21.5]
+        elif case == "mixed-models":
+            # one orbit per (lam, omega), each of its own model, in one batch
+            params = [
+                ModelParams(lam=lam, omega=omega, dim=2)
+                for lam in (0.0, 0.01, 0.1)
+                for omega in (0.5, 1.0, 2.0)
+            ]
+            tol, samples = 1e-10, 401
+            states = [
+                PhaseState(q=rng.uniform(-1.0, 1.0, 2), p=rng.uniform(-0.5, 0.5, 2))
+                for _ in params
+            ]
+            t_ends = [
+                2.0 * estimate_radial_period(state, model) for state, model in zip(states, params)
+            ]
         else:
             # with two samples only the first and the last step hold one
             params, tol = P3, 1e-10
@@ -424,7 +462,9 @@ class TestDormandPrince:
             assert stats.rejected > 0
         if samples == 2:
             assert sampled_steps == 2 < stats.accepted
-        n = params.dim
+        if case == "mixed-models":
+            assert [traj.params for traj in trajs] == params
+        n = trajs[0].params.dim
         for i, traj in enumerate(trajs):
             ref = sol.y[2 * n * i : 2 * n * (i + 1)].T
             bound = 1e-13 * np.max(np.abs(ref))
@@ -432,11 +472,22 @@ class TestDormandPrince:
 
     def test_battery_work_is_pinned(self):
         # the verify-all details of both classical checks: a faster integrator
-        # must take these very steps, not fewer
+        # must take these very steps, not fewer. orbit-closure integrates its
+        # 41 orbits of three models as one batch
         (conservation, _), closure = verify.check_classical_conservation(), verify.check_orbit_closure()
         work = ("rk_nfev", "rk_accepted_steps", "rk_rejected_steps")
         assert [conservation.details[key] for key in work] == [3614, 240, 1]
-        assert [closure.details[key] for key in work] == [2160, 170, 8]
+        assert [closure.details[key] for key in work] == [1208, 91, 9]
+
+    def test_one_batch_per_closure_check(self, monkeypatch):
+        # the 20 orbits at lam = 0.01, the 20 at lam = 0.1 and the flat control
+        calls = []
+        dop853 = classical._dop853
+        monkeypatch.setattr(
+            classical, "_dop853", lambda *args: calls.append(len(args[2])) or dop853(*args)
+        )
+        assert verify.check_orbit_closure().passed
+        assert calls == [41 * 4]
 
     def test_rms_does_not_overflow(self):
         # the first step's norms of states and rates near 1e300

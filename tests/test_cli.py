@@ -528,6 +528,23 @@ class TestErrorPaths:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["oracle", "--k", "-1"], "--k"),
+            (["oracle", "--l", "-1"], "--l"),
+            (["wavefunction", "--k", "-1"], "--k"),
+            (["wavefunction", "--l", "-1"], "--l"),
+        ],
+        ids=["oracle-k", "oracle-l", "wavefunction-k", "wavefunction-l"],
+    )
+    def test_bad_quantum_number_names_the_flag(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "x.csv"
+        assert cli.run(argv + ["--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["spectrum", "--tol", "1e-3"],

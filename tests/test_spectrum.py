@@ -25,7 +25,7 @@ from pdm_oscillator import (
     spectrum_table,
     threshold_gap,
 )
-from pdm_oscillator.spectrum import json_rows, write_csv
+from pdm_oscillator.spectrum import _dimensionless, _reduced_level, json_rows, write_csv
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
 
@@ -154,6 +154,34 @@ class TestImplicitSolver:
         value = energy_implicit(300, P3)
         threshold = continuum_threshold(P3)
         assert threshold - value < 0.01 * threshold
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=st.one_of(st.just(0.0), log_uniform(1e-100, 1e100)),
+        omega=log_uniform(1e-100, 1e100),
+        hbar=log_uniform(1e-100, 1e100),
+        dim=st.integers(1, 8),
+        n=st.lists(st.integers(-1, 10**6), min_size=1, max_size=4),
+    )
+    def test_matches_closed_form_at_any_scale(self, lam, omega, hbar, dim, n):
+        # the physical-units bisection and the one at g = lam*hbar/omega,
+        # scaled by hbar*omega, are roots of the computed equation, against
+        # the closed form's handful of roundings; 2.9 eps was the worst of
+        # either over 3000 random models in this range. energy_implicit
+        # raises DomainError exactly where energy_closed_form does
+        p = ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim)
+        levels = np.array(n)
+        try:
+            closed = energy_closed_form(levels, p)
+        except DomainError:
+            with pytest.raises(DomainError):
+                energy_implicit(levels, p)
+            return
+        g = _dimensionless(p).lam
+        nu = levels + dim / 2.0
+        reduced = hbar * omega * (nu if g == 0 else _reduced_level(g, nu))
+        for energy in (energy_implicit(levels, p), reduced):
+            np.testing.assert_allclose(energy, closed, rtol=8 * np.finfo(float).eps, atol=0)
 
 
 class TestThresholdGap:
@@ -374,6 +402,10 @@ class TestOneSolver:
         assert len(calls) == 2
         calls.clear()
         assert cli.run(["deform", "--n-max", "20", "--out", str(tmp_path / "d.csv")]) == 0
+        assert len(calls) == 1
+        # the 27 models' 401 levels each, at their g
+        calls.clear()
+        assert verify.check_spectrum_self_consistency().passed
         assert len(calls) == 1
 
 
