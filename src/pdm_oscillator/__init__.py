@@ -39,7 +39,6 @@ _EXPORTS = {
         "LapackUnavailableError",
     ),
     "geometry": (
-        "EffectivePotentialSpec",
         "ModelParams",
         "effective_minimum",
         "effective_potential",

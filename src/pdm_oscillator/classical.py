@@ -111,9 +111,6 @@ class Trajectory:
     params: ModelParams
     stats: RKStats | None = None
 
-    def state(self, i: int) -> PhaseState:
-        return PhaseState(q=self.q[i], p=self.p[i], t=float(self.t[i]))
-
 
 def conserved_series(traj: Trajectory, params: ModelParams) -> dict[str, np.ndarray]:
     """Every conserved quantity evaluated along the whole trajectory."""
@@ -134,12 +131,9 @@ def conserved_series(traj: Trajectory, params: ModelParams) -> dict[str, np.ndar
     return out
 
 
-def _per_orbit(params, count: int) -> list[ModelParams]:
-    """One model per orbit from one model for all or a sequence of `count`,
-    all of one dimension."""
-    models = [params] * count if isinstance(params, ModelParams) else list(params)
-    if len(models) != count:
-        raise DomainError(f"need one model per orbit, or one for all: got {len(models)} for {count}")
+def _models(params) -> list[ModelParams]:
+    """One model, or a sequence of models of one dimension, as a list."""
+    models = [params] if isinstance(params, ModelParams) else list(params)
     if any(model.dim != models[0].dim for model in models):
         raise DomainError("the orbits' models must all have one dimension")
     return models
@@ -162,10 +156,8 @@ def hamilton_rhs(params):
     p^2 and a column of lam, one row per orbit, scales them. Each orbit's
     shift row [1, -omega^2] is then added.
     """
-    models = [params] if isinstance(params, ModelParams) else list(params)
+    models = _models(params)
     n = models[0].dim
-    if any(model.dim != n for model in models):
-        raise DomainError("the orbits' models must all have one dimension")
     one_lam = len({model.lam for model in models}) == 1
     select = np.zeros((2 * n, 2))
     select[:n, 0] = select[n:, 1] = models[0].lam if one_lam else 1.0
@@ -439,7 +431,11 @@ def integrate_orbits(
     t_ends = np.asarray(t_ends, dtype=float)
     if not states or len(t_ends) != len(states):
         raise DomainError("need one t_end per initial state, and at least one state")
-    models = _per_orbit(params, len(states))
+    models = _models(params) * (len(states) if isinstance(params, ModelParams) else 1)
+    if len(models) != len(states):
+        raise DomainError(
+            f"need one model per orbit, or one for all: got {len(models)} for {len(states)}"
+        )
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tol must be finite and > 0")
     if samples < 2:
@@ -573,19 +569,18 @@ def exact_orbit(
     return q, p
 
 
-def _closure_misses(states, params):
+def _closure_misses(states, models):
     """How far each orbit misses its start after exactly its closed-form period.
 
-    `params` is one model for every orbit or one per orbit, of one
-    dimension. The orbits run as one batch, at integration tolerance 1e-11,
-    from their start times for the full period T = 2 `estimate_radial_period`,
-    with two samples, and each miss is the phase-space distance
+    `models` holds one model per orbit, all of one dimension. The orbits
+    run as one batch, at integration tolerance 1e-11, from their start
+    times for the full period T = 2 `estimate_radial_period`, with two
+    samples, and each miss is the phase-space distance
     |z(t0 + T) - z(t0)|. Returns the misses and the work of the batch.
     Raises DomainError, through the period, for an orbit at or above the
     escape threshold.
     """
     states = list(states)
-    models = _per_orbit(params, len(states))
     t_ends = [
         state.t + 2.0 * estimate_radial_period(state, model) for state, model in zip(states, models)
     ]
@@ -605,8 +600,8 @@ def closure_check(traj: Trajectory, tol: float = 1e-6) -> tuple[bool, float | No
     closed when it misses its start there by less than tol. Returns
     (closed, T); an unbounded orbit reports (False, None).
     """
-    params, start = traj.params, traj.state(0)
+    params, start = traj.params, PhaseState(q=traj.q[0], p=traj.p[0], t=float(traj.t[0]))
     if params.lam > 0 and hamiltonian(start, params) >= continuum_threshold(params):
         return False, None
-    (miss,), _ = _closure_misses([start], params)
+    (miss,), _ = _closure_misses([start], [params])
     return miss < tol, 2.0 * estimate_radial_period(start, params)

@@ -35,7 +35,6 @@ from .errors import (
     LapackUnavailableError,
 )
 from .geometry import (
-    EffectivePotentialSpec,
     ModelParams,
     effective_minimum,
     effective_potential,
@@ -208,12 +207,12 @@ def _check_r_max(r_max: float) -> None:
         raise DomainError(f"--r-max must be finite and > 0, got {r_max:g}")
 
 
-def _finite_curve(fn, r, arg, label: str, r_max: float) -> np.ndarray:
-    """fn(r, arg) at every sample; a value that leaves the doubles, as the
+def _finite_curve(fn, r, label: str, r_max: float) -> np.ndarray:
+    """fn(r) at every sample; a value that leaves the doubles, as the
     metric factor and the flat (lam = 0) potentials do once r^2 overflows,
     is an error, not a NaN or inf row."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.atleast_1d(fn(r, arg))
+        values = np.atleast_1d(fn(r))
     if not np.isfinite(values).all():
         raise DomainError(f"the {label} is not a finite double on the grid to --r-max {r_max:g}")
     return values
@@ -298,13 +297,14 @@ def _cmd_classical(args, params) -> tuple[str, str, int]:
 def _cmd_effective_potential(args, params) -> tuple[str, str, int]:
     _check_grid_points(args)
     _check_r_max(args.r_max)
-    spec = EffectivePotentialSpec(params, args.cn)
     start = 0.0 if args.cn == 0 else args.r_max / (10.0 * args.grid_points)
     r = np.linspace(start, args.r_max, args.grid_points)
-    values = _finite_curve(effective_potential, r, spec, "effective potential", args.r_max)
+    values = _finite_curve(
+        lambda r: effective_potential(r, params, args.cn), r, "effective potential", args.r_max
+    )
     artifact = _artifact({"r": r, "value": values}, args)
     if args.cn > 0 and params.omega > 0:
-        r_min, u_min = effective_minimum(spec)
+        r_min, u_min = effective_minimum(params, args.cn)
         summary = f"effective-potential: minimum {_fmt(u_min)} at r={_fmt(r_min)}"
     else:
         summary = f"effective-potential: {args.grid_points} samples"
@@ -320,7 +320,7 @@ def _cmd_geometry(args, params) -> tuple[str, str, int]:
     _check_grid_points(args)
     _check_r_max(args.r_max)
     r = np.linspace(0.0, args.r_max, args.grid_points)
-    values = _finite_curve(fns[args.quantity], r, params, args.quantity, args.r_max)
+    values = _finite_curve(lambda r: fns[args.quantity](r, params), r, args.quantity, args.r_max)
     artifact = _artifact({"r": r, "value": values}, args)
     summary = (
         f"geometry: {args.quantity} sampled at {args.grid_points} points, "

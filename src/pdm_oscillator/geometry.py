@@ -16,7 +16,6 @@ from .errors import DomainError
 
 __all__ = [
     "ModelParams",
-    "EffectivePotentialSpec",
     "metric_factor",
     "scalar_curvature",
     "potential",
@@ -52,16 +51,10 @@ class ModelParams:
         object.__setattr__(self, "dim", int(self.dim))
 
 
-@dataclass(frozen=True)
-class EffectivePotentialSpec:
-    """Radial problem at fixed total squared angular momentum c_n >= 0."""
-
-    params: ModelParams
-    c_n: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.c_n) or self.c_n < 0:
-            raise DomainError(f"c_n must be finite and >= 0, got {self.c_n}")
+def _check_cn(c_n: float) -> None:
+    """Total squared angular momentum c_n of the radial problem: finite and >= 0."""
+    if not math.isfinite(c_n) or c_n < 0:
+        raise DomainError(f"c_n must be finite and >= 0, got {c_n}")
 
 
 def _check_radius(r):
@@ -124,52 +117,56 @@ def potential(r, params: ModelParams):
     """Central potential omega^2 r^2 / (2 (1 + lam r^2)).
 
     Vanishes at the origin and saturates at omega^2/(2*lam) for lam > 0.
-    Past the split of _split it is omega^2/(2*lam) / (1 + z), z = 1/(lam r^2).
+    Taken as omega*(omega*(r^2/(2(1 + lam r^2)))), which never forms
+    omega^2. Past the split of _split it is omega^2/(2*lam) / (1 + z),
+    z = 1/(lam r^2).
     """
     r = _check_radius(r)
     far, near, z = _split(r, params.lam)
-    out = params.omega**2 * near * near / (2.0 * (1.0 + params.lam * near * near))
+    out = near * near / (2.0 * (1.0 + params.lam * near * near))
+    out = params.omega * (params.omega * out)
     if params.lam > 0:
         out = np.where(far, params.omega / (2.0 * params.lam) * params.omega / (1.0 + z), out)
     return out if out.ndim else float(out)
 
 
-def effective_potential(r, spec: EffectivePotentialSpec):
+def effective_potential(r, params: ModelParams, c_n: float):
     """Radial effective potential with centrifugal term c_n/(2 m(r) r^2).
 
+    c_n >= 0 is the total squared angular momentum of the radial problem.
     Diverges as r -> 0+ when c_n > 0 and tends to omega^2/(2*lam) at
     infinity. For c_n = 0 the value at r = 0 is the removable limit 0.
     Past the split of _split the centrifugal term is c_n lam z^2/(2(1+z))
     with z = 1/(lam r^2), z^2 taken last, as in scalar_curvature.
     """
+    _check_cn(c_n)
     r = _check_radius(r)
-    p = spec.params
-    if spec.c_n > 0 and np.any(r == 0):
+    if c_n > 0 and np.any(r == 0):
         raise DomainError("effective potential is singular at r=0 for c_n > 0")
-    far, near, z = _split(r, p.lam)
-    m = 1.0 + p.lam * near * near
+    far, near, z = _split(r, params.lam)
+    m = 1.0 + params.lam * near * near
     with np.errstate(divide="ignore", invalid="ignore"):
-        cent = np.where(near > 0, spec.c_n / (2.0 * m * np.where(near > 0, near, 1.0) ** 2), 0.0)
-    cent = np.where(far, spec.c_n * p.lam / (2.0 * (1.0 + z)) * z * z, cent)
-    out = cent + potential(r, p)
+        cent = np.where(near > 0, c_n / (2.0 * m * np.where(near > 0, near, 1.0) ** 2), 0.0)
+    cent = np.where(far, c_n * params.lam / (2.0 * (1.0 + z)) * z * z, cent)
+    out = cent + potential(r, params)
     return out if out.ndim else float(out)
 
 
-def effective_minimum(spec: EffectivePotentialSpec) -> tuple[float, float]:
+def effective_minimum(params: ModelParams, c_n: float) -> tuple[float, float]:
     """Location r_min and value u_min of the effective-potential minimum.
 
-    r_min^2 = (lam*c + sqrt(lam^2 c^2 + omega^2 c)) / omega^2 and
-    u_min   = -lam*c + sqrt(lam^2 c^2 + omega^2 c); the lam = 0 limits are
-    r_min^2 = sqrt(c)/omega and u_min = omega*sqrt(c).
+    r_min^2 = s/omega^2 and u_min = omega^2 c/s = -lam*c + sqrt(lam^2 c^2 + omega^2 c),
+    with s = lam*c + sqrt(lam^2 c^2 + omega^2 c) = lam*c + hypot(lam*c, omega*sqrt(c));
+    the lam = 0 limits are r_min^2 = sqrt(c)/omega and u_min = omega*sqrt(c).
+    Taken as r_min = sqrt(s)/omega and u_min = (omega sqrt(c)) ((omega sqrt(c))/s),
+    which neither cancel nor form omega^2 or (lam*c)^2.
     """
-    p = spec.params
-    c = spec.c_n
-    if p.omega <= 0:
+    _check_cn(c_n)
+    if params.omega <= 0:
         raise DomainError("effective potential has no minimum for omega = 0")
-    if c <= 0:
+    if c_n <= 0:
         raise DomainError("effective minimum requires c_n > 0")
-    s = math.sqrt(p.lam * p.lam * c * c + p.omega**2 * c)
-    r_min = math.sqrt((p.lam * c + s) / p.omega**2)
-    u_min = -p.lam * c + s
-    return r_min, u_min
+    b = params.omega * math.sqrt(c_n)
+    s = params.lam * c_n + math.hypot(params.lam * c_n, b)
+    return math.sqrt(s) / params.omega, b * (b / s)
 

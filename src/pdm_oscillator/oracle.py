@@ -381,7 +381,6 @@ def oracle_report(
             f"the top level is {top:.3g} hbar*omega"
         )
     return SpectrumTable(
-        params=params,
         n=n,
         energy=unit * energy,
         degeneracy=[degeneracy(int(v), params.dim) for v in n],

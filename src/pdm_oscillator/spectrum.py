@@ -3,13 +3,13 @@
 The bound-state energies solve the self-consistent equation
 E = hbar * sqrt(omega^2 - 2*lam*E) * (n + N/2); the closed form and the
 generic fixed-point deformation of an arbitrary solvable base spectrum live
-here. There is one bisection, _bisect. energy_implicit is the fixed point
-of the harmonic base, and both it and solve_deformed_spectrum take a scalar
-or an array of levels and make one vectorized bisection in physical units.
-In units of hbar*omega the equation has one parameter, g = lam*hbar/omega
-(_dimensionless, which the oracle shares), and _reduced_level bisects it
-for any array of g against any array of n + N/2, so that the levels of many
-models take one call.
+here. There is one bisection, _bisect, and one fixed-point solver,
+_fixed_point, which bisects every level in physical units. energy_implicit
+is the fixed point of the harmonic base, and both it and
+solve_deformed_spectrum take a scalar or an array of levels; _fixed_point
+also takes omega and lam as columns, so that the levels of many models take
+one call. In units of hbar*omega the equation has one parameter,
+g = lam*hbar/omega (_dimensionless), on which the oracle works.
 """
 
 from __future__ import annotations
@@ -57,21 +57,23 @@ def continuum_threshold(params: ModelParams) -> float:
     return params.omega / (2.0 * params.lam) * params.omega
 
 
-def _omega_of_gap(gap, params: ModelParams):
-    """Omega = sqrt(2*lam*gap) of an energy `gap` below the threshold.
+def _omega_of_gap(gap, omega, lam):
+    """Omega = sqrt(2*lam*gap) of an energy `gap` below the threshold, lam > 0.
 
     Taken as min(omega, sqrt(2*lam) * sqrt(gap)), which is exactly 0 at the
     threshold, exactly omega where the gap rounds to the threshold, and
-    never forms omega^2, so it cannot overflow.
+    never forms omega^2, so it cannot overflow. omega and lam are floats or
+    arrays that broadcast against the gap.
     """
-    if params.lam == 0:
-        return np.full(np.shape(gap), params.omega)
-    return np.minimum(params.omega, math.sqrt(2.0 * params.lam) * np.sqrt(gap))
+    return np.minimum(omega, np.sqrt(2.0 * lam) * np.sqrt(gap))
 
 
 def _omega_eff(energy, params: ModelParams):
-    """Omega(E) = sqrt(omega^2 - 2*lam*E) for 0 <= E <= threshold."""
-    return _omega_of_gap(np.maximum(continuum_threshold(params) - energy, 0.0), params)
+    """Omega(E) = sqrt(omega^2 - 2*lam*E) for 0 <= E <= threshold; omega at lam = 0."""
+    if params.lam == 0:
+        return np.full(np.shape(energy), params.omega)
+    gap = np.maximum(continuum_threshold(params) - energy, 0.0)
+    return _omega_of_gap(gap, params.omega, params.lam)
 
 
 def effective_frequency(energy, params: ModelParams):
@@ -146,6 +148,17 @@ def _check_levels(n) -> np.ndarray:
     return n
 
 
+def _closed_form_ratio(n, params: ModelParams):
+    """nu = n + N/2 and omega/(hypot(hbar*lam*nu, omega) + hbar*lam*nu), free
+    of cancellation, for levels n and a model that _check_levels and
+    _check_spectrum accept: the closed-form level is hbar*nu*ratio*omega and
+    its gap below the threshold threshold*ratio^2."""
+    _check_spectrum(params)
+    nu = _check_levels(n) + params.dim / 2.0
+    a = params.hbar * params.lam * nu
+    return nu, params.omega / (np.hypot(a, params.omega) + a)
+
+
 def energy_closed_form(n, params: ModelParams):
     """Bound-state energy of level n (accepts scalar or array n).
 
@@ -161,11 +174,7 @@ def energy_closed_form(n, params: ModelParams):
     continuum threshold, which it equals once the gap is below rounding, so
     rounding never lifts a bound level above it.
     """
-    _check_spectrum(params)
-    n = _check_levels(n)
-    nu = n + params.dim / 2.0
-    a = params.hbar * params.lam * nu
-    ratio = params.omega / (np.hypot(a, params.omega) + a)
+    nu, ratio = _closed_form_ratio(n, params)
     out = np.minimum(params.hbar * nu * ratio * params.omega, continuum_threshold(params))
     return out if out.ndim else float(out)
 
@@ -179,27 +188,26 @@ def threshold_gap(n, params: ModelParams):
     root the bracketed sum above, so omega^4 is never formed. Returns +inf
     for lam = 0.
     """
-    _check_spectrum(params)
-    n = _check_levels(n)
+    nu, ratio = _closed_form_ratio(n, params)
     if params.lam == 0:
-        out = np.full(n.shape, math.inf)
+        out = np.full(nu.shape, math.inf)
         return out if out.ndim else math.inf
-    nu = n + params.dim / 2.0
-    a = params.hbar * params.lam * nu
-    ratio = params.omega / (np.hypot(a, params.omega) + a)
     out = continuum_threshold(params) * ratio * ratio
     return out if out.ndim else float(out)
 
 
-def _fixed_point(base, n, params: ModelParams):
+def _fixed_point(base, n, omega, lam):
     """Fixed point E = base(Omega(E), n) of each level n, by one bisection.
 
-    g(E) = base(Omega(E), n) - E decreases in E for a base increasing in
-    frequency, and Omega <= omega, so base(omega, n) bounds the root from
-    above, as does the threshold: the bracket is [0, top], top the smaller.
+    omega and lam > 0 are floats, or columns that broadcast against n, one
+    row per model. g(E) = base(Omega(E), n) - E decreases in E for a base
+    increasing in frequency, and Omega <= omega, so base(omega, n) bounds
+    the root from above, as does the threshold omega^2/(2*lam): the bracket
+    is [0, top], top the smaller.
     """
-    top = np.minimum(base(params.omega, n), continuum_threshold(params))
-    return _bisect(lambda e: base(_omega_eff(e, params), n) - e, np.zeros(np.shape(n)), top)
+    threshold = omega / (2.0 * lam) * omega
+    top = np.minimum(base(omega, n), threshold)
+    return _bisect(lambda e: base(_omega_of_gap(threshold - e, omega, lam), n) - e, 0.0, top)
 
 
 def _scale(params: ModelParams, g: float) -> str:
@@ -228,27 +236,6 @@ def _dimensionless(params: ModelParams) -> ModelParams:
     return ModelParams(lam=g, dim=params.dim)
 
 
-def _reduced_level(g, nu):
-    """Level eps = E/(hbar*omega) of nu = n + N/2 at g = lam*hbar/omega > 0.
-
-    g and nu broadcast against each other, and one bisection solves every
-    entry. In these units the self-consistent equation reads
-    eps = nu*W(eps), W = sqrt(1 - 2 g eps), taken as
-    min(1, sqrt(2g) sqrt(1/(2g) - eps)), as _omega_of_gap takes Omega; no
-    eps bisected exceeds the threshold 1/(2g). So f(eps) = nu*W(eps) - eps
-    decreases, f(0) > 0 >= f(top) on the bracket [0, top],
-    top = min(nu, 1/(2g)), and eps >= top/2 in every regime: the bracket is
-    in units of the level and collapses in about 55 halvings whatever g is.
-    """
-    threshold = 0.5 / g
-    root_2g = np.sqrt(2.0 * g)
-    return _bisect(
-        lambda e: nu * np.minimum(1.0, root_2g * np.sqrt(threshold - e)) - e,
-        0.0,
-        np.minimum(nu, threshold),
-    )
-
-
 def energy_implicit(n, params: ModelParams):
     """Level-n energy from bracketing bisection of the self-consistent equation.
 
@@ -263,7 +250,7 @@ def energy_implicit(n, params: ModelParams):
     if params.lam == 0:
         out = params.hbar * params.omega * (n + params.dim / 2.0)
         return out if out.ndim else float(out)
-    return _fixed_point(harmonic_base(params), n, params)
+    return _fixed_point(harmonic_base(params), n, params.omega, params.lam)
 
 
 def degeneracy(n: int, dim: int) -> int:
@@ -338,7 +325,7 @@ def solve_deformed_spectrum(base: Callable, n, params: ModelParams):
     scale = np.max(np.abs(gvals), axis=-1, keepdims=True) + 1e-300
     if np.any(np.diff(gvals) >= 1e-12 * scale):
         raise BracketingError("fixed-point map is not decreasing on the bracket")
-    return _fixed_point(base, n, params)
+    return _fixed_point(base, n, params.omega, params.lam)
 
 
 def write_csv(columns: dict, stream) -> None:
@@ -365,7 +352,6 @@ def json_rows(columns: dict) -> list[dict]:
 class SpectrumTable:
     """Ordered bound-state table with degeneracies and residuals."""
 
-    params: ModelParams
     n: np.ndarray
     energy: np.ndarray
     degeneracy: list[int]
@@ -386,9 +372,6 @@ class SpectrumTable:
             "residual": self.residual,
             **self.extra_columns,
         }
-
-    def header(self) -> list[str]:
-        return list(self.columns())
 
     def to_csv(self, stream) -> None:
         write_csv(self.columns(), stream)
@@ -414,10 +397,10 @@ def spectrum_table(n_max: int, params: ModelParams) -> SpectrumTable:
     energy = np.atleast_1d(energy_closed_form(levels, params))
     gap = np.atleast_1d(threshold_gap(levels, params))
     nu = levels + params.dim / 2.0
-    residual = np.abs(energy - params.hbar * _omega_of_gap(gap, params) * nu)
+    omega_eff = params.omega if params.lam == 0 else _omega_of_gap(gap, params.omega, params.lam)
+    residual = np.abs(energy - params.hbar * omega_eff * nu)
     degen = [degeneracy(int(n), params.dim) for n in levels]
     return SpectrumTable(
-        params=params,
         n=levels,
         energy=energy,
         degeneracy=degen,

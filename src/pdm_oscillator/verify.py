@@ -5,8 +5,9 @@ value, and the tolerance it was held to; `run_all` executes the full
 battery. The same battery backs both the test suite and the CLI
 `verify-all` command, with fixed seeds so runs are reproducible. A check
 over many models makes one solver call: spectrum-self-consistency solves
-its 27 models' levels at their g in one bisection, and orbit-closure
-integrates its 41 orbits of three models as one batch.
+its 27 models' levels by one bisection of the spectrum's fixed-point
+solver, and orbit-closure integrates its 41 orbits of three models as one
+batch.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ from .classical import (
     exact_orbit,
     integrate_orbits,
 )
-from .geometry import EffectivePotentialSpec, ModelParams, effective_minimum, potential
+from .geometry import ModelParams, effective_minimum, potential
 from .oracle import grid_eigen_residual, oracle_report
 from .spectrum import (
-    _dimensionless,
-    _reduced_level,
+    _fixed_point,
     angular_multiplicity,
     continuum_threshold,
     degeneracy,
@@ -68,10 +68,8 @@ class CheckResult:
 
 def check_effective_minimum() -> CheckResult:
     """Deformed and flat effective-potential minima against reference values."""
-    spec = EffectivePotentialSpec(ModelParams(lam=0.02, omega=1.0, dim=3), 100.0)
-    r_min, u_min = effective_minimum(spec)
-    spec0 = EffectivePotentialSpec(ModelParams(lam=0.0, omega=1.0, dim=3), 100.0)
-    r_min0, u_min0 = effective_minimum(spec0)
+    r_min, u_min = effective_minimum(ModelParams(lam=0.02, omega=1.0, dim=3), 100.0)
+    r_min0, u_min0 = effective_minimum(ModelParams(lam=0.0, omega=1.0, dim=3), 100.0)
     deviations = {
         "r_min": abs(r_min - 3.49),
         "u_min": abs(u_min - 8.2),
@@ -112,7 +110,8 @@ def check_potential_limits() -> CheckResult:
 
 def check_spectrum_self_consistency() -> CheckResult:
     """Closed form satisfies the implicit equation and matches its bisection
-    root; the 27 models' levels are solved at their g by one bisection."""
+    root; the 27 models' levels are solved by one bisection, each model's
+    as energy_implicit solves them."""
     levels = np.arange(401)
     models = [
         ModelParams(lam=lam, omega=omega, hbar=1.0, dim=dim)
@@ -124,13 +123,12 @@ def check_spectrum_self_consistency() -> CheckResult:
     lam = np.array([[p.lam] for p in models])
     omega = np.array([[p.omega] for p in models])
     hbar = np.array([[p.hbar] for p in models])
-    g = np.array([[_dimensionless(p).lam] for p in models])
     nu = levels + np.array([[p.dim / 2.0] for p in models])
     energy = np.array([energy_closed_form(levels, p) for p in models])
     omega_eff = np.sqrt(omega**2 - 2.0 * lam * energy)
     residual = np.abs(energy - hbar * omega_eff * nu) / omega**2
     worst_residual = float(residual.max())
-    implicit = hbar * omega * _reduced_level(g, nu)
+    implicit = _fixed_point(lambda w, nu: hbar * w * nu, nu, omega, lam)
     worst_diff = float(np.abs(implicit - energy).max())
     measured = max(worst_residual, worst_diff)
     return CheckResult(

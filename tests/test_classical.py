@@ -11,7 +11,6 @@ import pdm_oscillator.cli as cli
 from pdm_oscillator import (
     ConvergenceError,
     DomainError,
-    EffectivePotentialSpec,
     ModelParams,
     PhaseState,
     Trajectory,
@@ -140,7 +139,7 @@ class TestIntegrateOrbit:
 
     def test_circular_orbit_radius_constant(self):
         c_n = 4.0
-        r_min, _ = effective_minimum(EffectivePotentialSpec(P2, c_n))
+        r_min, _ = effective_minimum(P2, c_n)
         state = PhaseState(
             q=np.array([r_min, 0.0]), p=np.array([0.0, math.sqrt(c_n) / r_min])
         )
@@ -215,7 +214,7 @@ class TestRadialPeriod:
     def test_circular_orbit(self):
         c_n, lam = 9.0, 0.05
         p = ModelParams(lam=lam, omega=1.0, dim=2)
-        r_min, _ = effective_minimum(EffectivePotentialSpec(p, c_n))
+        r_min, _ = effective_minimum(p, c_n)
         state = PhaseState(
             q=np.array([r_min, 0.0]), p=np.array([0.0, math.sqrt(c_n) / r_min])
         )
@@ -534,7 +533,7 @@ class TestClosure:
         c_n = 9.0
         lam = 0.05
         p = ModelParams(lam=lam, omega=1.0, dim=2)
-        r_min, _ = effective_minimum(EffectivePotentialSpec(p, c_n))
+        r_min, _ = effective_minimum(p, c_n)
         state = PhaseState(
             q=np.array([r_min, 0.0]), p=np.array([0.0, math.sqrt(c_n) / r_min])
         )

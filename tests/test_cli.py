@@ -119,6 +119,38 @@ class TestGeometryCommand:
         assert all(math.isfinite(v) for v in values)
         assert values[-1] == last
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["geometry", "--quantity", "potential"], ["effective-potential"]],
+        ids=["potential", "effective-potential"],
+    )
+    def test_omega_squared_overflow_is_not_an_error(self, tmp_path, capsys, argv):
+        # omega^2 = 1e320 overflows, but the curves saturate at 5e299
+        out = tmp_path / "huge.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.run(argv + ["--omega", "1e160", "--lambda", "1e20", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        values = [float(row["value"]) for row in read_csv(out)]
+        assert values[-1] == pytest.approx(5e299, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, u_min, r_min",
+        [
+            (["--cn", "1e300"], 25.0, 2e149),
+            (["--omega", "1e-170"], 0.0, 2e170),  # u_min = 2.5e-339 underflows
+            (["--omega", "1e160", "--lambda", "1e20"], 1e161, 10**-79.5),
+        ],
+        ids=["huge-cn", "tiny-omega", "huge-omega"],
+    )
+    def test_minimum_at_extreme_scales(self, tmp_path, capsys, argv, u_min, r_min):
+        code = cli.run(["effective-potential", *argv, "--out", str(tmp_path / "eff.csv")])
+        summary = capsys.readouterr().out
+        assert code == 0 and summary.startswith("effective-potential: minimum ")
+        value, at = summary.split()[2::2]
+        assert float(value) == pytest.approx(u_min, rel=1e-14, abs=0.0)
+        assert float(at.removeprefix("r=")) == pytest.approx(r_min, rel=1e-14)
+
 
 class TestWavefunctionCommand:
     def test_columns_and_weight(self, tmp_path):
@@ -841,8 +873,8 @@ assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
                       "estimate_radial_period", "exact_orbit", "hamiltonian", "integrate_orbit"],
         "errors": ["BracketingError", "ConvergenceError", "DomainError", "GridSizeError",
                    "LapackUnavailableError"],
-        "geometry": ["EffectivePotentialSpec", "ModelParams", "effective_minimum",
-                     "effective_potential", "metric_factor", "potential", "scalar_curvature"],
+        "geometry": ["ModelParams", "effective_minimum", "effective_potential",
+                     "metric_factor", "potential", "scalar_curvature"],
         "oracle": ["DiscretizedOperator", "RadialGrid", "default_radial_grid", "discretize_radial",
                    "grid_eigen_residual", "oracle_report", "solve_generalized_eigen"],
         "specfun": ["hermite_function", "integrate", "laguerre"],

@@ -5,7 +5,6 @@ import pytest
 
 from pdm_oscillator import (
     DomainError,
-    EffectivePotentialSpec,
     ModelParams,
     effective_minimum,
     effective_potential,
@@ -134,74 +133,72 @@ class TestPotential:
 
 class TestEffectivePotential:
     def test_far_field_limit(self):
-        spec = EffectivePotentialSpec(P3, 100.0)
-        assert effective_potential(1e4, spec) == pytest.approx(25.0, abs=0.01)
+        assert effective_potential(1e4, P3, 100.0) == pytest.approx(25.0, abs=0.01)
 
     def test_near_reference_minimum(self):
-        spec = EffectivePotentialSpec(P3, 100.0)
-        assert effective_potential(3.49, spec) == pytest.approx(8.2, abs=0.01)
+        assert effective_potential(3.49, P3, 100.0) == pytest.approx(8.2, abs=0.01)
 
     def test_pure_oscillator_term(self):
-        spec = EffectivePotentialSpec(ModelParams(lam=0.0, omega=1.0), 0.0)
-        assert effective_potential(2.0, spec) == pytest.approx(2.0, rel=1e-15)
+        p = ModelParams(lam=0.0, omega=1.0)
+        assert effective_potential(2.0, p, 0.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_centrifugal_singularity(self):
-        spec = EffectivePotentialSpec(P3, 4.0)
         with pytest.raises(DomainError):
-            effective_potential(0.0, spec)
+            effective_potential(0.0, P3, 4.0)
 
     def test_removable_origin_without_centrifugal(self):
-        spec = EffectivePotentialSpec(P3, 0.0)
-        assert effective_potential(0.0, spec) == 0.0
+        assert effective_potential(0.0, P3, 0.0) == 0.0
 
 
 class TestEffectiveMinimum:
     def test_reference_values(self):
-        r_min, u_min = effective_minimum(EffectivePotentialSpec(P3, 100.0))
+        r_min, u_min = effective_minimum(P3, 100.0)
         assert r_min == pytest.approx(3.492569115591783, rel=1e-14)
         assert u_min == pytest.approx(8.198039027185569, rel=1e-14)
 
     def test_flat_reference(self):
-        spec = EffectivePotentialSpec(ModelParams(lam=0.0, omega=1.0), 100.0)
-        r_min, u_min = effective_minimum(spec)
+        r_min, u_min = effective_minimum(ModelParams(lam=0.0, omega=1.0), 100.0)
         assert r_min == pytest.approx(math.sqrt(10.0), rel=1e-14)
         assert u_min == pytest.approx(10.0, rel=1e-14)
 
     def test_grid_search_oracle(self):
         # brute-force argmin of the sampled curve must land on r_min
-        spec = EffectivePotentialSpec(P3, 100.0)
         r = np.linspace(0.5, 20.0, 200001)
-        values = effective_potential(r, spec)
+        values = effective_potential(r, P3, 100.0)
         i = int(np.argmin(values))
-        r_min, u_min = effective_minimum(spec)
+        r_min, u_min = effective_minimum(P3, 100.0)
         assert abs(r[i] - r_min) < 2.0 * (r[1] - r[0])
         assert values[i] == pytest.approx(u_min, abs=1e-6)
 
     def test_stationarity(self):
         for lam, c in [(0.02, 100.0), (0.0, 100.0), (0.3, 7.0)]:
             p = ModelParams(lam=lam, omega=1.0)
-            spec = EffectivePotentialSpec(p, c)
-            r_min, _ = effective_minimum(spec)
+            r_min, _ = effective_minimum(p, c)
             h = 1e-5
             deriv = (
-                effective_potential(r_min + h, spec)
-                - effective_potential(r_min - h, spec)
+                effective_potential(r_min + h, p, c)
+                - effective_potential(r_min - h, p, c)
             ) / (2 * h)
             assert abs(deriv) < 1e-8 * p.omega**2
 
     def test_deformation_shifts_minimum(self):
-        flat = effective_minimum(
-            EffectivePotentialSpec(ModelParams(lam=0.0, omega=1.0), 100.0)
-        )
-        deformed = effective_minimum(EffectivePotentialSpec(P3, 100.0))
+        flat = effective_minimum(ModelParams(lam=0.0, omega=1.0), 100.0)
+        deformed = effective_minimum(P3, 100.0)
         assert deformed[0] > flat[0]
         assert deformed[1] < flat[1]
 
     def test_zero_omega_rejected(self):
         with pytest.raises(DomainError):
-            effective_minimum(
-                EffectivePotentialSpec(ModelParams(lam=0.02, omega=0.0), 1.0)
-            )
+            effective_minimum(ModelParams(lam=0.02, omega=0.0), 1.0)
+
+    @pytest.mark.parametrize("c_n", [-1.0, math.inf, math.nan])
+    def test_bad_cn_rejected(self, c_n):
+        for evaluate in (
+            lambda: effective_minimum(P3, c_n),
+            lambda: effective_potential(1.0, P3, c_n),
+        ):
+            with pytest.raises(DomainError, match="c_n must be finite and >= 0"):
+                evaluate()
 
 
 def ulps_from(got: float, exact) -> float:
@@ -250,7 +247,7 @@ class TestFarField:
                 for omega, c_n in [(1.0, 100.0), (0.3, 0.0), (7.0, 2.5), (0.0, 2.5)]:
                     p = ModelParams(lam=lam, omega=omega)
                     pot = potential(r, p)
-                    eff = effective_potential(r, EffectivePotentialSpec(p, c_n))
+                    eff = effective_potential(r, p, c_n)
                     for ri, v, u in zip(r, pot, eff):
                         r2 = mpmath.mpf(ri) ** 2
                         m = 1 + lam * r2
@@ -265,3 +262,45 @@ class TestFarField:
         # at lam = 0 the potential omega^2 r^2/2 itself leaves the doubles
         with pytest.raises(RuntimeWarning, match="overflow"):
             potential(1e160, ModelParams(lam=0.0))
+
+    def test_potentials_without_omega_squared(self):
+        # omega^2 = 1e320 overflows, yet the potential saturates at 5e299
+        # and the effective potential nowhere leaves the doubles
+        import mpmath
+
+        p = ModelParams(lam=1e20, omega=1e160)
+        r = np.concatenate([np.logspace(-100, -2, 60), self.radii(p.lam)])
+        worst = 0.0
+        with mpmath.workdps(50):
+            for ri, v, u in zip(r, potential(r, p), effective_potential(r, p, 100.0)):
+                r2 = mpmath.mpf(ri) ** 2
+                m = 1 + p.lam * r2
+                exact = mpmath.mpf(p.omega) ** 2 * r2 / (2 * m)
+                worst = max(worst, ulps_from(v, exact), ulps_from(u, exact + 100 / (2 * m * r2)))
+        assert worst <= 6, worst
+        assert potential(1e10, p) == pytest.approx(5e299, rel=1e-15)
+
+
+class TestEffectiveMinimumRange:
+    # the textbook roots at 400 digits, which resolve -lam*c + sqrt(lam^2 c^2
+    # + omega^2 c) even where it cancels 340 digits; at the first model
+    # omega^2 overflows, at the second (lam c)^2, and at the third omega^2
+    # underflows
+    @pytest.mark.parametrize(
+        "lam, omega, c_n, r_min, u_min",
+        [
+            (1e20, 1e160, 100.0, 3.16e-80, 1e161),
+            (0.02, 1.0, 1e300, 2e149, 25.0),
+            (0.02, 1e-170, 100.0, 2e170, 0.0),  # u_min = 2.5e-339 underflows
+        ],
+    )
+    def test_against_mpmath(self, lam, omega, c_n, r_min, u_min):
+        import mpmath
+
+        got = effective_minimum(ModelParams(lam=lam, omega=omega), c_n)
+        with mpmath.workdps(400):
+            lam_c = mpmath.mpf(lam) * c_n
+            root = mpmath.sqrt(lam_c**2 + mpmath.mpf(omega) ** 2 * c_n)
+            exact = (mpmath.sqrt((lam_c + root) / mpmath.mpf(omega) ** 2), root - lam_c)
+            assert max(ulps_from(g, e) for g, e in zip(got, exact)) <= 2
+        assert got == pytest.approx((r_min, u_min), rel=1e-3)

@@ -353,7 +353,7 @@ class TestOracleReport:
 
     def test_schema_extends_spectrum_table(self):
         report = oracle_report(P3, l_max=0, k_max=0)
-        header = report.header()
+        header = list(report.columns())
         assert header[:5] == ["n", "energy", "degeneracy", "gap_to_threshold", "residual"]
         assert "rel_error" in header and "convergence_order" in header
 

@@ -25,7 +25,7 @@ from pdm_oscillator import (
     spectrum_table,
     threshold_gap,
 )
-from pdm_oscillator.spectrum import _dimensionless, _reduced_level, json_rows, write_csv
+from pdm_oscillator.spectrum import json_rows, write_csv
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
 
@@ -164,11 +164,10 @@ class TestImplicitSolver:
         n=st.lists(st.integers(-1, 10**6), min_size=1, max_size=4),
     )
     def test_matches_closed_form_at_any_scale(self, lam, omega, hbar, dim, n):
-        # the physical-units bisection and the one at g = lam*hbar/omega,
-        # scaled by hbar*omega, are roots of the computed equation, against
-        # the closed form's handful of roundings; 2.9 eps was the worst of
-        # either over 3000 random models in this range. energy_implicit
-        # raises DomainError exactly where energy_closed_form does
+        # the bisection is a root of the computed equation, against the
+        # closed form's handful of roundings; 2.9 eps was the worst over
+        # 3000 random models in this range. energy_implicit raises
+        # DomainError exactly where energy_closed_form does
         p = ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim)
         levels = np.array(n)
         try:
@@ -177,11 +176,9 @@ class TestImplicitSolver:
             with pytest.raises(DomainError):
                 energy_implicit(levels, p)
             return
-        g = _dimensionless(p).lam
-        nu = levels + dim / 2.0
-        reduced = hbar * omega * (nu if g == 0 else _reduced_level(g, nu))
-        for energy in (energy_implicit(levels, p), reduced):
-            np.testing.assert_allclose(energy, closed, rtol=8 * np.finfo(float).eps, atol=0)
+        np.testing.assert_allclose(
+            energy_implicit(levels, p), closed, rtol=8 * np.finfo(float).eps, atol=0
+        )
 
 
 class TestThresholdGap:
@@ -403,10 +400,37 @@ class TestOneSolver:
         calls.clear()
         assert cli.run(["deform", "--n-max", "20", "--out", str(tmp_path / "d.csv")]) == 0
         assert len(calls) == 1
-        # the 27 models' 401 levels each, at their g
+        # the 27 models' 401 levels each, through the one fixed-point solver
         calls.clear()
+        fixed_point = verify._fixed_point
+        solves = []
+        monkeypatch.setattr(
+            verify, "_fixed_point", lambda *args: solves.append(1) or fixed_point(*args)
+        )
         assert verify.check_spectrum_self_consistency().passed
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(solves) == 1
+
+    def test_battery_levels_are_energy_implicit(self, monkeypatch):
+        # the check's one bisection returns, model by model, exactly what
+        # energy_implicit returns for that model
+        from pdm_oscillator import verify
+
+        solved = []
+        bisect = spectrum_module._bisect
+        monkeypatch.setattr(
+            spectrum_module, "_bisect", lambda *args: solved.append(bisect(*args)) or solved[-1]
+        )
+        assert verify.check_spectrum_self_consistency().passed
+        monkeypatch.undo()
+        levels = np.arange(401)
+        models = [
+            ModelParams(lam=lam, omega=omega, hbar=1.0, dim=dim)
+            for dim in (1, 2, 3)
+            for lam in (0.005, 0.02, 0.1)
+            for omega in (0.5, 1.0, 2.0)
+        ]
+        (battery,) = solved
+        assert np.array_equal(battery, [energy_implicit(levels, p) for p in models])
 
 
 class TestBisectionFailure:
