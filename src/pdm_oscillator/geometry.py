@@ -137,7 +137,8 @@ def effective_potential(r, params: ModelParams, c_n: float):
     Diverges as r -> 0+ when c_n > 0 and tends to omega^2/(2*lam) at
     infinity. For c_n = 0 the value at r = 0 is the removable limit 0.
     Past the split of _split the centrifugal term is c_n lam z^2/(2(1+z))
-    with z = 1/(lam r^2), z^2 taken last, as in scalar_curvature.
+    with z = 1/(lam r^2), z^2 taken last, as in scalar_curvature; where
+    lam*c_n overflows it is (c_n z)(lam z)/(2(1+z)), whose factors cannot.
     """
     _check_cn(c_n)
     r = _check_radius(r)
@@ -147,7 +148,10 @@ def effective_potential(r, params: ModelParams, c_n: float):
     m = 1.0 + params.lam * near * near
     with np.errstate(divide="ignore", invalid="ignore"):
         cent = np.where(near > 0, c_n / (2.0 * m * np.where(near > 0, near, 1.0) ** 2), 0.0)
-    cent = np.where(far, c_n * params.lam / (2.0 * (1.0 + z)) * z * z, cent)
+    if math.isinf(c_n * params.lam):
+        cent = np.where(far, (c_n * z) * (params.lam * z) / (2.0 * (1.0 + z)), cent)
+    else:
+        cent = np.where(far, c_n * params.lam / (2.0 * (1.0 + z)) * z * z, cent)
     out = cent + potential(r, params)
     return out if out.ndim else float(out)
 
@@ -159,7 +163,8 @@ def effective_minimum(params: ModelParams, c_n: float) -> tuple[float, float]:
     with s = lam*c + sqrt(lam^2 c^2 + omega^2 c) = lam*c + hypot(lam*c, omega*sqrt(c));
     the lam = 0 limits are r_min^2 = sqrt(c)/omega and u_min = omega*sqrt(c).
     Taken as r_min = sqrt(s)/omega and u_min = (omega sqrt(c)) ((omega sqrt(c))/s),
-    which neither cancel nor form omega^2 or (lam*c)^2.
+    which neither cancel nor form omega^2 or (lam*c)^2. Where s overflows they come
+    from s = a (a + hypot(a, b/a)), a = sqrt(lam) sqrt(c), b = omega sqrt(c), unformed.
     """
     _check_cn(c_n)
     if params.omega <= 0:
@@ -168,5 +173,9 @@ def effective_minimum(params: ModelParams, c_n: float) -> tuple[float, float]:
         raise DomainError("effective minimum requires c_n > 0")
     b = params.omega * math.sqrt(c_n)
     s = params.lam * c_n + math.hypot(params.lam * c_n, b)
+    if params.lam > 0 and math.isinf(s):
+        a = math.sqrt(params.lam) * math.sqrt(c_n)
+        t = a + math.hypot(a, b / a)
+        return math.sqrt(a) * math.sqrt(t) / params.omega, (b / a) * (b / t)
     return math.sqrt(s) / params.omega, b * (b / s)
 

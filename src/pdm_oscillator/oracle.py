@@ -40,6 +40,7 @@ from .spectrum import (
     _dimensionless,
     _omega_eff,
     _scale,
+    angular_multiplicity,
     continuum_threshold,
     degeneracy,
     energy_closed_form,
@@ -332,9 +333,9 @@ def oracle_report(
     """Compare oracle eigenvalues against the closed form for k <= k_max, l <= l_max.
 
     Solved at g = lam*hbar/omega in units of hbar*omega and sqrt(hbar/omega),
-    on the grid (in those units; by default one box for every l), and each l
-    is bisected on it. The half-spacing refinement's eigenpairs come from
-    inverse iteration at those eigenvalues; the reported energy is the
+    on the grid (in those units; by default one box for every l <= l_max), and
+    each l with angular states (not l >= 2 in dim 1) is bisected on it. The
+    half-spacing refinement's eigenpairs come from inverse iteration at those eigenvalues; the reported energy is the
     Richardson combination (4 E_half - E_full)/3, times hbar*omega, and the
     convergence order is estimated from the two errors against the closed
     form at g. States holding more than 1% of their weighted mass in the
@@ -353,7 +354,7 @@ def oracle_report(
         raise GridSizeError(f"{k_max + 1} levels allow at most {most} cells, "
                             f"got {grid.cells} up to r_max={grid.r_max:g}")
     parts = []
-    for ell in range(l_max + 1):
+    for ell in [l for l in range(l_max + 1) if angular_multiplicity(l, params.dim)]:
         op_half = discretize_radial(params, ell, grid.refined())
         e_full = solve_generalized_eigen(discretize_radial(params, ell, grid), k_max + 1)
         e_half, vectors = _eigenpairs_near(op_half, e_full)

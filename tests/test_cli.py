@@ -140,8 +140,9 @@ class TestGeometryCommand:
             (["--cn", "1e300"], 25.0, 2e149),
             (["--omega", "1e-170"], 0.0, 2e170),  # u_min = 2.5e-339 underflows
             (["--omega", "1e160", "--lambda", "1e20"], 1e161, 10**-79.5),
+            (["--lambda", "1e200", "--cn", "1e200"], 5e-201, 2**0.5 * 1e200),  # lam*c_n overflows
         ],
-        ids=["huge-cn", "tiny-omega", "huge-omega"],
+        ids=["huge-cn", "tiny-omega", "huge-omega", "huge-lambda-cn"],
     )
     def test_minimum_at_extreme_scales(self, tmp_path, capsys, argv, u_min, r_min):
         code = cli.run(["effective-potential", *argv, "--out", str(tmp_path / "eff.csv")])
@@ -867,10 +868,11 @@ assert pdm_oscillator.closure_check(orbit, tol=1e-6)[0]
 assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
 """
 
-    # the public names of each layer that the package exports
+    # the public names of each layer, all of which the package exports
     PUBLIC = {
-        "classical": ["PhaseState", "Trajectory", "closure_check", "conserved_series",
-                      "estimate_radial_period", "exact_orbit", "hamiltonian", "integrate_orbit"],
+        "classical": ["PhaseState", "RKStats", "Trajectory", "closure_check", "conserved_series",
+                      "estimate_radial_period", "exact_orbit", "hamilton_rhs", "hamiltonian",
+                      "integrate_orbit", "integrate_orbits"],
         "errors": ["BracketingError", "ConvergenceError", "DomainError", "GridSizeError",
                    "LapackUnavailableError"],
         "geometry": ["ModelParams", "effective_minimum", "effective_potential",
@@ -880,8 +882,8 @@ assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
         "specfun": ["hermite_function", "integrate", "laguerre"],
         "spectrum": ["SpectrumTable", "angular_multiplicity", "continuum_threshold", "degeneracy",
                      "effective_frequency", "energy_closed_form", "energy_implicit",
-                     "harmonic_base", "solve_deformed_spectrum", "spectrum_table",
-                     "threshold_gap"],
+                     "harmonic_base", "json_rows", "solve_deformed_spectrum", "spectrum_table",
+                     "threshold_gap", "write_csv"],
         "wavefunctions": ["CartesianEigenfunction", "RadialEigenfunction", "normalize",
                           "weighted_inner_product"],
     }
@@ -907,18 +909,30 @@ assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
 import json, sys
 import pdm_oscillator
 
+assert not hasattr(pdm_oscillator, "__wrapped__")
 loaded = sorted(m for m in sys.modules if m.startswith("pdm_oscillator"))
 listed = dir(pdm_oscillator)
 public = json.loads(sys.argv[1])
 same = {name: getattr(pdm_oscillator, name) is getattr(getattr(pdm_oscillator, layer), name)
         for layer, names in public.items() for name in names}
-print(json.dumps({"loaded": loaded, "listed": listed, "same": same}))
+print(json.dumps({"loaded": loaded, "listed": listed, "same": same, "all": pdm_oscillator.__all__}))
 """
         result = json.loads(self.fresh(script, json.dumps(self.PUBLIC)))
         assert result["loaded"] == ["pdm_oscillator"]
         names = [name for names in self.PUBLIC.values() for name in names]
         assert set(result["listed"]) >= set(self.PUBLIC) | set(names)
         assert result["same"] == dict.fromkeys(names, True)
+        assert sorted(result["all"]) == sorted([*self.PUBLIC, *names])
+
+    def test_importing_cli_from_the_package_loads_no_other_layer(self):
+        script = """
+import sys
+from pdm_oscillator import cli
+
+print(*sorted(m for m in sys.modules if m.startswith("pdm_oscillator")))
+"""
+        loaded = self.fresh(script).split()
+        assert loaded == ["pdm_oscillator", *(f"pdm_oscillator.{m}" for m in ("cli", "errors", "geometry"))]
 
     @pytest.mark.parametrize(
         "argv, layers",

@@ -280,25 +280,46 @@ class TestFarField:
         assert worst <= 6, worst
         assert potential(1e10, p) == pytest.approx(5e299, rel=1e-15)
 
+    def test_effective_potential_without_lam_cn(self):
+        # at lam = c_n = 1e200, lam*c_n = 1e400 overflows where every value
+        # fits; at lam = 1e300, c_n = 1e-300 (finite lam*c_n), c_n z
+        # underflows below r = 1e-54 where the centrifugal term does not
+        import mpmath
+
+        worst = 0.0
+        with mpmath.workdps(50):
+            for lam, c_n, r_low in [(1e200, 1e200, -50), (1e300, 1e-300, -150)]:
+                r = np.logspace(r_low, 308, 120)
+                for ri, u in zip(r, effective_potential(r, ModelParams(lam=lam), c_n)):
+                    r2 = mpmath.mpf(ri) ** 2
+                    m = 1 + lam * r2
+                    worst = max(worst, ulps_from(u, r2 / (2 * m) + c_n / (2 * m * r2)))
+        assert worst <= 6, worst
+
 
 class TestEffectiveMinimumRange:
-    # the textbook roots at 400 digits, which resolve -lam*c + sqrt(lam^2 c^2
-    # + omega^2 c) even where it cancels 340 digits; at the first model
+    # the textbook roots at 700 digits, which resolve -lam*c + sqrt(lam^2 c^2
+    # + omega^2 c) even where it cancels 620 digits; at the first model
     # omega^2 overflows, at the second (lam c)^2, and at the third omega^2
-    # underflows
+    # underflows; at the fourth and fifth lam*c overflows (at the fifth
+    # (omega^2 c)/sqrt(lam c) too), and at the sixth only s = lam c +
+    # hypot(lam c, omega sqrt(c)) does
     @pytest.mark.parametrize(
         "lam, omega, c_n, r_min, u_min",
         [
             (1e20, 1e160, 100.0, 3.16e-80, 1e161),
             (0.02, 1.0, 1e300, 2e149, 25.0),
             (0.02, 1e-170, 100.0, 2e170, 0.0),  # u_min = 2.5e-339 underflows
+            (1e200, 1.0, 1e200, 1.414e200, 5e-201),
+            (1e200, 1e200, 1e200, 1.414, 5e199),
+            (1e308, 1.0, 1.5, 1.732e154, 5e-309),  # u_min is subnormal
         ],
     )
     def test_against_mpmath(self, lam, omega, c_n, r_min, u_min):
         import mpmath
 
         got = effective_minimum(ModelParams(lam=lam, omega=omega), c_n)
-        with mpmath.workdps(400):
+        with mpmath.workdps(700):
             lam_c = mpmath.mpf(lam) * c_n
             root = mpmath.sqrt(lam_c**2 + mpmath.mpf(omega) ** 2 * c_n)
             exact = (mpmath.sqrt((lam_c + root) / mpmath.mpf(omega) ** 2), root - lam_c)

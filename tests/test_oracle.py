@@ -351,6 +351,18 @@ class TestOracleReport:
         report = oracle_report(P3, l_max=2, k_max=2)
         assert np.all(report.gap_to_threshold > 0)
 
+    def test_dim_one_reports_only_its_parity_sectors(self):
+        # dim 1 has states at l = 0 and 1 only; the rows kept at l_max = 2 are
+        # those of l_max = 1 on the same box (at hbar = omega = 1 the grid's
+        # units are the model's), bit for bit
+        p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=1)
+        report = oracle_report(p, l_max=2, k_max=1)
+        kept = oracle_report(p, l_max=1, k_max=1, grid=default_radial_grid(p, 2, 1))
+        assert sorted(set(report.extra_columns["l"])) == [0.0, 1.0]
+        assert list(report.columns()) == list(kept.columns())
+        for got, want in zip(report.columns().values(), kept.columns().values()):
+            np.testing.assert_array_equal(got, want)
+
     def test_schema_extends_spectrum_table(self):
         report = oracle_report(P3, l_max=0, k_max=0)
         header = list(report.columns())
