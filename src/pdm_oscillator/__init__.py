@@ -13,9 +13,13 @@ everything up front. Other dunders, private names and the other submodules
 (`cli`, `verify`) load nothing, so the CLI imports only the layers a command
 runs, which matters most where no bytecode is written (see README).
 
-The package needs numpy alone; no CLI command loads scipy. The oracle binds
-two LAPACK routines from the library that numpy's pip wheel bundles (see
-`pdm_oscillator.oracle`); scipy is the tests' independent reference.
+The package needs numpy alone, and not everywhere: the geometry, the
+closed-form spectrum and the CLI load none when imported, so the CLI's
+`spectrum`, `geometry` and `effective-potential` commands, and every
+command that stops at a bad flag, run without it. No CLI command loads
+scipy. The oracle binds two LAPACK routines from the library that numpy's
+pip wheel bundles (see `pdm_oscillator.oracle`); scipy is the tests'
+independent reference.
 """
 
 _LAYERS = ("classical", "errors", "geometry", "oracle", "specfun", "spectrum", "wavefunctions")

@@ -9,11 +9,15 @@ Outputs contain no timestamps and all randomness is seed-fixed, so
 identical invocations produce byte-identical artifacts.
 
 The module imports the errors and the geometry, which every command uses.
-Each command imports the other layers it runs inside its own function:
-`spectrum` and `deform` the spectrum, `geometry` and
-`effective-potential` the spectrum's column writers, and `wavefunction`,
-`classical`, `oracle` and `verify-all` their own layer with what it
-imports. `json` is imported only for a JSON artifact.
+Each command checks its own flags first, so that a bad flag ends in one
+`error:` line naming it before any layer that needs numpy loads. It then
+imports the other layers it runs inside its own function: `spectrum` and
+`deform` the spectrum, `geometry` and `effective-potential` the spectrum's
+column writers, and `wavefunction`, `classical`, `oracle` and `verify-all`
+their own layer with what it imports. `spectrum`, `geometry` and
+`effective-potential` evaluate closed forms on lists and never load numpy;
+`deform`, `wavefunction`, `classical`, `oracle` and `verify-all` do. `json`
+is imported only for a JSON artifact.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ import math
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from .errors import (
     BracketingError,
@@ -156,14 +158,23 @@ def _artifact(columns, args) -> str:
     return json.dumps({"config": _config_dict(args), "rows": rows}, indent=2)
 
 
+def _check_n_max(args) -> None:
+    from .spectrum import _MAX_TABLE_LEVELS
+
+    if not 0 <= args.n_max <= _MAX_TABLE_LEVELS:
+        raise DomainError(
+            f"--n-max must be an integer in [0, {_MAX_TABLE_LEVELS}], got {args.n_max}"
+        )
+
+
 def _cmd_spectrum(args, params) -> tuple[str, str, int]:
+    _check_n_max(args)
     from .spectrum import spectrum_table
 
     table = spectrum_table(args.n_max, params)
-    last = float(table.energy[-1])
     summary = (
-        f"spectrum: {len(table)} levels, E_0={_fmt(float(table.energy[0]))}, "
-        f"E_{args.n_max}={_fmt(last)}"
+        f"spectrum: {len(table)} levels, E_0={_fmt(table.energy[0])}, "
+        f"E_{args.n_max}={_fmt(table.energy[-1])}"
     )
     return _artifact(table, args), summary, 0
 
@@ -175,14 +186,17 @@ def _check_quantum_numbers(args) -> None:
 
 
 def _cmd_oracle(args, params) -> tuple[str, str, int]:
+    _check_quantum_numbers(args)
+    if args.r_max is not None:  # lengths in sqrt(hbar/omega)
+        r_max = args.r_max * math.sqrt(params.omega / params.hbar)
+        if not 0 < r_max < math.inf:
+            raise DomainError(f"--r-max {args.r_max:g} is the box {r_max:g} sqrt(hbar/omega) at "
+                              f"hbar={params.hbar:g}, omega={params.omega:g}; need 0 < r_max < inf")
     from .oracle import RadialGrid, default_radial_grid, oracle_report
 
-    _check_quantum_numbers(args)
-    base = default_radial_grid(params, args.l, args.k)  # lengths in sqrt(hbar/omega)
-    r_max = base.r_max if args.r_max is None else args.r_max * math.sqrt(params.omega / params.hbar)
-    if not 0 < r_max < math.inf:
-        raise DomainError(f"--r-max {args.r_max:g} is the box {r_max:g} sqrt(hbar/omega) at "
-                          f"hbar={params.hbar:g}, omega={params.omega:g}; need 0 < r_max < inf")
+    base = default_radial_grid(params, args.l, args.k)
+    if args.r_max is None:
+        r_max = base.r_max
     if args.grid_points is not None:
         flag, cells = f"--grid-points {args.grid_points}", args.grid_points
     else:  # the default cell width, or finer in a box smaller than the default
@@ -207,24 +221,42 @@ def _check_r_max(r_max: float) -> None:
         raise DomainError(f"--r-max must be finite and > 0, got {r_max:g}")
 
 
-def _finite_curve(fn, r, label: str, r_max: float) -> np.ndarray:
-    """fn(r) at every sample; a value that leaves the doubles, as the
-    metric factor and the flat (lam = 0) potentials do once r^2 overflows,
-    is an error, not a NaN or inf row."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.atleast_1d(fn(r))
-    if not np.isfinite(values).all():
+def _grid(start: float, stop: float, points: int) -> list[float]:
+    """`points` samples from start to stop, as a list, by numpy.linspace's
+    rule: start + i*step with step = (stop - start)/(points - 1), or
+    start + (i/(points - 1))*(stop - start) where that step underflows to 0,
+    and the last sample stop itself."""
+    if points == 1:
+        return [start]
+    div = points - 1
+    step = (stop - start) / div
+    if step == 0:
+        grid = [i / div * (stop - start) + start for i in range(points)]
+    else:
+        grid = [i * step + start for i in range(points)]
+    grid[-1] = stop
+    return grid
+
+
+def _finite_curve(fn, r: list[float], label: str, r_max: float) -> list[float]:
+    """fn(r), one call on the whole grid; a value that leaves the doubles,
+    as the metric factor and the flat (lam = 0) potentials do once r^2
+    overflows, is an error, not a NaN or inf row."""
+    values = fn(r)
+    if not all(map(math.isfinite, values)):
         raise DomainError(f"the {label} is not a finite double on the grid to --r-max {r_max:g}")
     return values
 
 
 def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
-    from .wavefunctions import RadialEigenfunction, normalize
-
     _check_quantum_numbers(args)
     _check_grid_points(args)
     if args.r_max is not None:
         _check_r_max(args.r_max)
+    import numpy as np
+
+    from .wavefunctions import RadialEigenfunction, normalize
+
     f = normalize(RadialEigenfunction.from_quantum_numbers(args.k, args.l, params))
     r_max = args.r_max if args.r_max is not None else 10.0 / f.beta
     r = np.linspace(0.0, r_max, args.grid_points)
@@ -245,31 +277,40 @@ def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
     return artifact, summary, 0
 
 
-def _parse_vector(text: str, dim: int, name: str) -> np.ndarray:
+def _parse_vector(text: str, dim: int, name: str) -> list[float]:
     try:
-        vec = np.array([float(v) for v in text.split(",")])
+        vec = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"cannot parse {name} vector: {text!r}") from exc
     if len(vec) != dim:
         raise DomainError(f"{name} needs {dim} components, got {len(vec)}")
+    if not all(map(math.isfinite, vec)):
+        raise DomainError(f"{name} components must be finite, got {text!r}")
     return vec
 
 
 def _cmd_classical(args, params) -> tuple[str, str, int]:
-    from .classical import PhaseState, conserved_series, integrate_orbits
-
     dim = params.dim
     if args.q0 is not None:
         q0 = _parse_vector(args.q0, dim, "--q0")
     else:
-        q0 = np.zeros(dim)
-        q0[0] = 1.0
+        q0 = [1.0] + [0.0] * (dim - 1)
     if args.p0 is not None:
         p0 = _parse_vector(args.p0, dim, "--p0")
     else:
-        p0 = np.zeros(dim)
+        p0 = [0.0] * dim
         p0[min(1, dim - 1)] = 1.0
     tol = args.tol if args.tol is not None else 1e-10
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"--tol must be finite and > 0, got {tol:g}")
+    if args.samples < 2:
+        raise DomainError(f"--samples must be >= 2, got {args.samples}")
+    if not (math.isfinite(args.t_end) and args.t_end > 0):
+        raise DomainError(f"--t-end must be finite and exceed the initial time, got {args.t_end:g}")
+    import numpy as np
+
+    from .classical import PhaseState, conserved_series, integrate_orbits
+
     (traj,) = integrate_orbits(
         [PhaseState(q=q0, p=p0)],
         params,
@@ -297,8 +338,10 @@ def _cmd_classical(args, params) -> tuple[str, str, int]:
 def _cmd_effective_potential(args, params) -> tuple[str, str, int]:
     _check_grid_points(args)
     _check_r_max(args.r_max)
+    if not (math.isfinite(args.cn) and args.cn >= 0):
+        raise DomainError(f"--cn must be finite and >= 0, got {args.cn:g}")
     start = 0.0 if args.cn == 0 else args.r_max / (10.0 * args.grid_points)
-    r = np.linspace(start, args.r_max, args.grid_points)
+    r = _grid(start, args.r_max, args.grid_points)
     values = _finite_curve(
         lambda r: effective_potential(r, params, args.cn), r, "effective potential", args.r_max
     )
@@ -319,20 +362,23 @@ def _cmd_geometry(args, params) -> tuple[str, str, int]:
     }
     _check_grid_points(args)
     _check_r_max(args.r_max)
-    r = np.linspace(0.0, args.r_max, args.grid_points)
+    r = _grid(0.0, args.r_max, args.grid_points)
     values = _finite_curve(lambda r: fns[args.quantity](r, params), r, args.quantity, args.r_max)
     artifact = _artifact({"r": r, "value": values}, args)
     summary = (
         f"geometry: {args.quantity} sampled at {args.grid_points} points, "
-        f"value({_fmt(args.r_max)})={_fmt(float(values[-1]))}"
+        f"value({_fmt(args.r_max)})={_fmt(values[-1])}"
     )
     return artifact, summary, 0
 
 
 def _cmd_deform(args, params) -> tuple[str, str, int]:
-    from .spectrum import _table_levels, energy_closed_form, harmonic_base, solve_deformed_spectrum
+    _check_n_max(args)
+    import numpy as np
 
-    levels = _table_levels(args.n_max)
+    from .spectrum import energy_closed_form, harmonic_base, solve_deformed_spectrum
+
+    levels = np.arange(args.n_max + 1)
     fixed = solve_deformed_spectrum(harmonic_base(params), levels, params)
     closed = energy_closed_form(levels, params)
     diff = np.abs(fixed - closed)

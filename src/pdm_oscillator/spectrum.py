@@ -3,25 +3,30 @@
 The bound-state energies solve the self-consistent equation
 E = hbar * sqrt(omega^2 - 2*lam*E) * (n + N/2); the closed form and the
 generic fixed-point deformation of an arbitrary solvable base spectrum live
-here. There is one bisection, _bisect, and one fixed-point solver,
+here. The closed form, its gap below the threshold and the table are one
+formula for one level, in Python floats, math.hypot and math.sqrt, mapped
+over a list or an array of levels as the geometry's curves are
+(geometry._elementwise), so importing this module, building a table and
+writing it load no numpy. There is one bisection, _bisect, and one fixed-point solver,
 _fixed_point, which bisects every level in physical units. energy_implicit
 is the fixed point of the harmonic base, and both it and
 solve_deformed_spectrum take a scalar or an array of levels; _fixed_point
 also takes omega and lam as columns, so that the levels of many models take
 one call. In units of hbar*omega the equation has one parameter,
-g = lam*hbar/omega (_dimensionless), on which the oracle works.
+g = lam*hbar/omega (_dimensionless), on which the oracle works. The
+solvers import numpy where they run.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .errors import BracketingError, ConvergenceError, DomainError
-from .geometry import ModelParams
+from .geometry import ModelParams, _elementwise
 
 __all__ = [
     "harmonic_base",
@@ -42,7 +47,7 @@ __all__ = [
 _MAX_TABLE_LEVELS = 100_000
 _BISECT_ITERATIONS = 110
 _BASE_SAMPLES = 33
-_TINY = float(np.finfo(float).tiny)
+_TINY = sys.float_info.min
 
 
 def continuum_threshold(params: ModelParams) -> float:
@@ -62,14 +67,24 @@ def _omega_of_gap(gap, omega, lam):
 
     Taken as min(omega, sqrt(2*lam) * sqrt(gap)), which is exactly 0 at the
     threshold, exactly omega where the gap rounds to the threshold, and
-    never forms omega^2, so it cannot overflow. omega and lam are floats or
-    arrays that broadcast against the gap.
+    never forms omega^2, so it cannot overflow. A float gap takes floats
+    omega and lam and goes through math; an array gap takes floats or arrays
+    that broadcast against it and goes through numpy. Both round sqrt and
+    min correctly, so they give the same bits.
     """
-    return np.minimum(omega, np.sqrt(2.0 * lam) * np.sqrt(gap))
+    if isinstance(gap, float):
+        sqrt, minimum = math.sqrt, min
+    else:
+        import numpy as np
+
+        sqrt, minimum = np.sqrt, np.minimum
+    return minimum(omega, sqrt(2.0 * lam) * sqrt(gap))
 
 
 def _omega_eff(energy, params: ModelParams):
     """Omega(E) = sqrt(omega^2 - 2*lam*E) for 0 <= E <= threshold; omega at lam = 0."""
+    import numpy as np
+
     if params.lam == 0:
         return np.full(np.shape(energy), params.omega)
     gap = np.maximum(continuum_threshold(params) - energy, 0.0)
@@ -82,11 +97,13 @@ def effective_frequency(energy, params: ModelParams):
     Defined, and positive, for energies in [0, omega^2/(2*lam)) only;
     raises DomainError elsewhere, and where Omega is 0 (omega = 0).
     """
+    import numpy as np
+
     energy = np.asarray(energy, dtype=float)
     out = _omega_eff(energy, params)
     if np.any((energy < 0) | (energy >= continuum_threshold(params)) | (out == 0)):
         raise DomainError("energy outside [0, continuum threshold omega^2/(2*lam))")
-    return out if out.ndim else float(out)
+    return out if np.ndim(out) else float(out)
 
 
 def _check_spectrum(params: ModelParams) -> None:
@@ -115,6 +132,8 @@ def _bisect(g, lo, hi):
     does; ConvergenceError is raised if _BISECT_ITERATIONS halvings do not
     get there.
     """
+    import numpy as np
+
     lo, hi = (np.array(b, dtype=float) for b in np.broadcast_arrays(lo, hi))
     sign_lo = np.sign(g(lo))
     for _ in range(_BISECT_ITERATIONS):
@@ -130,33 +149,39 @@ def _bisect(g, lo, hi):
     )
 
 
-def _table_levels(n_max) -> np.ndarray:
+def _table_levels(n_max) -> list[int]:
     """Levels 0..n_max of a table, for an integer n_max in [0, _MAX_TABLE_LEVELS]."""
     if not 0 <= n_max <= _MAX_TABLE_LEVELS or int(n_max) != n_max:
         raise DomainError(f"n_max must be an integer in [0, {_MAX_TABLE_LEVELS}], got {n_max}")
-    return np.arange(int(n_max) + 1)
+    return list(range(int(n_max) + 1))
 
 
-def _check_levels(n) -> np.ndarray:
-    n = np.asarray(n)
-    if not np.issubdtype(n.dtype, np.integer):
-        if not np.all(n == np.floor(n)):
-            raise DomainError("level index n must be integral")
-        n = n.astype(int)
-    if np.any(n < 0):
+def _level(n) -> int:
+    """One level index, an integer >= 0 given as an int or an integral float."""
+    if not (isinstance(n, int) or float(n).is_integer()):
+        raise DomainError("level index n must be integral")
+    if n < 0:
         raise DomainError("level index n must be >= 0")
-    return n
+    return int(n)
 
 
-def _closed_form_ratio(n, params: ModelParams):
+def _check_levels(n):
+    """Level indices n, a number or an array, each checked by _level, as an
+    integer array."""
+    import numpy as np
+
+    return np.asarray(_elementwise(_level, n), dtype=int)
+
+
+def _closed_form_ratio(n, params: ModelParams) -> tuple[float, float]:
     """nu = n + N/2 and omega/(hypot(hbar*lam*nu, omega) + hbar*lam*nu), free
-    of cancellation, for levels n and a model that _check_levels and
-    _check_spectrum accept: the closed-form level is hbar*nu*ratio*omega and
-    its gap below the threshold threshold*ratio^2."""
-    _check_spectrum(params)
-    nu = _check_levels(n) + params.dim / 2.0
+    of cancellation, for one level n and a model that _check_spectrum
+    accepts: the closed-form level is hbar*nu*ratio*omega and its gap below
+    the threshold threshold*ratio^2. math.hypot rounds correctly, so the
+    ratio does not depend on the platform's libm."""
+    nu = _level(n) + params.dim / 2.0
     a = params.hbar * params.lam * nu
-    return nu, params.omega / (np.hypot(a, params.omega) + a)
+    return nu, params.omega / (math.hypot(a, params.omega) + a)
 
 
 def energy_closed_form(n, params: ModelParams):
@@ -174,9 +199,14 @@ def energy_closed_form(n, params: ModelParams):
     continuum threshold, which it equals once the gap is below rounding, so
     rounding never lifts a bound level above it.
     """
-    nu, ratio = _closed_form_ratio(n, params)
-    out = np.minimum(params.hbar * nu * ratio * params.omega, continuum_threshold(params))
-    return out if out.ndim else float(out)
+    _check_spectrum(params)
+    threshold = continuum_threshold(params)
+
+    def level(n):
+        nu, ratio = _closed_form_ratio(n, params)
+        return min(params.hbar * nu * ratio * params.omega, threshold)
+
+    return _elementwise(level, n)
 
 
 def threshold_gap(n, params: ModelParams):
@@ -186,14 +216,16 @@ def threshold_gap(n, params: ModelParams):
     which avoids the catastrophic cancellation of threshold - E_n near the
     accumulation point. It is evaluated as threshold * (omega/root)^2, with
     root the bracketed sum above, so omega^4 is never formed. Returns +inf
-    for lam = 0.
+    for lam = 0, where the threshold is inf and the ratio 1.
     """
-    nu, ratio = _closed_form_ratio(n, params)
-    if params.lam == 0:
-        out = np.full(nu.shape, math.inf)
-        return out if out.ndim else math.inf
-    out = continuum_threshold(params) * ratio * ratio
-    return out if out.ndim else float(out)
+    _check_spectrum(params)
+    threshold = continuum_threshold(params)
+
+    def gap(n):
+        _, ratio = _closed_form_ratio(n, params)
+        return threshold * ratio * ratio
+
+    return _elementwise(gap, n)
 
 
 def _fixed_point(base, n, omega, lam):
@@ -205,6 +237,8 @@ def _fixed_point(base, n, omega, lam):
     the root from above, as does the threshold omega^2/(2*lam): the bracket
     is [0, top], top the smaller.
     """
+    import numpy as np
+
     threshold = omega / (2.0 * lam) * omega
     top = np.minimum(base(omega, n), threshold)
     return _bisect(lambda e: base(_omega_of_gap(threshold - e, omega, lam), n) - e, 0.0, top)
@@ -301,6 +335,8 @@ def solve_deformed_spectrum(base: Callable, n, params: ModelParams):
     base is not finite and increasing in frequency, g(0) > 0 >= g(top)
     fails, or g is not decreasing.
     """
+    import numpy as np
+
     if params.lam <= 0:
         raise DomainError("deformation fixed point requires lam > 0")
     _check_spectrum(params)
@@ -328,11 +364,16 @@ def solve_deformed_spectrum(base: Callable, n, params: ModelParams):
     return _fixed_point(base, n, params.omega, params.lam)
 
 
+def _values(column) -> list:
+    """A column, a sequence or a numpy array, as a list of Python numbers."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
+
+
 def write_csv(columns: dict, stream) -> None:
     """Named, equally long columns as CSV: a header line, then one line per
     row, integers as integers and floats as .17g, which round-trips."""
     cells = [
-        [str(v) if isinstance(v, int) else f"{v:.17g}" for v in np.asarray(c).tolist()]
+        [str(v) if isinstance(v, int) else f"{v:.17g}" for v in _values(c)]
         for c in columns.values()
     ]
     stream.write(",".join(columns) + "\n")
@@ -342,7 +383,7 @@ def write_csv(columns: dict, stream) -> None:
 def json_rows(columns: dict) -> list[dict]:
     """Named, equally long columns as one dict per row; inf and NaN become None."""
     values = [
-        [v if isinstance(v, int) or math.isfinite(v) else None for v in np.asarray(c).tolist()]
+        [v if isinstance(v, int) or math.isfinite(v) else None for v in _values(c)]
         for c in columns.values()
     ]
     return [dict(zip(columns, row)) for row in zip(*values, strict=True)]
@@ -350,14 +391,18 @@ def json_rows(columns: dict) -> list[dict]:
 
 @dataclass
 class SpectrumTable:
-    """Ordered bound-state table with degeneracies and residuals."""
+    """Ordered bound-state table with degeneracies and residuals.
 
-    n: np.ndarray
-    energy: np.ndarray
+    Each column is a sequence of one entry per row: lists from
+    spectrum_table, numpy arrays from the oracle.
+    """
+
+    n: Sequence[int]
+    energy: Sequence[float]
     degeneracy: list[int]
-    gap_to_threshold: np.ndarray
-    residual: np.ndarray
-    extra_columns: dict[str, np.ndarray] = field(default_factory=dict)
+    gap_to_threshold: Sequence[float]
+    residual: Sequence[float]
+    extra_columns: dict[str, Sequence[float]] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.n)
@@ -391,19 +436,20 @@ def spectrum_table(n_max: int, params: ModelParams) -> SpectrumTable:
     The residual column restates the self-consistent equation at the
     tabulated energy, |E - hbar*Omega*(n + N/2)|, with Omega taken from the
     gap column: threshold - E cancels where E rounds to the threshold, the
-    gap does not.
+    gap does not. The columns are lists.
     """
     levels = _table_levels(n_max)
-    energy = np.atleast_1d(energy_closed_form(levels, params))
-    gap = np.atleast_1d(threshold_gap(levels, params))
-    nu = levels + params.dim / 2.0
-    omega_eff = params.omega if params.lam == 0 else _omega_of_gap(gap, params.omega, params.lam)
-    residual = np.abs(energy - params.hbar * omega_eff * nu)
-    degen = [degeneracy(int(n), params.dim) for n in levels]
+    energy = energy_closed_form(levels, params)
+    gap = threshold_gap(levels, params)
+
+    def residual(n, e, g):
+        omega_eff = params.omega if params.lam == 0 else _omega_of_gap(g, params.omega, params.lam)
+        return abs(e - params.hbar * omega_eff * (n + params.dim / 2.0))
+
     return SpectrumTable(
         n=levels,
         energy=energy,
-        degeneracy=degen,
+        degeneracy=[degeneracy(n, params.dim) for n in levels],
         gap_to_threshold=gap,
-        residual=residual,
+        residual=list(map(residual, levels, energy, gap)),
     )

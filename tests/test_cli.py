@@ -934,23 +934,29 @@ print(*sorted(m for m in sys.modules if m.startswith("pdm_oscillator")))
         loaded = self.fresh(script).split()
         assert loaded == ["pdm_oscillator", *(f"pdm_oscillator.{m}" for m in ("cli", "errors", "geometry"))]
 
+    # the closed-form commands evaluate their formulas on lists, without numpy
     @pytest.mark.parametrize(
-        "argv, layers",
+        "argv, layers, numpy",
         [
-            (["spectrum", "--n-max", "3"], ["geometry", "spectrum"]),
-            (["deform", "--n-max", "3"], ["geometry", "spectrum"]),
-            (["geometry", "--grid-points", "5"], ["geometry", "spectrum"]),
-            (["effective-potential", "--grid-points", "5"], ["geometry", "spectrum"]),
+            (["spectrum", "--n-max", "3"], ["geometry", "spectrum"], False),
+            (["deform", "--n-max", "3"], ["geometry", "spectrum"], True),
+            (["geometry", "--grid-points", "5"], ["geometry", "spectrum"], False),
+            (["geometry", "--quantity", "metric", "--grid-points", "5"],
+             ["geometry", "spectrum"], False),
+            (["geometry", "--quantity", "curvature", "--grid-points", "5"],
+             ["geometry", "spectrum"], False),
+            (["effective-potential", "--grid-points", "5"], ["geometry", "spectrum"], False),
             (["wavefunction", "--grid-points", "5"],
-             ["geometry", "specfun", "spectrum", "wavefunctions"]),
-            (["classical", "--t-end", "1", "--samples", "3"], ["classical", "geometry", "spectrum"]),
-            (["oracle", "--l", "0", "--k", "0"], ["geometry", "oracle", "spectrum"]),
+             ["geometry", "specfun", "spectrum", "wavefunctions"], True),
+            (["classical", "--t-end", "1", "--samples", "3"],
+             ["classical", "geometry", "spectrum"], True),
+            (["oracle", "--l", "0", "--k", "0"], ["geometry", "oracle", "spectrum"], True),
         ],
-        ids=["spectrum", "deform", "geometry", "effective-potential", "wavefunction", "classical",
-             "oracle"],
+        ids=["spectrum", "deform", "geometry", "geometry-metric", "geometry-curvature",
+             "effective-potential", "wavefunction", "classical", "oracle"],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_command_loads_only_its_layer(self, tmp_path, argv, layers, fmt):
+    def test_command_loads_only_its_layer(self, tmp_path, argv, layers, numpy, fmt):
         script = """
 import sys
 import pdm_oscillator.cli
@@ -958,8 +964,9 @@ import pdm_oscillator.cli
 code = pdm_oscillator.cli.run(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("pdm_oscillator."))
 has_json = "json" in sys.modules
+has_numpy = "numpy" in sys.modules
 import json
-print(json.dumps({"code": code, "loaded": loaded, "json": has_json}))
+print(json.dumps({"code": code, "loaded": loaded, "json": has_json, "numpy": has_numpy}))
 """
         stdout = self.fresh(script, *argv, "--format", fmt, "--out", tmp_path / f"x.{fmt}")
         result = json.loads(stdout.splitlines()[-1])
@@ -967,3 +974,37 @@ print(json.dumps({"code": code, "loaded": loaded, "json": has_json}))
         want = ["cli", "errors", *layers]
         assert result["loaded"] == sorted(f"pdm_oscillator.{m}" for m in want)
         assert result["json"] == (fmt == "json")
+        assert result["numpy"] == numpy
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["classical", "--samples", "0"], "--samples"),
+            (["classical", "--t-end", "-1"], "--t-end"),
+            (["classical", "--tol", "0"], "--tol"),
+            (["effective-potential", "--grid-points", "0"], "--grid-points"),
+            (["effective-potential", "--cn", "-1"], "--cn"),
+            (["spectrum", "--dim", "0"], "dim"),
+            (["spectrum", "--n-max", "-1"], "--n-max"),
+            (["deform", "--n-max", "100001"], "--n-max"),
+        ],
+        ids=["classical-samples", "classical-t-end", "classical-tol", "effective-potential-grid",
+             "effective-potential-cn", "spectrum-dim", "spectrum-n-max", "deform-n-max"],
+    )
+    def test_bad_flag_fails_before_numpy_loads(self, argv, flag):
+        # a bad flag is one error line that names it, printed before any
+        # layer that needs numpy is imported
+        script = """
+import contextlib, io, json, sys
+import pdm_oscillator.cli
+
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = pdm_oscillator.cli.run(sys.argv[1:])
+print(json.dumps({"code": code, "stderr": err.getvalue(), "numpy": "numpy" in sys.modules}))
+"""
+        result = json.loads(self.fresh(script, *argv).splitlines()[-1])
+        lines = result["stderr"].strip().splitlines()
+        assert result["code"] == 1 and len(lines) == 1, result
+        assert lines[0].startswith(f"error: {flag} ")
+        assert result["numpy"] is False

@@ -18,9 +18,13 @@ from pdm_oscillator import (
     continuum_threshold,
     degeneracy,
     effective_frequency,
+    effective_potential,
     energy_closed_form,
     energy_implicit,
     harmonic_base,
+    metric_factor,
+    potential,
+    scalar_curvature,
     solve_deformed_spectrum,
     spectrum_table,
     threshold_gap,
@@ -120,6 +124,39 @@ class TestClosedForm:
     def test_rejects_negative_level(self):
         with pytest.raises(DomainError):
             energy_closed_form(-1, P3)
+
+
+class TestElementwise:
+    # each closed form is one formula for one value: a list of inputs gives a
+    # list, an array an array of its shape, and every element is bit for bit
+    # the call on that element alone
+    RADII = np.concatenate([np.linspace(0.0, 40.0, 41), np.logspace(-5, 300, 62)])
+    MODELS = [
+        ModelParams(lam=0.0, omega=1.3, dim=3),
+        ModelParams(lam=0.02, omega=1.0, dim=3),
+        ModelParams(lam=37.0, omega=1e100, hbar=1e-20, dim=5),
+    ]
+    CALLS = {
+        "energy_closed_form": (energy_closed_form, np.arange(0, 3000, 7)),
+        "threshold_gap": (threshold_gap, np.arange(0, 3000, 7)),
+        "metric_factor": (metric_factor, RADII),
+        "scalar_curvature": (scalar_curvature, RADII),
+        "potential": (potential, RADII),
+        "effective_potential": (lambda r, p: effective_potential(r, p, 2.5), RADII[1:]),
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_scalar_list_and_array_calls_agree_bit_for_bit(self, name):
+        fn, inputs = self.CALLS[name]
+        for p in self.MODELS:
+            scalars = np.array([fn(x, p) for x in inputs.tolist()])
+            listed = fn(inputs.tolist(), p)
+            arrayed = fn(inputs, p)
+            assert isinstance(listed, list) and isinstance(arrayed, np.ndarray)
+            for values in (np.array(listed), arrayed):
+                assert np.array_equal(values.view(np.uint64), scalars.view(np.uint64)), p
+            assert fn(inputs[:6].reshape(2, 3), p).shape == (2, 3)
+            assert isinstance(fn(inputs[3], p), float)
 
 
 class TestImplicitSolver:
@@ -460,14 +497,14 @@ class TestSpectrumTable:
     def test_monotone_energies_with_small_residuals(self):
         table = spectrum_table(5, P3)
         assert np.all(np.diff(table.energy) > 0)
-        assert np.all(table.residual < 1e-10)
+        assert np.all(np.array(table.residual) < 1e-10)
 
     @pytest.mark.parametrize("lam, n_max", [(1e8, 8), (1e8, 2000), (0.02, 2000)])
     def test_residual_column_at_rounding(self, lam, n_max):
         # at lam = 1e8 every level rounds to the threshold, where Omega from
         # threshold - E is 0 or off by up to 20x; Omega from the gap is not
         table = spectrum_table(n_max, ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=3))
-        assert np.all(table.residual <= 4.0 * np.finfo(float).eps * table.energy)
+        assert np.all(np.array(table.residual) <= 4.0 * np.finfo(float).eps * np.array(table.energy))
 
     def test_gap_column_strictly_decreasing(self):
         table = spectrum_table(400, P3)
