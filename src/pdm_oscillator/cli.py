@@ -30,6 +30,7 @@ import sys
 import tempfile
 
 from .errors import (
+    _MIN_GRID_CELLS,
     BracketingError,
     ConvergenceError,
     DomainError,
@@ -138,24 +139,19 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "out"}
 
 
-def _artifact(columns, args) -> str:
-    """Named columns, or a SpectrumTable, as CSV or as JSON rows under the
-    invocation's config. A table goes through its own to_csv and
-    to_json_rows, the same writers, which perfbench's traced run times."""
-    from .spectrum import SpectrumTable, json_rows, write_csv
+def _artifact(columns: dict, args) -> str:
+    """Named columns as a SpectrumTable, written by its to_csv, or by its
+    to_json_rows as JSON rows under the invocation's config."""
+    from .spectrum import SpectrumTable
 
-    is_table = isinstance(columns, SpectrumTable)
+    table = SpectrumTable(columns)
     if args.format == "csv":
         buf = io.StringIO()
-        if is_table:
-            columns.to_csv(buf)
-        else:
-            write_csv(columns, buf)
+        table.to_csv(buf)
         return buf.getvalue()
     import json
 
-    rows = columns.to_json_rows() if is_table else json_rows(columns)
-    return json.dumps({"config": _config_dict(args), "rows": rows}, indent=2)
+    return json.dumps({"config": _config_dict(args), "rows": table.to_json_rows()}, indent=2)
 
 
 def _check_n_max(args) -> None:
@@ -173,8 +169,8 @@ def _cmd_spectrum(args, params) -> tuple[str, str, int]:
 
     table = spectrum_table(args.n_max, params)
     summary = (
-        f"spectrum: {len(table)} levels, E_0={_fmt(table.energy[0])}, "
-        f"E_{args.n_max}={_fmt(table.energy[-1])}"
+        f"spectrum: {len(table['n'])} levels, E_0={_fmt(table['energy'][0])}, "
+        f"E_{args.n_max}={_fmt(table['energy'][-1])}"
     )
     return _artifact(table, args), summary, 0
 
@@ -187,6 +183,9 @@ def _check_quantum_numbers(args) -> None:
 
 def _cmd_oracle(args, params) -> tuple[str, str, int]:
     _check_quantum_numbers(args)
+    if args.grid_points is not None and args.grid_points < _MIN_GRID_CELLS:
+        raise DomainError(f"--grid-points {args.grid_points}: cells must be >= "
+                          f"{_MIN_GRID_CELLS}, got {args.grid_points}")
     if args.r_max is not None:  # lengths in sqrt(hbar/omega)
         r_max = args.r_max * math.sqrt(params.omega / params.hbar)
         if not 0 < r_max < math.inf:
@@ -206,8 +205,8 @@ def _cmd_oracle(args, params) -> tuple[str, str, int]:
         table = oracle_report(params, args.l, args.k, RadialGrid(0.0, r_max, cells))
     except GridSizeError as exc:
         raise DomainError(f"{flag}: {exc}") from exc
-    worst = float(table.extra_columns["rel_error"].max())
-    summary = f"oracle: {len(table)} states, worst relative error {worst:.3e}"
+    worst = float(table["rel_error"].max())
+    summary = f"oracle: {len(table['n'])} states, worst relative error {worst:.3e}"
     return _artifact(table, args), summary, 0
 
 

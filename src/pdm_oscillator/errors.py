@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the fewest cells of a grid."""
 
 __all__ = [
     "BracketingError",
@@ -7,6 +7,8 @@ __all__ = [
     "GridSizeError",
     "LapackUnavailableError",
 ]
+
+_MIN_GRID_CELLS = 100  # of an oracle.RadialGrid, here so that the CLI reads it without numpy
 
 
 class DomainError(ValueError):

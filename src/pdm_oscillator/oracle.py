@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GridSizeError, LapackUnavailableError
+from .errors import (
+    _MIN_GRID_CELLS, ConvergenceError, DomainError, GridSizeError, LapackUnavailableError,
+)
 from .geometry import ModelParams
 from .spectrum import (
     SpectrumTable,
@@ -82,8 +84,8 @@ class RadialGrid:
     def __post_init__(self):
         if not 0 <= self.r_min < self.r_max < math.inf:
             raise DomainError("need 0 <= r_min < r_max < inf")
-        if self.cells < 100:
-            raise GridSizeError(f"cells must be >= 100, got {self.cells}")
+        if self.cells < _MIN_GRID_CELLS:
+            raise GridSizeError(f"cells must be >= {_MIN_GRID_CELLS}, got {self.cells}")
 
     @property
     def spacing(self) -> float:
@@ -134,8 +136,6 @@ class DiscretizedOperator:
     offdiag: np.ndarray
     weight: np.ndarray
     nodes: np.ndarray
-    l: int
-    params: ModelParams
 
     def size(self) -> int:
         return len(self.diag)
@@ -171,9 +171,7 @@ def discretize_radial(params: ModelParams, l: int, grid: RadialGrid) -> Discreti
     if not all(np.isfinite(v).all() for v in (diag, offdiag, weight)):
         raise DomainError(f"r_max={grid.r_max:g} sqrt(hbar/omega) overflows the operator at "
                           f"lam={params.lam:g}, hbar={params.hbar:g}, omega={params.omega:g}")
-    return DiscretizedOperator(
-        diag=diag, offdiag=offdiag, weight=weight, nodes=r, l=l, params=params
-    )
+    return DiscretizedOperator(diag=diag, offdiag=offdiag, weight=weight, nodes=r)
 
 
 @functools.cache
@@ -335,15 +333,18 @@ def oracle_report(
     Solved at g = lam*hbar/omega in units of hbar*omega and sqrt(hbar/omega),
     on the grid (in those units; by default one box for every l <= l_max), and
     each l with angular states (not l >= 2 in dim 1) is bisected on it. The
-    half-spacing refinement's eigenpairs come from inverse iteration at those eigenvalues; the reported energy is the
-    Richardson combination (4 E_half - E_full)/3, times hbar*omega, and the
-    convergence order is estimated from the two errors against the closed
-    form at g. States holding more than 1% of their weighted mass in the
-    outer 10% of the box are flagged as boundary-contaminated. Levels that
-    overflow a double once multiplied by hbar*omega raise DomainError; a grid
-    with fewer than 4 cells per level, or so many that the refined grid's
-    eigenvectors would pass _MAX_VECTOR_ENTRIES doubles, raises GridSizeError
-    before any eigensolve.
+    half-spacing refinement's eigenpairs come from inverse iteration at
+    those eigenvalues; the reported energy is the Richardson combination
+    (4 E_half - E_full)/3, times hbar*omega, and the convergence order is
+    estimated from the two errors against the closed form at g. States
+    holding more than 1% of their weighted mass in the outer 10% of the box
+    are flagged as boundary-contaminated. One row per state, in the columns
+    of spectrum_table and then k, l, closed_form, rel_error,
+    convergence_order and boundary_contaminated. Levels that overflow a
+    double once multiplied by hbar*omega raise DomainError; a grid with
+    fewer than 4 cells per level, or so many that the refined grid's
+    eigenvectors would pass _MAX_VECTOR_ENTRIES doubles, raises
+    GridSizeError before any eigensolve.
     """
     if l_max < 0 or k_max < 0:
         raise DomainError(f"l_max and k_max must be >= 0, got {l_max} and {k_max}")
@@ -387,14 +388,12 @@ def oracle_report(
         degeneracy=[degeneracy(int(v), params.dim) for v in n],
         gap_to_threshold=unit * (continuum_threshold(scaled) - energy),
         residual=unit * np.abs(energy - flat_level),
-        extra_columns={
-            "k": k.astype(float),
-            "l": l.astype(float),
-            "closed_form": unit * exact,
-            "rel_error": np.abs(energy - exact) / exact,
-            "convergence_order": np.array(order),
-            "boundary_contaminated": flagged,
-        },
+        k=k.astype(float),
+        l=l.astype(float),
+        closed_form=unit * exact,
+        rel_error=np.abs(energy - exact) / exact,
+        convergence_order=np.array(order),
+        boundary_contaminated=flagged,
     )
 
 

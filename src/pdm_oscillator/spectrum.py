@@ -7,22 +7,22 @@ here. The closed form, its gap below the threshold and the table are one
 formula for one level, in Python floats, math.hypot and math.sqrt, mapped
 over a list or an array of levels as the geometry's curves are
 (geometry._elementwise), so importing this module, building a table and
-writing it load no numpy. There is one bisection, _bisect, and one fixed-point solver,
-_fixed_point, which bisects every level in physical units. energy_implicit
-is the fixed point of the harmonic base, and both it and
-solve_deformed_spectrum take a scalar or an array of levels; _fixed_point
-also takes omega and lam as columns, so that the levels of many models take
-one call. In units of hbar*omega the equation has one parameter,
-g = lam*hbar/omega (_dimensionless), on which the oracle works. The
-solvers import numpy where they run.
+writing it load no numpy. A SpectrumTable is the dict of a table's named
+columns in artifact order; its to_csv and to_json_rows write every CLI
+artifact but verify-all's. There is one bisection, _bisect, and one
+fixed-point solver, _fixed_point, which bisects every level in physical
+units. energy_implicit is the fixed point of the harmonic base, and both it
+and solve_deformed_spectrum take a scalar or an array of levels;
+_fixed_point also takes omega and lam as columns, so that the levels of
+many models take one call. In units of hbar*omega the equation has one
+parameter, g = lam*hbar/omega (_dimensionless), on which the oracle works.
+The solvers import numpy where they run.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import BracketingError, ConvergenceError, DomainError
@@ -389,40 +389,16 @@ def json_rows(columns: dict) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*values, strict=True)]
 
 
-@dataclass
-class SpectrumTable:
-    """Ordered bound-state table with degeneracies and residuals.
-
-    Each column is a sequence of one entry per row: lists from
-    spectrum_table, numpy arrays from the oracle.
-    """
-
-    n: Sequence[int]
-    energy: Sequence[float]
-    degeneracy: list[int]
-    gap_to_threshold: Sequence[float]
-    residual: Sequence[float]
-    extra_columns: dict[str, Sequence[float]] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.n)
-
-    def columns(self) -> dict:
-        """The five spectrum columns, then the extra columns, by name."""
-        return {
-            "n": self.n,
-            "energy": self.energy,
-            "degeneracy": self.degeneracy,
-            "gap_to_threshold": self.gap_to_threshold,
-            "residual": self.residual,
-            **self.extra_columns,
-        }
+class SpectrumTable(dict):
+    """Named, equally long columns in artifact order: lists from
+    spectrum_table, numpy arrays from the oracle, any command's columns in
+    the CLI. Its writers are write_csv and json_rows."""
 
     def to_csv(self, stream) -> None:
-        write_csv(self.columns(), stream)
+        write_csv(self, stream)
 
     def to_json_rows(self) -> list[dict]:
-        return json_rows(self.columns())
+        return json_rows(self)
 
     def to_json(self) -> str:
         import json

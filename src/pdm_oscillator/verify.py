@@ -150,8 +150,8 @@ def check_oracle_equivalence() -> list[CheckResult]:
         for dim in (1, 2, 3):
             p = ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=dim)
             report = oracle_report(p, l_max=2, k_max=2)
-            worst_rel = max(worst_rel, float(report.extra_columns["rel_error"].max()))
-            orders = report.extra_columns["convergence_order"]
+            worst_rel = max(worst_rel, float(report["rel_error"].max()))
+            orders = report["convergence_order"]
             orders = orders[np.isfinite(orders)]
             worst_order_dev = max(worst_order_dev, float(np.abs(orders - 2.0).max()))
         out.append(
@@ -174,9 +174,8 @@ def check_degeneracy() -> CheckResult:
     """Multiplet coincidence in the oracle and the angular counting identity."""
     p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
     report = oracle_report(p, l_max=2, k_max=1)
-    cols = report.extra_columns
     by_kl = {
-        (int(k), int(l)): e for k, l, e in zip(cols["k"], cols["l"], report.energy)
+        (int(k), int(l)): e for k, l, e in zip(report["k"], report["l"], report["energy"])
     }
     e_rad, e_ang = by_kl[(1, 0)], by_kl[(0, 2)]
     multiplet_rel = abs(e_rad - e_ang) / abs(e_ang)

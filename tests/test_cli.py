@@ -12,6 +12,7 @@ import pytest
 
 import pdm_oscillator.cli as cli
 from pdm_oscillator import classical, oracle, verify
+from pdm_oscillator.spectrum import SpectrumTable
 from pdm_oscillator.verify import CheckResult
 
 
@@ -430,6 +431,22 @@ class TestDeterminism:
         assert cli.run(argv + [str(a)]) == 0
         assert cli.run(argv + [str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(RERUN_COMMANDS))
+    def test_one_table_writer_call_per_artifact(self, tmp_path, monkeypatch, command, fmt):
+        # every artifact is written by SpectrumTable.to_csv or to_json_rows,
+        # once, which is what a traced run times as serialization
+        calls = []
+        for method in ("to_csv", "to_json_rows"):
+            def counted(table, *args, _method=method, _original=getattr(SpectrumTable, method)):
+                calls.append(_method)
+                return _original(table, *args)
+
+            monkeypatch.setattr(SpectrumTable, method, counted)
+        argv = self.RERUN_COMMANDS[command] + ["--format", fmt, "--out", str(tmp_path / "x")]
+        assert cli.run(argv) == 0
+        assert calls == ["to_csv" if fmt == "csv" else "to_json_rows"]
 
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         # verify-all runs the real battery code on its sub-second checks.
@@ -987,9 +1004,11 @@ print(json.dumps({"code": code, "loaded": loaded, "json": has_json, "numpy": has
             (["spectrum", "--dim", "0"], "dim"),
             (["spectrum", "--n-max", "-1"], "--n-max"),
             (["deform", "--n-max", "100001"], "--n-max"),
+            (["oracle", "--grid-points", "50"], "--grid-points"),
         ],
         ids=["classical-samples", "classical-t-end", "classical-tol", "effective-potential-grid",
-             "effective-potential-cn", "spectrum-dim", "spectrum-n-max", "deform-n-max"],
+             "effective-potential-cn", "spectrum-dim", "spectrum-n-max", "deform-n-max",
+             "oracle-grid-points"],
     )
     def test_bad_flag_fails_before_numpy_loads(self, argv, flag):
         # a bad flag is one error line that names it, printed before any

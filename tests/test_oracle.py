@@ -160,8 +160,6 @@ class TestGeneralizedEigen:
             offdiag=op.offdiag,
             weight=np.zeros_like(op.weight),
             nodes=op.nodes,
-            l=op.l,
-            params=op.params,
         )
         with pytest.raises(DomainError):
             solve_generalized_eigen(bad, 2)
@@ -197,8 +195,7 @@ class TestGeneralizedEigen:
     def test_malformed_operator_rejected_before_lapack(self):
         op = discretize_radial(P3, 0, RadialGrid(0.0, 8.0, 300))
         short = oracle.DiscretizedOperator(
-            diag=op.diag, offdiag=op.offdiag[:1], weight=op.weight[:1], nodes=op.nodes,
-            l=op.l, params=op.params,
+            diag=op.diag, offdiag=op.offdiag[:1], weight=op.weight[:1], nodes=op.nodes
         )
         with pytest.raises(DomainError, match="off-diagonal"):
             solve_generalized_eigen(short, 2)
@@ -214,7 +211,7 @@ class TestGeneralizedEigen:
         rng = np.random.default_rng(n)
         d, e = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n - 1)
         op = oracle.DiscretizedOperator(
-            diag=d, offdiag=e, weight=np.ones(n), nodes=np.arange(n), l=0, params=P3
+            diag=d, offdiag=e, weight=np.ones(n), nodes=np.arange(n)
         )
         assert oracle._reduced(op)[3] == 1.0
         count = min(n // 4, 40)
@@ -318,38 +315,37 @@ class TestOracleReport:
     def test_flat_baseline(self):
         p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=3)
         report = oracle_report(p, l_max=2, k_max=2)
-        assert report.energy == pytest.approx(1.0 * (report.n + 1.5), rel=1e-5)
-        assert report.extra_columns["rel_error"].max() < 1e-5
+        assert report["energy"] == pytest.approx(1.0 * (report["n"] + 1.5), rel=1e-5)
+        assert report["rel_error"].max() < 1e-5
 
     def test_degenerate_multiplet(self):
         report = oracle_report(P3, l_max=2, k_max=1)
-        cols = report.extra_columns
         by_kl = {
             (int(k), int(l)): e
-            for k, l, e in zip(cols["k"], cols["l"], report.energy)
+            for k, l, e in zip(report["k"], report["l"], report["energy"])
         }
         rel = abs(by_kl[(1, 0)] - by_kl[(0, 2)]) / by_kl[(0, 2)]
         assert rel < 1e-5
 
     def test_second_order_convergence(self):
         report = oracle_report(P3, l_max=1, k_max=1)
-        orders = report.extra_columns["convergence_order"]
+        orders = report["convergence_order"]
         orders = orders[np.isfinite(orders)]
         assert np.all(np.abs(orders - 2.0) <= 0.2)
 
     def test_no_boundary_flags_on_default_grid(self):
         report = oracle_report(P3, l_max=1, k_max=1)
-        assert np.all(report.extra_columns["boundary_contaminated"] == 0.0)
+        assert np.all(report["boundary_contaminated"] == 0.0)
 
     def test_cramped_box_flags_states(self):
         # squeezing the box leaves visible mass at the wall for excited states
         grid = RadialGrid(1e-6, 3.2, 400)
         report = oracle_report(P3, l_max=0, k_max=2, grid=grid)
-        assert report.extra_columns["boundary_contaminated"].max() == 1.0
+        assert report["boundary_contaminated"].max() == 1.0
 
     def test_energies_below_threshold(self):
         report = oracle_report(P3, l_max=2, k_max=2)
-        assert np.all(report.gap_to_threshold > 0)
+        assert np.all(report["gap_to_threshold"] > 0)
 
     def test_dim_one_reports_only_its_parity_sectors(self):
         # dim 1 has states at l = 0 and 1 only; the rows kept at l_max = 2 are
@@ -358,16 +354,20 @@ class TestOracleReport:
         p = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=1)
         report = oracle_report(p, l_max=2, k_max=1)
         kept = oracle_report(p, l_max=1, k_max=1, grid=default_radial_grid(p, 2, 1))
-        assert sorted(set(report.extra_columns["l"])) == [0.0, 1.0]
-        assert list(report.columns()) == list(kept.columns())
-        for got, want in zip(report.columns().values(), kept.columns().values()):
+        assert sorted(set(report["l"])) == [0.0, 1.0]
+        assert list(report) == list(kept)
+        for got, want in zip(report.values(), kept.values()):
             np.testing.assert_array_equal(got, want)
 
     def test_schema_extends_spectrum_table(self):
         report = oracle_report(P3, l_max=0, k_max=0)
-        header = list(report.columns())
-        assert header[:5] == ["n", "energy", "degeneracy", "gap_to_threshold", "residual"]
-        assert "rel_error" in header and "convergence_order" in header
+        # keyword order sets the artifact's header: the five spectrum columns,
+        # then the oracle's six
+        assert list(report) == [
+            "n", "energy", "degeneracy", "gap_to_threshold", "residual",
+            "k", "l", "closed_form", "rel_error", "convergence_order", "boundary_contaminated",
+        ]
+        assert list(report) == list(report.to_json_rows()[0])
 
 
 class TestCellsFromOrigin:
@@ -380,7 +380,7 @@ class TestCellsFromOrigin:
         p = ModelParams(lam=lam, dim=dim)
         box = default_radial_grid(p, 2, 2)
         coarse, fine = (
-            oracle_report(p, 2, 2, RadialGrid(box.r_min, box.r_max, cells)).extra_columns["rel_error"]
+            oracle_report(p, 2, 2, RadialGrid(box.r_min, box.r_max, cells))["rel_error"]
             for cells in (250, 500)
         )
         np.testing.assert_allclose(coarse / fine, 16.0, rtol=0.15)
@@ -389,8 +389,8 @@ class TestCellsFromOrigin:
         # the default cell count follows the top level, so the levels up to
         # k = 40 (n = 80) are as accurate as the lowest
         report = oracle_report(P3, l_max=0, k_max=40)
-        assert len(report) == 41
-        assert report.extra_columns["rel_error"].max() <= 1e-8
+        assert len(report["n"]) == 41
+        assert report["rel_error"].max() <= 1e-8
 
     def test_vector_bound_before_any_operator(self, monkeypatch):
         # the refined eigenvector block is bounded before the first operator
@@ -487,12 +487,11 @@ class TestScaleFree:
         box = default_radial_grid(p, l, k)
         grid = RadialGrid(box.r_min, box.r_max, 400)
         report, scaled = oracle_report(p, l, k, grid), oracle_report(g, l, k, grid)
-        cols, ref = report.extra_columns, scaled.extra_columns
-        assert np.all(cols["rel_error"] < 1e-4)
+        assert np.all(report["rel_error"] < 1e-4)
         for name in ("rel_error", "convergence_order"):
-            np.testing.assert_array_equal(cols[name], ref[name])
-        expected = hbar * omega * scaled.energy
-        assert np.all(np.abs(report.energy - expected) <= 2 * np.spacing(expected))
+            np.testing.assert_array_equal(report[name], scaled[name])
+        expected = hbar * omega * scaled["energy"]
+        assert np.all(np.abs(report["energy"] - expected) <= 2 * np.spacing(expected))
 
 
 class TestSecondDerivative:

@@ -1,11 +1,13 @@
 """The package names the benchmark in perfbench/ relies on.
 
 The traced run wraps every function in `tracer.SPANNED` and every
-`SpectrumTable` method in `tracer.TABLE_METHODS`, and `battery.warm_up`
-imports and calls one function of each layer. Renaming or deleting any of
-them breaks `perfbench/run.py --trace 1`; this test fails first. That is
-why the one-orbit wrappers `integrate_orbit` and `closure_check` stay public
-names: `warm_up` imports and calls both.
+`SpectrumTable` method in `tracer.TABLE_METHODS` (`to_csv`, `to_json` and
+`to_json_rows`; every CLI artifact but verify-all's is written by
+`to_csv` or `to_json_rows`, and nothing but the tracer names `to_json`),
+and `battery.warm_up` imports and calls one function of each layer.
+Renaming or deleting any of them breaks `perfbench/run.py --trace 1`; this
+test fails first. That is why the one-orbit wrappers `integrate_orbit` and
+`closure_check` stay public names: `warm_up` imports and calls both.
 
 `warm_up` throws the verdict of `closure_check` away, so the test keeps it
 and requires warm_up's orbit to be reported closed.

@@ -487,8 +487,8 @@ class TestSpectrumTable:
     def test_single_flat_row(self):
         p = ModelParams(lam=0.0, omega=1.0, hbar=1.0, dim=3)
         table = spectrum_table(0, p)
-        assert len(table) == 1
-        row = {name: column[0] for name, column in table.columns().items()}
+        assert len(table["n"]) == 1
+        row = {name: column[0] for name, column in table.items()}
         assert row["energy"] == pytest.approx(1.5, rel=1e-15)
         assert row["degeneracy"] == 1
         assert row["gap_to_threshold"] == math.inf
@@ -496,19 +496,19 @@ class TestSpectrumTable:
 
     def test_monotone_energies_with_small_residuals(self):
         table = spectrum_table(5, P3)
-        assert np.all(np.diff(table.energy) > 0)
-        assert np.all(np.array(table.residual) < 1e-10)
+        assert np.all(np.diff(table["energy"]) > 0)
+        assert np.all(np.array(table["residual"]) < 1e-10)
 
     @pytest.mark.parametrize("lam, n_max", [(1e8, 8), (1e8, 2000), (0.02, 2000)])
     def test_residual_column_at_rounding(self, lam, n_max):
         # at lam = 1e8 every level rounds to the threshold, where Omega from
         # threshold - E is 0 or off by up to 20x; Omega from the gap is not
         table = spectrum_table(n_max, ModelParams(lam=lam, omega=1.0, hbar=1.0, dim=3))
-        assert np.all(np.array(table.residual) <= 4.0 * np.finfo(float).eps * np.array(table.energy))
+        assert np.all(np.array(table["residual"]) <= 4.0 * np.finfo(float).eps * np.array(table["energy"]))
 
     def test_gap_column_strictly_decreasing(self):
         table = spectrum_table(400, P3)
-        assert np.all(np.diff(table.gap_to_threshold) < 0)
+        assert np.all(np.diff(table["gap_to_threshold"]) < 0)
 
     def test_csv_round_trip(self):
         table = spectrum_table(3, P3)
