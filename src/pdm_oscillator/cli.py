@@ -9,15 +9,16 @@ Outputs contain no timestamps and all randomness is seed-fixed, so
 identical invocations produce byte-identical artifacts.
 
 The module imports the errors and the geometry, which every command uses.
-Each command checks its own flags first, so that a bad flag ends in one
-`error:` line naming it before any layer that needs numpy loads. It then
-imports the other layers it runs inside its own function: `spectrum` and
-`deform` the spectrum, `geometry` and `effective-potential` the spectrum's
-column writers, and `wavefunction`, `classical`, `oracle` and `verify-all`
-their own layer with what it imports. `spectrum`, `geometry` and
-`effective-potential` evaluate closed forms on lists and never load numpy;
-`deform`, `wavefunction`, `classical`, `oracle` and `verify-all` do. `json`
-is imported only for a JSON artifact.
+The parser checks every flag's range where it declares the flag (_Ranged),
+so a bad flag ends in one `error:` line naming it before any other layer
+loads, and each command returns its columns and summary line for `run` to
+write. A command imports the layers it runs inside its own function:
+`spectrum` and `deform` the spectrum, `geometry` and `effective-potential`
+the spectrum's column writers, and `wavefunction`, `classical`, `oracle` and
+`verify-all` their own layer with what it imports. `spectrum`, `geometry`
+and `effective-potential` evaluate closed forms on lists and never load
+numpy; `deform`, `wavefunction`, `classical`, `oracle` and `verify-all` do.
+`json` is imported only for a JSON artifact.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import sys
 import tempfile
 
 from .errors import (
+    _MAX_TABLE_LEVELS,
     _MIN_GRID_CELLS,
     BracketingError,
     ConvergenceError,
@@ -53,13 +55,40 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-class _ParseError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _ParseError(message)
+    def error(self, message):  # run prints it as one error line, where argparse would exit
+        raise argparse.ArgumentError(None, message)
+
+
+class _Ranged(argparse.Action):
+    """Store a flag's value, or fail the parse with "<flag> must be <need>,
+    got <value>" where ok(value) is false. The flag is named by its first
+    option string, whatever abbreviation was typed; a float prints as :g."""
+
+    def __init__(self, *args, need: str, ok, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.need, self.ok = need, ok
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not self.ok(value):
+            shown = f"{value:g}" if isinstance(value, float) else value
+            raise argparse.ArgumentError(
+                None, f"{self.option_strings[0]} must be {self.need}, got {shown}"
+            )
+        setattr(namespace, self.dest, value)
+
+
+def _rule(need: str, ok) -> dict:
+    """add_argument keywords that check a flag's value as it is parsed."""
+    return {"action": _Ranged, "need": need, "ok": ok}
+
+
+def _at_least(low: int) -> dict:
+    return _rule(f">= {low}", lambda v: v >= low)
+
+
+_FINITE_POSITIVE = _rule("finite and > 0", lambda v: 0 < v < math.inf)
+_N_MAX = _rule(f"an integer in [0, {_MAX_TABLE_LEVELS}]", lambda v: 0 <= v <= _MAX_TABLE_LEVELS)
 
 
 def _add_out_flag(p: _Parser) -> None:
@@ -78,18 +107,23 @@ def _add_model_flags(p: _Parser) -> None:
                    help="artifact format (default csv)")
 
 
+def _add_sampling_flags(p: _Parser, r_max: float | None, grid_points: int) -> None:
+    p.add_argument("--r-max", type=float, default=r_max, **_FINITE_POSITIVE)
+    p.add_argument("--grid-points", type=int, default=grid_points, **_at_least(1))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pdm-oscillator", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="closed-form bound-state table")
     _add_model_flags(p)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=int, default=10, **_N_MAX)
 
     p = sub.add_parser("oracle", help="finite-difference eigenvalues vs closed form")
     _add_model_flags(p)
-    p.add_argument("--l", type=int, default=2, help="largest angular number")
-    p.add_argument("--k", type=int, default=2, help="largest radial number")
+    p.add_argument("--l", type=int, default=2, help="largest angular number", **_at_least(0))
+    p.add_argument("--k", type=int, default=2, help="largest radial number", **_at_least(0))
     p.add_argument("--grid-points", type=int, default=None,
                    help="cells from r = 0 to the wall (default: sized from the top level)")
     p.add_argument("--r-max", type=float, default=None,
@@ -97,36 +131,35 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("wavefunction", help="sample a normalized radial eigenfunction")
     _add_model_flags(p)
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--l", type=int, default=0)
-    p.add_argument("--grid-points", type=int, default=1001)
-    p.add_argument("--r-max", type=float, default=None)
+    p.add_argument("--k", type=int, default=0, **_at_least(0))
+    p.add_argument("--l", type=int, default=0, **_at_least(0))
+    _add_sampling_flags(p, None, 1001)
 
     p = sub.add_parser("classical", help="integrate an orbit and track conservation")
     _add_model_flags(p)
     p.add_argument("--q0", type=str, default=None, help="comma-separated positions")
     p.add_argument("--p0", type=str, default=None, help="comma-separated momenta")
-    p.add_argument("--t-end", type=float, default=20.0)
-    p.add_argument("--samples", type=int, default=2001)
+    p.add_argument("--t-end", type=float, default=20.0,
+                   **_rule("finite and exceed the initial time", lambda v: 0 < v < math.inf))
+    p.add_argument("--samples", type=int, default=2001, **_at_least(2))
     p.add_argument("--tol", type=float, default=None,
-                   help="integrator tolerance (default 1e-10)")
+                   help="integrator tolerance (default 1e-10)", **_FINITE_POSITIVE)
 
     p = sub.add_parser("effective-potential", help="sample the radial effective potential")
     _add_model_flags(p)
-    p.add_argument("--cn", type=float, default=100.0, help="total squared angular momentum")
-    p.add_argument("--r-max", type=float, default=20.0)
-    p.add_argument("--grid-points", type=int, default=2001)
+    p.add_argument("--cn", type=float, default=100.0, help="total squared angular momentum",
+                   **_rule("finite and >= 0", lambda v: 0 <= v < math.inf))
+    _add_sampling_flags(p, 20.0, 2001)
 
     p = sub.add_parser("geometry", help="sample metric factor, curvature, or potential")
     _add_model_flags(p)
     p.add_argument("--quantity", choices=("metric", "curvature", "potential"),
                    default="potential")
-    p.add_argument("--r-max", type=float, default=10.0)
-    p.add_argument("--grid-points", type=int, default=1001)
+    _add_sampling_flags(p, 10.0, 1001)
 
     p = sub.add_parser("deform", help="generic fixed-point solver vs closed form")
     _add_model_flags(p)
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=int, default=10, **_N_MAX)
 
     p = sub.add_parser("verify-all", help="run the full acceptance battery")
     _add_out_flag(p)
@@ -154,17 +187,7 @@ def _artifact(columns: dict, args) -> str:
     return json.dumps({"config": _config_dict(args), "rows": table.to_json_rows()}, indent=2)
 
 
-def _check_n_max(args) -> None:
-    from .spectrum import _MAX_TABLE_LEVELS
-
-    if not 0 <= args.n_max <= _MAX_TABLE_LEVELS:
-        raise DomainError(
-            f"--n-max must be an integer in [0, {_MAX_TABLE_LEVELS}], got {args.n_max}"
-        )
-
-
-def _cmd_spectrum(args, params) -> tuple[str, str, int]:
-    _check_n_max(args)
+def _cmd_spectrum(args, params) -> tuple[dict, str]:
     from .spectrum import spectrum_table
 
     table = spectrum_table(args.n_max, params)
@@ -172,17 +195,10 @@ def _cmd_spectrum(args, params) -> tuple[str, str, int]:
         f"spectrum: {len(table['n'])} levels, E_0={_fmt(table['energy'][0])}, "
         f"E_{args.n_max}={_fmt(table['energy'][-1])}"
     )
-    return _artifact(table, args), summary, 0
+    return table, summary
 
 
-def _check_quantum_numbers(args) -> None:
-    for flag, value in (("--k", args.k), ("--l", args.l)):
-        if value < 0:
-            raise DomainError(f"{flag} must be >= 0, got {value}")
-
-
-def _cmd_oracle(args, params) -> tuple[str, str, int]:
-    _check_quantum_numbers(args)
+def _cmd_oracle(args, params) -> tuple[dict, str]:
     if args.grid_points is not None and args.grid_points < _MIN_GRID_CELLS:
         raise DomainError(f"--grid-points {args.grid_points}: cells must be >= "
                           f"{_MIN_GRID_CELLS}, got {args.grid_points}")
@@ -207,17 +223,7 @@ def _cmd_oracle(args, params) -> tuple[str, str, int]:
         raise DomainError(f"{flag}: {exc}") from exc
     worst = float(table["rel_error"].max())
     summary = f"oracle: {len(table['n'])} states, worst relative error {worst:.3e}"
-    return _artifact(table, args), summary, 0
-
-
-def _check_grid_points(args) -> None:
-    if args.grid_points < 1:
-        raise DomainError(f"--grid-points must be >= 1, got {args.grid_points}")
-
-
-def _check_r_max(r_max: float) -> None:
-    if not 0 < r_max < math.inf:
-        raise DomainError(f"--r-max must be finite and > 0, got {r_max:g}")
+    return table, summary
 
 
 def _grid(start: float, stop: float, points: int) -> list[float]:
@@ -237,21 +243,16 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
     return grid
 
 
-def _finite_curve(fn, r: list[float], label: str, r_max: float) -> list[float]:
-    """fn(r), one call on the whole grid; a value that leaves the doubles,
-    as the metric factor and the flat (lam = 0) potentials do once r^2
-    overflows, is an error, not a NaN or inf row."""
-    values = fn(r)
+def _finite_curve(values: list[float], label: str, r_max: float) -> list[float]:
+    """A curve's values on the grid, from one call on the whole grid; a value
+    that leaves the doubles, as the metric factor and the flat (lam = 0)
+    potentials do once r^2 overflows, is an error, not a NaN or inf row."""
     if not all(map(math.isfinite, values)):
         raise DomainError(f"the {label} is not a finite double on the grid to --r-max {r_max:g}")
     return values
 
 
-def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
-    _check_quantum_numbers(args)
-    _check_grid_points(args)
-    if args.r_max is not None:
-        _check_r_max(args.r_max)
+def _cmd_wavefunction(args, params) -> tuple[dict, str]:
     import numpy as np
 
     from .wavefunctions import RadialEigenfunction, normalize
@@ -260,136 +261,110 @@ def _cmd_wavefunction(args, params) -> tuple[str, str, int]:
     r_max = args.r_max if args.r_max is not None else 10.0 / f.beta
     r = np.linspace(0.0, r_max, args.grid_points)
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = (1.0 + params.lam * r**2) * r ** (params.dim - 1)
+        # 1 + lam r^2 is 1 at lam = 0, also where r^2 overflows
+        weight = r ** (params.dim - 1) * (1.0 + params.lam * r**2 if params.lam else 1.0)
     if not np.isfinite(weight).all():
         box = f"r_max={r_max:g}" if args.r_max is None else f"--r-max {r_max:g}"
         raise DomainError(
             f"{box} is out of range at hbar={params.hbar:g}, "
             f"omega={params.omega:g}: the weight factor (1 + lam r^2) r^(N-1) overflows"
         )
-    values = f(r)
-    artifact = _artifact({"r": r, "value": np.atleast_1d(values), "weight_factor": weight}, args)
     summary = (
         f"wavefunction: k={args.k} l={args.l}, E={_fmt(f.energy)}, "
         f"beta={_fmt(f.beta)}, {args.grid_points} samples"
     )
-    return artifact, summary, 0
+    return {"r": r, "value": np.atleast_1d(f(r)), "weight_factor": weight}, summary
 
 
-def _parse_vector(text: str, dim: int, name: str) -> list[float]:
+def _parse_vector(text: str | None, default: list[float], name: str) -> list[float]:
+    """The flag's comma-separated components, as many as the default's, which
+    stands where the flag is not given."""
+    if text is None:
+        return default
     try:
         vec = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise DomainError(f"cannot parse {name} vector: {text!r}") from exc
-    if len(vec) != dim:
-        raise DomainError(f"{name} needs {dim} components, got {len(vec)}")
+    if len(vec) != len(default):
+        raise DomainError(f"{name} needs {len(default)} components, got {len(vec)}")
     if not all(map(math.isfinite, vec)):
         raise DomainError(f"{name} components must be finite, got {text!r}")
     return vec
 
 
-def _cmd_classical(args, params) -> tuple[str, str, int]:
+def _cmd_classical(args, params) -> tuple[dict, str]:
     dim = params.dim
-    if args.q0 is not None:
-        q0 = _parse_vector(args.q0, dim, "--q0")
-    else:
-        q0 = [1.0] + [0.0] * (dim - 1)
-    if args.p0 is not None:
-        p0 = _parse_vector(args.p0, dim, "--p0")
-    else:
-        p0 = [0.0] * dim
-        p0[min(1, dim - 1)] = 1.0
-    tol = args.tol if args.tol is not None else 1e-10
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"--tol must be finite and > 0, got {tol:g}")
-    if args.samples < 2:
-        raise DomainError(f"--samples must be >= 2, got {args.samples}")
-    if not (math.isfinite(args.t_end) and args.t_end > 0):
-        raise DomainError(f"--t-end must be finite and exceed the initial time, got {args.t_end:g}")
-    import numpy as np
-
+    q0 = _parse_vector(args.q0, [1.0] + [0.0] * (dim - 1), "--q0")
+    p0 = _parse_vector(args.p0, [float(i == min(1, dim - 1)) for i in range(dim)], "--p0")
     from .classical import PhaseState, conserved_series, integrate_orbits
 
     (traj,) = integrate_orbits(
         [PhaseState(q=q0, p=p0)],
         params,
         [args.t_end],
-        tol=tol,
+        tol=args.tol if args.tol is not None else 1e-10,
         samples=args.samples,
     )
     series = conserved_series(traj, params)
+    drifts = {f"drift_{label}": values - values[0] for label, values in series.items()}
     columns = {
         "t": traj.t,
         **{f"q_{i + 1}": traj.q[:, i] for i in range(dim)},
         **{f"p_{i + 1}": traj.p[:, i] for i in range(dim)},
         "H": series["energy"],
-        **{f"drift_{label}": series[label] - series[label][0] for label in series},
+        **drifts,
     }
-    artifact = _artifact(columns, args)
-    drift = max(float(np.max(np.abs(series[label] - series[label][0]))) for label in series)
+    drift = max(float(abs(values).max()) for values in drifts.values())
     summary = (
         f"classical: {args.samples} samples to t={args.t_end}, "
         f"H={_fmt(float(series['energy'][0]))}, max conserved drift {drift:.3e}"
     )
-    return artifact, summary, 0
+    return columns, summary
 
 
-def _cmd_effective_potential(args, params) -> tuple[str, str, int]:
-    _check_grid_points(args)
-    _check_r_max(args.r_max)
-    if not (math.isfinite(args.cn) and args.cn >= 0):
-        raise DomainError(f"--cn must be finite and >= 0, got {args.cn:g}")
+def _cmd_effective_potential(args, params) -> tuple[dict, str]:
     start = 0.0 if args.cn == 0 else args.r_max / (10.0 * args.grid_points)
     r = _grid(start, args.r_max, args.grid_points)
-    values = _finite_curve(
-        lambda r: effective_potential(r, params, args.cn), r, "effective potential", args.r_max
-    )
-    artifact = _artifact({"r": r, "value": values}, args)
+    values = _finite_curve(effective_potential(r, params, args.cn), "effective potential",
+                           args.r_max)
     if args.cn > 0 and params.omega > 0:
         r_min, u_min = effective_minimum(params, args.cn)
         summary = f"effective-potential: minimum {_fmt(u_min)} at r={_fmt(r_min)}"
     else:
         summary = f"effective-potential: {args.grid_points} samples"
-    return artifact, summary, 0
+    return {"r": r, "value": values}, summary
 
 
-def _cmd_geometry(args, params) -> tuple[str, str, int]:
+def _cmd_geometry(args, params) -> tuple[dict, str]:
     fns = {
         "metric": metric_factor,
         "curvature": scalar_curvature,
         "potential": potential,
     }
-    _check_grid_points(args)
-    _check_r_max(args.r_max)
     r = _grid(0.0, args.r_max, args.grid_points)
-    values = _finite_curve(lambda r: fns[args.quantity](r, params), r, args.quantity, args.r_max)
-    artifact = _artifact({"r": r, "value": values}, args)
+    values = _finite_curve(fns[args.quantity](r, params), args.quantity, args.r_max)
     summary = (
         f"geometry: {args.quantity} sampled at {args.grid_points} points, "
         f"value({_fmt(args.r_max)})={_fmt(values[-1])}"
     )
-    return artifact, summary, 0
+    return {"r": r, "value": values}, summary
 
 
-def _cmd_deform(args, params) -> tuple[str, str, int]:
-    _check_n_max(args)
-    import numpy as np
-
+def _cmd_deform(args, params) -> tuple[dict, str]:
     from .spectrum import energy_closed_form, harmonic_base, solve_deformed_spectrum
 
-    levels = np.arange(args.n_max + 1)
+    levels = list(range(args.n_max + 1))
     fixed = solve_deformed_spectrum(harmonic_base(params), levels, params)
     closed = energy_closed_form(levels, params)
-    diff = np.abs(fixed - closed)
+    diff = abs(fixed - closed)
     columns = {
-        "n": levels.astype(float),
+        "n": [float(n) for n in levels],
         "energy_fixed_point": fixed,
         "energy_closed_form": closed,
         "abs_diff": diff,
     }
-    artifact = _artifact(columns, args)
     summary = f"deform: {len(levels)} levels, max |fixed-point - closed| = {diff.max():.3e}"
-    return artifact, summary, 0
+    return columns, summary
 
 
 def _cmd_verify_all(args) -> tuple[str, str, int]:
@@ -438,21 +413,16 @@ def _write_atomic(path: str, text: str) -> None:
 
 def run(argv: list[str]) -> int:
     """Parse argv, execute one command, write the artifact; return exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify-all":
             artifact, summary, code = _cmd_verify_all(args)
         else:
             params = ModelParams(
                 lam=args.lam, omega=args.omega, hbar=args.hbar, dim=args.dim
             )
-            artifact, summary, code = _COMMANDS[args.command](args, params)
+            columns, summary = _COMMANDS[args.command](args, params)
+            artifact, code = _artifact(columns, args), 0
         if args.out is not None:
             _write_atomic(args.out, artifact)
             print(summary)
@@ -460,8 +430,8 @@ def run(argv: list[str]) -> int:
             sys.stdout.write(artifact)
             print(summary, file=sys.stderr)
         return code
-    except (DomainError, ConvergenceError, BracketingError, ArithmeticError,
-            LapackUnavailableError) as exc:
+    except (argparse.ArgumentError, DomainError, ConvergenceError, BracketingError,
+            ArithmeticError, LapackUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

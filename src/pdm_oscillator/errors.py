@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the fewest cells of a grid."""
+"""Exception types shared across the package, and two bounds the CLI reads without a layer."""
 
 __all__ = [
     "BracketingError",
@@ -8,7 +8,8 @@ __all__ = [
     "LapackUnavailableError",
 ]
 
-_MIN_GRID_CELLS = 100  # of an oracle.RadialGrid, here so that the CLI reads it without numpy
+_MIN_GRID_CELLS = 100  # of an oracle.RadialGrid
+_MAX_TABLE_LEVELS = 100_000  # of a spectrum table, or of deform's
 
 
 class DomainError(ValueError):

@@ -201,10 +201,10 @@ def _lapack() -> tuple:
     return stebz, stein
 
 
-def _reduced(op: DiscretizedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _reduced(op: DiscretizedOperator) -> tuple[np.ndarray, np.ndarray, float]:
     """Standard form of A u = E B u, scaled to unit norm.
 
-    Returns (d, e, B^(-1/2), scale): d and e are the diagonal and the
+    Returns (d, e, scale): d and e are the diagonal and the
     off-diagonal of B^(-1/2) A B^(-1/2) divided by scale, the power of two
     just above the largest entry. So the scaling is exact, and the squares
     of the off-diagonal that LAPACK forms neither underflow nor overflow
@@ -223,7 +223,7 @@ def _reduced(op: DiscretizedOperator) -> tuple[np.ndarray, np.ndarray, np.ndarra
     e = offdiag * inv_sqrt_w[:-1] * inv_sqrt_w[1:]
     largest = max(np.abs(d).max(), np.abs(e).max(initial=0.0))
     scale = math.ldexp(1.0, math.frexp(largest)[1])
-    return d / scale, e / scale, inv_sqrt_w, scale
+    return d / scale, e / scale, scale
 
 
 def solve_generalized_eigen(op: DiscretizedOperator, count: int) -> np.ndarray:
@@ -239,7 +239,7 @@ def solve_generalized_eigen(op: DiscretizedOperator, count: int) -> np.ndarray:
     size = op.size()
     if count < 1 or count > size // 4:
         raise GridSizeError(f"count must be in [1, {size // 4}] for {size} cells")
-    d, e, _, scale = _reduced(op)
+    d, e, scale = _reduced(op)
     stebz, _ = _lapack()
     found, blocks = ctypes.c_int64(), ctypes.c_int64()
     values = np.empty(size)
@@ -261,16 +261,17 @@ def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.nd
 
     LAPACK stein iterates at each shift on the scaled standard form; each
     eigenvalue is the Rayleigh quotient z^T T z / z^T z of its vector, which
-    is accurate to second order in the vector's error, and each eigenvector
-    is returned in the original phi variables, formed in place on stein's
-    block a chunk of columns at a time. A LAPACK failure raises
-    ConvergenceError. A quotient that lies no nearer its own shift than
+    is accurate to second order in the vector's error, formed on stein's
+    block a chunk of columns at a time. Each eigenvector z is returned as
+    stein gives it, of unit norm in the standard form, not in the original
+    variables phi = B^(-1/2) z: z^2 is the weighted mass B phi^2. A LAPACK
+    failure raises ConvergenceError. A quotient that lies no nearer its own shift than
     another shift, unless within rounding of its own (shifts that agree to
     rounding belong to a cluster that double precision holds as one
     eigenvalue), raises GridSizeError where the shifts are distinct, as they
     are then off by more than the level spacing, and ConvergenceError else.
     """
-    d, e, inv_sqrt_w, scale = _reduced(op)
+    d, e, scale = _reduced(op)
     shifts = np.asarray(shifts, dtype=float)
     n, m = len(d), len(shifts)
     _, stein = _lapack()
@@ -295,7 +296,6 @@ def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.nd
         tz[1:] += e[:, None] * chunk[:-1]
         tz *= chunk
         values[j : j + width] = tz.sum(axis=0) / (chunk * chunk).sum(axis=0) * scale
-        chunk *= inv_sqrt_w[:, None]
     # a-priori bound on the rounding error of z^T T z: n terms, |T| <= 3
     rounding = 3.0 * n * np.finfo(float).eps * scale
     own = np.abs(values - shifts)
@@ -313,13 +313,6 @@ def _eigenpairs_near(op: DiscretizedOperator, shifts: np.ndarray) -> tuple[np.nd
             "nearer another shift than its own"
         )
     return values, z
-
-
-def _boundary_contaminated(op: DiscretizedOperator, vector: np.ndarray) -> bool:
-    """Weighted mass fraction in the outer tail of the box above 1%."""
-    mass = op.weight * vector**2
-    tail = int(math.ceil(_BOUNDARY_TAIL_FRACTION * len(mass)))
-    return float(mass[-tail:].sum() / mass.sum()) > _BOUNDARY_MASS_LIMIT
 
 
 def oracle_report(
@@ -358,8 +351,10 @@ def oracle_report(
     for ell in [l for l in range(l_max + 1) if angular_multiplicity(l, params.dim)]:
         op_half = discretize_radial(params, ell, grid.refined())
         e_full = solve_generalized_eigen(discretize_radial(params, ell, grid), k_max + 1)
-        e_half, vectors = _eigenpairs_near(op_half, e_full)
-        flagged = [float(_boundary_contaminated(op_half, v)) for v in vectors.T]
+        e_half, z = _eigenpairs_near(op_half, e_full)
+        tail = math.ceil(_BOUNDARY_TAIL_FRACTION * len(z))  # z^2 is the weighted mass B phi^2
+        share = np.einsum("ij,ij->j", z[-tail:], z[-tail:]) / np.einsum("ij,ij->j", z, z)
+        flagged = (share > _BOUNDARY_MASS_LIMIT).astype(float)
         k = np.arange(k_max + 1)
         parts.append((2 * k + ell, k, np.full(k_max + 1, ell), e_full, e_half, flagged))
     columns = [np.concatenate(c) for c in zip(*parts)]

@@ -25,7 +25,7 @@ import math
 import sys
 from typing import Callable
 
-from .errors import BracketingError, ConvergenceError, DomainError
+from .errors import _MAX_TABLE_LEVELS, BracketingError, ConvergenceError, DomainError
 from .geometry import ModelParams, _elementwise
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "json_rows",
 ]
 
-_MAX_TABLE_LEVELS = 100_000
 _BISECT_ITERATIONS = 110
 _BASE_SAMPLES = 33
 _TINY = sys.float_info.min

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,17 +41,22 @@ def _level(n: int, params: ModelParams) -> tuple[float, float]:
 
     Omega = E/(hbar (n + N/2)) holds exactly by the self-consistent equation
     and involves no cancellation; sqrt(omega^2 - 2 lam E) loses a relative
-    eps (omega/Omega)^2 near the continuum edge. A width that underflows to
-    0 (hbar far above omega's scale) raises DomainError.
+    eps (omega/Omega)^2 near the continuum edge. A subnormal beta^2 =
+    Omega/hbar is formed 4^300 times larger, exactly, so beta keeps its
+    digits. One that underflows to 0 (hbar far above omega's scale) raises
+    DomainError, as the norm divides by beta^2.
     """
     energy = energy_closed_form(n, params)
-    beta = math.sqrt(energy / (params.hbar * (n + params.dim / 2.0)) / params.hbar)
-    if not beta > 0:
+    frequency = energy / (params.hbar * (n + params.dim / 2.0))
+    beta_sq = frequency / params.hbar
+    if not beta_sq > 0:
         raise DomainError(
             f"hbar={params.hbar:g} and omega={params.omega:g} are out of range: "
-            f"the Gaussian width beta = sqrt(Omega/hbar) underflows to 0"
+            f"the squared Gaussian width beta^2 = Omega/hbar underflows to 0"
         )
-    return energy, beta
+    if beta_sq < sys.float_info.min:
+        return energy, math.ldexp(math.sqrt(math.ldexp(frequency, 600) / params.hbar), -300)
+    return energy, math.sqrt(beta_sq)
 
 
 def _check_bound(f) -> None:

@@ -185,6 +185,20 @@ class TestWavefunctionCommand:
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
+    def test_flat_weight_where_r_squared_overflows(self, tmp_path):
+        # at lam = 0 and N = 1 the weight factor (1 + lam r^2) r^(N-1) is 1 on
+        # the whole box, r_max = 10/beta = 1e162, though r^2 overflows there
+        out = tmp_path / "wf.csv"
+        argv = ["wavefunction", "--lambda", "0", "--hbar", "1e100", "--omega", "1e-222",
+                "--dim", "1", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run(argv) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1001 and float(rows[-1]["r"]) == pytest.approx(1e162, rel=1e-15)
+        assert all(row["weight_factor"] == "1" for row in rows)
+        assert all(math.isfinite(float(row["value"])) for row in rows)
+
     @pytest.mark.parametrize(
         "scale, error",
         [
@@ -503,7 +517,44 @@ class TestDeterminism:
                 assert enabled == (tmp_path / "baseline" / f"{i}.{fmt}").read_bytes(), argv
 
 
+# every flag whose range the parser checks, with a bad value and the one line
+# it ends in; --grid is argparse's abbreviation of --grid-points
+RULED = [
+    (["spectrum", "--n-max", "-1"], "--n-max must be an integer in [0, 100000], got -1"),
+    (["deform", "--n-max", "100001"], "--n-max must be an integer in [0, 100000], got 100001"),
+    (["oracle", "--k", "-1"], "--k must be >= 0, got -1"),
+    (["oracle", "--l", "-2"], "--l must be >= 0, got -2"),
+    (["wavefunction", "--k", "-1"], "--k must be >= 0, got -1"),
+    (["wavefunction", "--l", "-1"], "--l must be >= 0, got -1"),
+    (["wavefunction", "--grid", "0"], "--grid-points must be >= 1, got 0"),
+    (["wavefunction", "--r-max", "nan"], "--r-max must be finite and > 0, got nan"),
+    (["effective-potential", "--grid-points", "-3"], "--grid-points must be >= 1, got -3"),
+    (["effective-potential", "--r-max", "inf"], "--r-max must be finite and > 0, got inf"),
+    (["effective-potential", "--cn", "-1"], "--cn must be finite and >= 0, got -1"),
+    (["effective-potential", "--cn", "inf"], "--cn must be finite and >= 0, got inf"),
+    (["geometry", "--grid-points", "0"], "--grid-points must be >= 1, got 0"),
+    (["geometry", "--r-max=-1e300"], "--r-max must be finite and > 0, got -1e+300"),
+    (["classical", "--samples", "1"], "--samples must be >= 2, got 1"),
+    (["classical", "--t-end", "0"],
+     "--t-end must be finite and exceed the initial time, got 0"),
+    (["classical", "--t-end", "nan"],
+     "--t-end must be finite and exceed the initial time, got nan"),
+    (["classical", "--tol", "-0.001"], "--tol must be finite and > 0, got -0.001"),
+    (["classical", "--tol", "nan"], "--tol must be finite and > 0, got nan"),
+]
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("argv, message", RULED, ids=[" ".join(a) for a, _ in RULED])
+    def test_ruled_flag_fails_in_the_parser(self, capsys, monkeypatch, argv, message):
+        # the parser rejects the value as it reads the flag: no command runs
+        def unreachable(args, params):
+            raise AssertionError(f"{args.command} ran")
+
+        monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, unreachable))
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_flag(self):
         assert cli.run(["spectrum", "--bogus", "1"]) == 1
 
@@ -992,6 +1043,23 @@ print(json.dumps({"code": code, "loaded": loaded, "json": has_json, "numpy": has
         assert result["loaded"] == sorted(f"pdm_oscillator.{m}" for m in want)
         assert result["json"] == (fmt == "json")
         assert result["numpy"] == numpy
+
+    def test_ruled_flag_loads_no_other_layer(self):
+        # the parser checks each ruled flag before any command imports a layer
+        script = """
+import contextlib, io, json, sys
+import pdm_oscillator.cli
+
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert pdm_oscillator.cli.run(argv) == 1
+    loaded[" ".join(argv)] = sorted(m for m in sys.modules if m.startswith("pdm_oscillator"))
+print(json.dumps(loaded))
+"""
+        loaded = json.loads(self.fresh(script, json.dumps([argv for argv, _ in RULED])))
+        want = ["pdm_oscillator", *(f"pdm_oscillator.{m}" for m in ("cli", "errors", "geometry"))]
+        assert loaded == {" ".join(argv): want for argv, _ in RULED}
 
     @pytest.mark.parametrize(
         "argv, flag",

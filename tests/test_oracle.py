@@ -213,7 +213,7 @@ class TestGeneralizedEigen:
         op = oracle.DiscretizedOperator(
             diag=d, offdiag=e, weight=np.ones(n), nodes=np.arange(n)
         )
-        assert oracle._reduced(op)[3] == 1.0
+        assert oracle._reduced(op)[2] == 1.0
         count = min(n // 4, 40)
         values = solve_generalized_eigen(op, count)
         ref = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, count - 1))
@@ -261,7 +261,6 @@ class TestGeneralizedEigen:
             select="i",
             select_range=(0, k_max),
         )
-        ref_vectors = ref_vectors * inv_sqrt_w[:, None]
         assert values == pytest.approx(ref_values, rel=1e-9, abs=0)
         for v, ref in zip(vectors.T, ref_vectors.T):
             sign = np.sign(v @ ref)

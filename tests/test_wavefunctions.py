@@ -169,6 +169,20 @@ class TestRadialEigenfunction:
         with pytest.raises(DomainError):
             f(-0.5)
 
+    def test_width_where_its_square_is_subnormal(self):
+        # Omega = 1e-222 and hbar = 1e100 give beta = 1e-161; beta^2 = 1e-322 is
+        # subnormal, so the root of Omega/hbar keeps about two digits (9.94e-162)
+        def beta(hbar):
+            p = ModelParams(lam=0.0, hbar=hbar, omega=1e-222, dim=1)
+            return RadialEigenfunction.from_quantum_numbers(0, 0, p).beta
+
+        assert beta(1e100) == pytest.approx(1e-161, rel=4 * np.finfo(float).eps, abs=0)
+        # hbar -> 4^j hbar scales beta by 2^-j bit for bit, where beta^2 is
+        # normal (j <= -24) and where it is subnormal (-23 <= j <= 2) alike
+        assert [beta(1e100 * 4.0**j) for j in range(-40, 3)] == [
+            beta(1e100) * 2.0**-j for j in range(-40, 3)
+        ]
+
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
     def test_nonpositive_width_rejected(self, beta):
         # normalize would take log(beta)
