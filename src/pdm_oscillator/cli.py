@@ -11,20 +11,20 @@ identical invocations produce byte-identical artifacts.
 The module imports the errors and the geometry, which every command uses.
 The parser checks every flag's range where it declares the flag (_Ranged),
 so a bad flag ends in one `error:` line naming it before any other layer
-loads, and each command returns its columns and summary line for `run` to
-write. A command imports the layers it runs inside its own function:
-`spectrum` and `deform` the spectrum, `geometry` and `effective-potential`
-the spectrum's column writers, and `wavefunction`, `classical`, `oracle` and
-`verify-all` their own layer with what it imports. `spectrum`, `geometry`
-and `effective-potential` evaluate closed forms on lists and never load
-numpy; `deform`, `wavefunction`, `classical`, `oracle` and `verify-all` do.
-`json` is imported only for a JSON artifact.
+loads. Each command returns its columns and summary line; `run` wraps the
+columns as a spectrum.SpectrumTable and writes the artifact with the
+table's to_csv or to_json, as --format names. A command imports the layers
+it runs inside its own function: `spectrum` and `deform` the spectrum, and
+`wavefunction`, `classical`, `oracle` and `verify-all` their own layer with
+what it imports. `spectrum`, `geometry` and `effective-potential` evaluate
+closed forms on lists and never load numpy; `deform`, `wavefunction`,
+`classical`, `oracle` and `verify-all` do. `json` is imported only for a
+JSON artifact.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -172,21 +172,6 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "out"}
 
 
-def _artifact(columns: dict, args) -> str:
-    """Named columns as a SpectrumTable, written by its to_csv, or by its
-    to_json_rows as JSON rows under the invocation's config."""
-    from .spectrum import SpectrumTable
-
-    table = SpectrumTable(columns)
-    if args.format == "csv":
-        buf = io.StringIO()
-        table.to_csv(buf)
-        return buf.getvalue()
-    import json
-
-    return json.dumps({"config": _config_dict(args), "rows": table.to_json_rows()}, indent=2)
-
-
 def _cmd_spectrum(args, params) -> tuple[dict, str]:
     from .spectrum import spectrum_table
 
@@ -296,12 +281,12 @@ def _cmd_classical(args, params) -> tuple[dict, str]:
     dim = params.dim
     q0 = _parse_vector(args.q0, [1.0] + [0.0] * (dim - 1), "--q0")
     p0 = _parse_vector(args.p0, [float(i == min(1, dim - 1)) for i in range(dim)], "--p0")
-    from .classical import PhaseState, conserved_series, integrate_orbits
+    from .classical import PhaseState, conserved_series, integrate_orbit
 
-    (traj,) = integrate_orbits(
-        [PhaseState(q=q0, p=p0)],
+    traj = integrate_orbit(
+        PhaseState(q=q0, p=p0),
         params,
-        [args.t_end],
+        args.t_end,
         tol=args.tol if args.tol is not None else 1e-10,
         samples=args.samples,
     )
@@ -422,7 +407,10 @@ def run(argv: list[str]) -> int:
                 lam=args.lam, omega=args.omega, hbar=args.hbar, dim=args.dim
             )
             columns, summary = _COMMANDS[args.command](args, params)
-            artifact, code = _artifact(columns, args), 0
+            from .spectrum import SpectrumTable
+
+            table, code = SpectrumTable(columns), 0
+            artifact = table.to_csv() if args.format == "csv" else table.to_json(_config_dict(args))
         if args.out is not None:
             _write_atomic(args.out, artifact)
             print(summary)

@@ -8,7 +8,7 @@ formula for one level, in Python floats, math.hypot and math.sqrt, mapped
 over a list or an array of levels as the geometry's curves are
 (geometry._elementwise), so importing this module, building a table and
 writing it load no numpy. A SpectrumTable is the dict of a table's named
-columns in artifact order; its to_csv and to_json_rows write every CLI
+columns in artifact order, and its to_csv and to_json write every CLI
 artifact but verify-all's. There is one bisection, _bisect, and one
 fixed-point solver, _fixed_point, which bisects every level in physical
 units. energy_implicit is the fixed point of the harmonic base, and both it
@@ -40,8 +40,6 @@ __all__ = [
     "solve_deformed_spectrum",
     "SpectrumTable",
     "spectrum_table",
-    "write_csv",
-    "json_rows",
 ]
 
 _BISECT_ITERATIONS = 110
@@ -368,41 +366,33 @@ def _values(column) -> list:
     return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
-def write_csv(columns: dict, stream) -> None:
-    """Named, equally long columns as CSV: a header line, then one line per
-    row, integers as integers and floats as .17g, which round-trips."""
-    cells = [
-        [str(v) if isinstance(v, int) else f"{v:.17g}" for v in _values(c)]
-        for c in columns.values()
-    ]
-    stream.write(",".join(columns) + "\n")
-    stream.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
-
-
-def json_rows(columns: dict) -> list[dict]:
-    """Named, equally long columns as one dict per row; inf and NaN become None."""
-    values = [
-        [v if isinstance(v, int) or math.isfinite(v) else None for v in _values(c)]
-        for c in columns.values()
-    ]
-    return [dict(zip(columns, row)) for row in zip(*values, strict=True)]
-
-
 class SpectrumTable(dict):
     """Named, equally long columns in artifact order: lists from
     spectrum_table, numpy arrays from the oracle, any command's columns in
-    the CLI. Its writers are write_csv and json_rows."""
+    the CLI. Its three methods are the package's table writers."""
 
-    def to_csv(self, stream) -> None:
-        write_csv(self, stream)
+    def to_csv(self) -> str:
+        """The CSV artifact: a header line, then one line per row, integers
+        as integers and floats as .17g, which round-trips."""
+        cells = [
+            [str(v) if isinstance(v, int) else f"{v:.17g}" for v in _values(c)]
+            for c in self.values()
+        ]
+        return "\n".join([",".join(self), *map(",".join, zip(*cells, strict=True))]) + "\n"
 
     def to_json_rows(self) -> list[dict]:
-        return json_rows(self)
+        """One dict per row; inf and NaN become None."""
+        values = [
+            [v if isinstance(v, int) or math.isfinite(v) else None for v in _values(c)]
+            for c in self.values()
+        ]
+        return [dict(zip(self, row)) for row in zip(*values, strict=True)]
 
-    def to_json(self) -> str:
+    def to_json(self, config: dict) -> str:
+        """The JSON artifact: the rows under the invocation's config."""
         import json
 
-        return json.dumps(self.to_json_rows(), indent=2)
+        return json.dumps({"config": config, "rows": self.to_json_rows()}, indent=2)
 
 
 def spectrum_table(n_max: int, params: ModelParams) -> SpectrumTable:

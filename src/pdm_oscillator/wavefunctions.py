@@ -41,10 +41,11 @@ def _level(n: int, params: ModelParams) -> tuple[float, float]:
 
     Omega = E/(hbar (n + N/2)) holds exactly by the self-consistent equation
     and involves no cancellation; sqrt(omega^2 - 2 lam E) loses a relative
-    eps (omega/Omega)^2 near the continuum edge. A subnormal beta^2 =
-    Omega/hbar is formed 4^300 times larger, exactly, so beta keeps its
-    digits. One that underflows to 0 (hbar far above omega's scale) raises
-    DomainError, as the norm divides by beta^2.
+    eps (omega/Omega)^2 near the continuum edge. A beta^2 = Omega/hbar that
+    leaves the normal doubles, subnormal or overflowing, is formed 4^300
+    times nearer 1, exactly, and its root taken 2^300 times further out, so
+    beta keeps its digits. One that underflows to 0 (hbar far above omega's
+    scale) raises DomainError, as the norm divides by beta^2.
     """
     energy = energy_closed_form(n, params)
     frequency = energy / (params.hbar * (n + params.dim / 2.0))
@@ -54,9 +55,21 @@ def _level(n: int, params: ModelParams) -> tuple[float, float]:
             f"hbar={params.hbar:g} and omega={params.omega:g} are out of range: "
             f"the squared Gaussian width beta^2 = Omega/hbar underflows to 0"
         )
-    if beta_sq < sys.float_info.min:
-        return energy, math.ldexp(math.sqrt(math.ldexp(frequency, 600) / params.hbar), -300)
-    return energy, math.sqrt(beta_sq)
+    if sys.float_info.min <= beta_sq < math.inf:
+        return energy, math.sqrt(beta_sq)
+    scale = 300 if beta_sq < 1.0 else -300
+    return energy, math.ldexp(math.sqrt(math.ldexp(frequency, 2 * scale) / params.hbar), -scale)
+
+
+def _squares_normally(*betas: float) -> bool:
+    """Whether each width's square, and the sum of two, is a normal double,
+    tested without forming one: a float power that overflows raises."""
+    return all(2.0**-511 <= beta < 2.0**511 for beta in betas)
+
+
+def _over_beta_sq(x: float, beta: float) -> float:
+    """x/beta^2, dividing by beta twice where beta^2 leaves the normal doubles."""
+    return x / beta**2 if _squares_normally(beta) else x / beta / beta
 
 
 def _check_bound(f) -> None:
@@ -159,6 +172,14 @@ class RadialEigenfunction:
         return out if out.ndim else float(out)
 
 
+def _combined_width(beta_f: float, beta_g: float) -> float:
+    """sqrt((beta_f^2 + beta_g^2)/2), as hypot(beta_f, beta_g)/sqrt(2) where
+    a square leaves the normal doubles."""
+    if _squares_normally(beta_f, beta_g):
+        return math.sqrt(0.5 * (beta_f**2 + beta_g**2))
+    return math.hypot(beta_f, beta_g) / math.sqrt(2.0)
+
+
 def weighted_inner_product(f, g, params: ModelParams) -> float:
     """Scalar product <f|g> in the weighted space where H is self-adjoint.
 
@@ -168,25 +189,27 @@ def weighted_inner_product(f, g, params: ModelParams) -> float:
     once, as a stacked integrand, and one rule gives both its integral and
     that with q_i^2. Radial: the integral of f*g*(1 + lam*r^2) r^(N-1) over
     (0, inf) by one generalized Gauss-Laguerre rule. Each rule is scaled to
-    the combined width s^2 = (beta_f^2 + beta_g^2)/2 and sized from the
-    polynomial degrees, so it is exact.
+    the combined width s = sqrt((beta_f^2 + beta_g^2)/2) (_combined_width)
+    and sized from the polynomial degrees, so it is exact. Each radial state
+    is divided by s before the two are multiplied, so widths whose squares
+    leave the doubles keep their digits.
     """
     if type(f) is not type(g) or not isinstance(f, (CartesianEigenfunction, RadialEigenfunction)):
         raise DomainError("the inner product needs two eigenfunctions of one family")
     lam = params.lam
     if isinstance(f, RadialEigenfunction):
-        s_sq = 0.5 * (f.beta**2 + g.beta**2)
+        s = _combined_width(f.beta, g.beta)
 
         def integrand(x):
             # x = s^2 r^2, and dr/dx = 1 / (2 s^2 r)
-            r = np.sqrt(x / s_sq)
-            return f(r) * g(r) * (1.0 + lam * r * r) * r ** (params.dim - 2) / (2.0 * s_sq)
+            r = np.sqrt(x) / s
+            return (f(r) / s) * (g(r) / s) * (1.0 + lam * r * r) * r ** (params.dim - 2) / 2.0
 
         alpha = 0.5 * (f.l + g.l + params.dim - 2)
         return integrate(integrand, f.k + g.k + 1, alpha)
 
     beta_f, beta_g = f.beta, g.beta
-    s = math.sqrt(0.5 * (beta_f**2 + beta_g**2))
+    s = _combined_width(beta_f, beta_g)
     flat = []  # integral of the factor pair over q_i
     second = []  # the same with q_i^2
     for n_f, n_g in zip(f.n_tuple, g.n_tuple):
@@ -220,10 +243,10 @@ def _log_norm_squared(f) -> float:
             - math.lgamma(f.k + 1)
             - math.log(2.0)
             - (2 * alpha + 2) * math.log(f.beta)
-            + math.log1p(lam * (2 * f.k + alpha + 1) / f.beta**2)
+            + math.log1p(_over_beta_sq(lam * (2 * f.k + alpha + 1), f.beta))
         )
     return -f.params.dim * math.log(f.beta) + math.log1p(
-        lam / f.beta**2 * sum(n + 0.5 for n in f.n_tuple)
+        _over_beta_sq(lam, f.beta) * sum(n + 0.5 for n in f.n_tuple)
     )
 
 

@@ -199,6 +199,23 @@ class TestWavefunctionCommand:
         assert all(row["weight_factor"] == "1" for row in rows)
         assert all(math.isfinite(float(row["value"])) for row in rows)
 
+    def test_narrow_state_where_beta_squared_overflows(self, tmp_path, capsys):
+        # hbar = 1e-100 and Omega = 1e222 give beta = 1e161, whose square 1e322
+        # overflows: the table is the Gaussian out to r_max = 10/beta = 1e-160
+        out = tmp_path / "wf.csv"
+        argv = ["wavefunction", "--lambda", "0", "--hbar", "1e-100", "--omega", "1e222",
+                "--dim", "1", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.run(argv) == 0
+        assert "beta=1e+161," in capsys.readouterr().out
+        rows = read_csv(out)
+        assert len(rows) == 1001 and float(rows[-1]["r"]) == pytest.approx(1e-160, rel=1e-15)
+        assert all(row["weight_factor"] == "1" for row in rows)
+        values = [float(row["value"]) for row in rows]
+        assert all(math.isfinite(v) and v > 0 for v in values)
+        assert values == sorted(values, reverse=True)
+
     @pytest.mark.parametrize(
         "scale, error",
         [
@@ -950,8 +967,8 @@ assert not scipy_modules(), f"closure_check loads {scipy_modules()}"
         "specfun": ["hermite_function", "integrate", "laguerre"],
         "spectrum": ["SpectrumTable", "angular_multiplicity", "continuum_threshold", "degeneracy",
                      "effective_frequency", "energy_closed_form", "energy_implicit",
-                     "harmonic_base", "json_rows", "solve_deformed_spectrum", "spectrum_table",
-                     "threshold_gap", "write_csv"],
+                     "harmonic_base", "solve_deformed_spectrum", "spectrum_table",
+                     "threshold_gap"],
         "wavefunctions": ["CartesianEigenfunction", "RadialEigenfunction", "normalize",
                           "weighted_inner_product"],
     }

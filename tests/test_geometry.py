@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdm_oscillator import (
     DomainError,
@@ -14,6 +16,10 @@ from pdm_oscillator import (
 )
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 class TestModelParams:
@@ -339,3 +345,34 @@ class TestEffectiveMinimumRange:
                 else:
                     assert ulps_from(g, e) <= 2
         assert got == pytest.approx((r_min, u_min), rel=1e-3)
+
+
+class TestScaleCovariance:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=st.one_of(st.just(0.0), log_uniform(1e-100, 1e100)),
+        omega=log_uniform(1e-100, 1e100),
+        dim=st.integers(1, 8),
+        c_n=st.one_of(st.just(0.0), log_uniform(1e-100, 1e100)),
+        r=st.lists(log_uniform(1e-100, 1e100), min_size=1, max_size=20),
+        j=st.integers(-20, 20),
+    )
+    def test_twins_scale_every_curve_bit_for_bit(self, lam, omega, dim, c_n, r, j):
+        # (lam, omega, r) -> (s lam, s omega, r/sqrt(s)) with s = 4^j keeps
+        # lam r^2, so the metric factor, and multiplies the curvature and
+        # both potentials by s; sqrt(s) = 2^j, so every step scales exactly
+        # wherever no value leaves the normal doubles
+        s = 4.0**j
+        p = ModelParams(lam=lam, omega=omega, dim=dim)
+        twin = ModelParams(lam=s * lam, omega=s * omega, dim=dim)
+        r_twin = [v / 2.0**j for v in r]
+        curves = [
+            (metric_factor, 1.0),
+            (scalar_curvature, s),
+            (potential, s),
+            (lambda r, p: effective_potential(r, p, c_n), s),
+        ]
+        for curve, factor in curves:
+            for value, scaled in zip(curve(r, p), curve(r_twin, twin)):
+                if all(v == 0 or 1e-300 <= abs(v) <= 1e300 for v in (value, scaled)):
+                    assert scaled == factor * value

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pdm_oscillator import (
@@ -17,14 +17,16 @@ from pdm_oscillator import (
     DomainError,
     GridSizeError,
     ModelParams,
+    RadialEigenfunction,
     RadialGrid,
+    angular_multiplicity,
     default_radial_grid,
     discretize_radial,
     grid_eigen_residual,
     oracle_report,
     solve_generalized_eigen,
 )
-from pdm_oscillator import oracle
+from pdm_oscillator import oracle, wavefunctions
 from pdm_oscillator.oracle import _eigenpairs_near, second_derivative
 from pdm_oscillator.verify import check_eigenfunction_residual
 
@@ -491,6 +493,77 @@ class TestScaleFree:
             np.testing.assert_array_equal(report[name], scaled[name])
         expected = hbar * omega * scaled["energy"]
         assert np.all(np.abs(report["energy"] - expected) <= 2 * np.spacing(expected))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        log_g=st.none() | st.floats(math.log(1e-30), math.log(1e8)),
+        log_omega=st.floats(math.log(1e-100), math.log(1e100)),
+        log_hbar=st.floats(math.log(1e-100), math.log(1e100)),
+        dim=st.integers(1, 8),
+    )
+    def test_twin_at_four_lam_and_omega_scales_the_energies_bit_for_bit(
+        self, log_g, log_omega, log_hbar, dim
+    ):
+        # (lam, omega) -> (4 lam, 4 omega) keeps g and the grid, and
+        # multiplies hbar omega, and with it every energy column, by 4
+        omega, hbar = math.exp(log_omega), math.exp(log_hbar)
+        lam = 0.0 if log_g is None else math.exp(log_g) * omega / hbar
+        report = oracle_report(ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim), 2, 2)
+        twin = oracle_report(ModelParams(lam=4 * lam, omega=4 * omega, hbar=hbar, dim=dim), 2, 2)
+        assert list(twin) == list(report)
+        for name, values in report.items():
+            factor = 4.0 if name in ("energy", "gap_to_threshold", "residual", "closed_form") else 1.0
+            np.testing.assert_array_equal(twin[name], factor * np.asarray(values, dtype=float))
+
+
+def radial_misalignment(dim, lam, l, k_max=3):
+    """1 - cos between stein's refined vectors and the closed-form radial
+    functions of k = 0..k_max, and its bound, at hbar = omega = 1.
+
+    The cosine is taken in the B-weighted inner product at the cell
+    centres: stein's z is B^(1/2) phi. The three-point stencil leaves an
+    error of about (kappa h)^2/12 in a vector, kappa = sqrt(2 E) its largest
+    local wavenumber, at the origin; 1 - cos is half the square of that
+    error's part across the vector, about (kappa h)^4/288, so (kappa h)^4
+    bounds it with room for the constant. h is the refined grid's spacing.
+    """
+    p = ModelParams(lam=lam, dim=dim)
+    grid = default_radial_grid(p, l, k_max)
+    energies = solve_generalized_eigen(discretize_radial(p, l, grid), k_max + 1)
+    op = discretize_radial(p, l, grid.refined())
+    _, z = _eigenpairs_near(op, energies)
+    closed = np.sqrt(op.weight)[:, None] * np.stack(
+        [RadialEigenfunction.from_quantum_numbers(k, l, p)(op.nodes) for k in range(k_max + 1)],
+        axis=1,
+    )
+    cos = np.abs(np.einsum("ij,ij->j", z, closed))
+    cos /= np.linalg.norm(z, axis=0) * np.linalg.norm(closed, axis=0)
+    return 1.0 - cos, (2.0 * energies * grid.refined().spacing**2) ** 2
+
+
+class TestRadialEigenvectors:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        dim=st.integers(1, 8),
+        lam=st.sampled_from([0.0, 0.02, 0.3]) | st.floats(0.0, 0.3),
+        l=st.integers(0, 3),
+    )
+    def test_closed_form_matches_the_oracle_vectors(self, dim, lam, l):
+        assume(angular_multiplicity(l, dim))
+        miss, bound = radial_misalignment(dim, lam, l)
+        assert np.all(miss <= bound), (miss, bound)
+
+    @pytest.mark.parametrize("mutation", ["laguerre-parameter", "flat-width"])
+    def test_catches_a_wrong_closed_form(self, monkeypatch, mutation):
+        if mutation == "laguerre-parameter":  # off by one
+            monkeypatch.setattr(RadialEigenfunction, "laguerre_parameter",
+                                property(lambda f: f.l + f.params.dim / 2.0))
+        else:  # beta = sqrt(omega/hbar), the width at lam = 0
+            level = wavefunctions._level
+            monkeypatch.setattr(wavefunctions, "_level",
+                                lambda n, p: (level(n, p)[0], math.sqrt(p.omega / p.hbar)))
+        miss, bound = radial_misalignment(3, 0.02, 1)
+        assert np.any(miss > bound)
 
 
 class TestSecondDerivative:

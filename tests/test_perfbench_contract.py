@@ -2,12 +2,13 @@
 
 The traced run wraps every function in `tracer.SPANNED` and every
 `SpectrumTable` method in `tracer.TABLE_METHODS` (`to_csv`, `to_json` and
-`to_json_rows`; every CLI artifact but verify-all's is written by
-`to_csv` or `to_json_rows`, and nothing but the tracer names `to_json`),
+`to_json_rows`; every CLI artifact but verify-all's is written by `to_csv`
+or by `to_json`, which builds its rows with `to_json_rows`),
 and `battery.warm_up` imports and calls one function of each layer.
 Renaming or deleting any of them breaks `perfbench/run.py --trace 1`; this
-test fails first. That is why the one-orbit wrappers `integrate_orbit` and
-`closure_check` stay public names: `warm_up` imports and calls both.
+test fails first. That is why the one-orbit wrapper `closure_check`, which
+no command or check calls, stays a public name: `warm_up` imports and calls
+it and `integrate_orbit`, which the `classical` command also calls.
 
 `warm_up` throws the verdict of `closure_check` away, so the test keeps it
 and requires warm_up's orbit to be reported closed.

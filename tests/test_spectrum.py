@@ -1,11 +1,10 @@
-import io
 import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pdm_oscillator.spectrum as spectrum_module
@@ -14,6 +13,7 @@ from pdm_oscillator import (
     ConvergenceError,
     DomainError,
     ModelParams,
+    SpectrumTable,
     angular_multiplicity,
     continuum_threshold,
     degeneracy,
@@ -29,8 +29,6 @@ from pdm_oscillator import (
     spectrum_table,
     threshold_gap,
 )
-from pdm_oscillator.spectrum import json_rows, write_csv
-
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
 
 
@@ -261,6 +259,51 @@ class TestThresholdGap:
         difference = threshold - energy_closed_form(n, p)
         bound = 8 * np.finfo(float).eps * threshold / gap
         assert abs(difference - gap) <= bound * gap
+
+
+def in_range(values) -> bool:
+    """Whether each value is 0, infinite, or of magnitude in [1e-300, 1e300]."""
+    return all(v == 0 or math.isinf(v) or 1e-300 <= abs(v) <= 1e300 for v in values)
+
+
+class TestScaleCovariance:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=st.one_of(st.just(0.0), log_uniform(1e-100, 1e100)),
+        omega=log_uniform(1e-100, 1e100),
+        hbar=log_uniform(1e-100, 1e100),
+        dim=st.integers(1, 8),
+        n=st.lists(st.integers(0, 199), min_size=1, max_size=4, unique=True),
+        j=st.integers(-20, 20),
+    )
+    # a = hbar lam nu = 1.5e150, and its twin's 1.6e162, lie on both sides of
+    # where a^2 overflows
+    @example(lam=1e100, omega=1e100, hbar=1e50, dim=3, n=[0], j=20)
+    def test_twins_scale_every_energy_bit_for_bit(self, lam, omega, hbar, dim, n, j):
+        # (lam, omega) -> (s lam, s omega) and (lam, hbar) -> (lam/s, s hbar)
+        # keep g = lam hbar/omega and multiply every energy by s = 4^j, a
+        # power of two whose root is one too: a layer written in scale-free
+        # form gives the scaled bits, wherever no step leaves the normal doubles
+        s = 4.0**j
+        p = ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim)
+        twins = [ModelParams(lam=s * lam, omega=s * omega, hbar=hbar, dim=dim),
+                 ModelParams(lam=lam / s, omega=omega, hbar=s * hbar, dim=dim)]
+        levels = sorted(n)
+
+        def energies(q):
+            try:
+                values = [energy_closed_form(levels, q), threshold_gap(levels, q),
+                          energy_implicit(levels, q).tolist()]
+            except DomainError:
+                return None
+            return values if all(in_range(v) for v in values) else None
+
+        base = energies(p)
+        assume(base is not None)
+        for twin in twins:
+            scaled = energies(twin)
+            if scaled is not None:
+                assert scaled == [[s * v for v in values] for values in base]
 
 
 class TestDegeneracy:
@@ -512,9 +555,7 @@ class TestSpectrumTable:
 
     def test_csv_round_trip(self):
         table = spectrum_table(3, P3)
-        buf = io.StringIO()
-        table.to_csv(buf)
-        lines = buf.getvalue().strip().split("\n")
+        lines = table.to_csv().strip().split("\n")
         assert lines[0] == "n,energy,degeneracy,gap_to_threshold,residual"
         assert len(lines) == 5
         first = lines[1].split(",")
@@ -533,29 +574,25 @@ class TestSpectrumTable:
 
 
 class TestColumnWriter:
-    COLUMNS = {"n": np.arange(2), "x": [1.5, math.inf]}
+    COLUMNS = SpectrumTable(n=np.arange(2), x=[1.5, math.inf])
 
     def test_csv(self):
-        buf = io.StringIO()
-        write_csv(self.COLUMNS, buf)
-        assert buf.getvalue() == "n,x\n0,1.5\n1,inf\n"
+        assert self.COLUMNS.to_csv() == "n,x\n0,1.5\n1,inf\n"
 
     def test_json_rows(self):
-        rows = json_rows(self.COLUMNS)
+        rows = self.COLUMNS.to_json_rows()
         assert json.dumps(rows) == '[{"n": 0, "x": 1.5}, {"n": 1, "x": null}]'
 
     def test_floats_round_trip_bit_for_bit(self):
         bits = np.random.default_rng(11).integers(0, 2**64, size=2000, dtype=np.uint64)
         values = bits.view(np.float64)
         values = values[np.isfinite(values)]
-        buf = io.StringIO()
-        write_csv({"x": values}, buf)
-        cells = buf.getvalue().splitlines()[1:]
+        cells = SpectrumTable(x=values).to_csv().splitlines()[1:]
         back = np.array([float(cell) for cell in cells])
         assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
-            write_csv({"n": np.arange(2), "x": [1.5]}, io.StringIO())
+            SpectrumTable(n=np.arange(2), x=[1.5]).to_csv()
         with pytest.raises(ValueError):
-            json_rows({"n": np.arange(2), "x": [1.5]})
+            SpectrumTable(n=np.arange(2), x=[1.5]).to_json_rows()

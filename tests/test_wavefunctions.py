@@ -183,6 +183,34 @@ class TestRadialEigenfunction:
             beta(1e100) * 2.0**-j for j in range(-40, 3)
         ]
 
+    def test_width_where_its_square_overflows(self):
+        # Omega = 1e222 and hbar = 1e-100 give beta = 1e161, whose square 1e322
+        # overflows a double
+        def beta(hbar):
+            p = ModelParams(lam=0.0, hbar=hbar, omega=1e222, dim=1)
+            return RadialEigenfunction.from_quantum_numbers(0, 0, p).beta
+
+        assert beta(1e-100) == pytest.approx(1e161, rel=4 * np.finfo(float).eps, abs=0)
+        # hbar -> 4^j hbar scales beta by 2^-j bit for bit, where beta^2
+        # overflows (j <= 22) and where it is normal (j >= 23) alike
+        assert [beta(1e-100 * 4.0**j) for j in range(-40, 41)] == [
+            beta(1e-100) * 2.0**-j for j in range(-40, 41)
+        ]
+
+    @pytest.mark.parametrize(
+        "lam, hbar, omega",
+        [(0.0, 1e100, 1e-222), (0.0, 1e-100, 1e222), (0.3, 1e-100, 1e222)],
+        ids=["beta-1e-161", "beta-1e161", "beta-1e161-deformed"],
+    )
+    @pytest.mark.parametrize("dim, k, l", [(1, 0, 0), (1, 2, 1), (2, 1, 0), (3, 0, 0)])
+    def test_unit_self_product_where_beta_squared_leaves_the_doubles(
+        self, lam, hbar, omega, dim, k, l
+    ):
+        # neither the norm nor the inner product squares beta there
+        p = ModelParams(lam=lam, hbar=hbar, omega=omega, dim=dim)
+        f = normalize(RadialEigenfunction.from_quantum_numbers(k, l, p))
+        assert weighted_inner_product(f, f, p) == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
     def test_nonpositive_width_rejected(self, beta):
         # normalize would take log(beta)
