@@ -14,10 +14,14 @@ everything up front. Other dunders, private names and the other submodules
 runs, which matters most where no bytecode is written (see README).
 
 The package needs numpy alone, and not everywhere: the geometry, the
-closed-form spectrum and the CLI load none when imported, so the CLI's
-`spectrum`, `geometry` and `effective-potential` commands, and every
-command that stops at a bad flag, run without it. No CLI command loads
-scipy. The oracle binds two LAPACK routines from the library that numpy's
+spectrum, the eigenfunctions and the CLI load none when imported, and
+take lists as well as arrays, so the CLI's `spectrum`, `geometry`,
+`effective-potential`, `deform` and `wavefunction` commands, and every
+command that stops at a bad flag, run without it; only `classical`,
+`oracle` and `verify-all` load numpy. The records those five commands
+build (`ModelParams` and the two eigenfunctions) are validated namedtuples,
+not dataclasses, because the dataclasses module imports inspect, a tenth
+of a numpy-free cold start. No CLI command loads scipy. The oracle binds two LAPACK routines from the library that numpy's
 pip wheel bundles (see `pdm_oscillator.oracle`); scipy is the tests'
 independent reference.
 """

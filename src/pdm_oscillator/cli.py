@@ -17,9 +17,11 @@ table's to_csv or to_json, as --format names. A command imports the layers
 it runs inside its own function: `spectrum` and `deform` the spectrum, and
 `wavefunction`, `classical`, `oracle` and `verify-all` their own layer with
 what it imports. `spectrum`, `geometry` and `effective-potential` evaluate
-closed forms on lists and never load numpy; `deform`, `wavefunction`,
-`classical`, `oracle` and `verify-all` do. `json` is imported only for a
-JSON artifact.
+closed forms on lists, `deform` bisects its fixed point on a list of
+levels and `wavefunction` samples its radial state on a list of radii, so
+these five never load numpy, nor the dataclasses module and its inspect
+(their records are namedtuples); only `classical`, `oracle` and
+`verify-all` load numpy. `json` is imported only for a JSON artifact.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .errors import (
 )
 from .geometry import (
     ModelParams,
+    _grid,
+    _power,
     effective_minimum,
     effective_potential,
     metric_factor,
@@ -211,23 +215,6 @@ def _cmd_oracle(args, params) -> tuple[dict, str]:
     return table, summary
 
 
-def _grid(start: float, stop: float, points: int) -> list[float]:
-    """`points` samples from start to stop, as a list, by numpy.linspace's
-    rule: start + i*step with step = (stop - start)/(points - 1), or
-    start + (i/(points - 1))*(stop - start) where that step underflows to 0,
-    and the last sample stop itself."""
-    if points == 1:
-        return [start]
-    div = points - 1
-    step = (stop - start) / div
-    if step == 0:
-        grid = [i / div * (stop - start) + start for i in range(points)]
-    else:
-        grid = [i * step + start for i in range(points)]
-    grid[-1] = stop
-    return grid
-
-
 def _finite_curve(values: list[float], label: str, r_max: float) -> list[float]:
     """A curve's values on the grid, from one call on the whole grid; a value
     that leaves the doubles, as the metric factor and the flat (lam = 0)
@@ -238,17 +225,18 @@ def _finite_curve(values: list[float], label: str, r_max: float) -> list[float]:
 
 
 def _cmd_wavefunction(args, params) -> tuple[dict, str]:
-    import numpy as np
-
     from .wavefunctions import RadialEigenfunction, normalize
 
     f = normalize(RadialEigenfunction.from_quantum_numbers(args.k, args.l, params))
     r_max = args.r_max if args.r_max is not None else 10.0 / f.beta
-    r = np.linspace(0.0, r_max, args.grid_points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # 1 + lam r^2 is 1 at lam = 0, also where r^2 overflows
-        weight = r ** (params.dim - 1) * (1.0 + params.lam * r**2 if params.lam else 1.0)
-    if not np.isfinite(weight).all():
+    r = _grid(0.0, r_max, args.grid_points)
+    # 1 + lam r^2 is 1 at lam = 0, also where r^2 overflows; r^(N-1) is a
+    # product, which overflows to inf where a float power would raise
+    weight = [
+        _power(x, params.dim - 1) * (1.0 + params.lam * (x * x) if params.lam else 1.0)
+        for x in r
+    ]
+    if not all(map(math.isfinite, weight)):
         box = f"r_max={r_max:g}" if args.r_max is None else f"--r-max {r_max:g}"
         raise DomainError(
             f"{box} is out of range at hbar={params.hbar:g}, "
@@ -258,7 +246,7 @@ def _cmd_wavefunction(args, params) -> tuple[dict, str]:
         f"wavefunction: k={args.k} l={args.l}, E={_fmt(f.energy)}, "
         f"beta={_fmt(f.beta)}, {args.grid_points} samples"
     )
-    return {"r": r, "value": np.atleast_1d(f(r)), "weight_factor": weight}, summary
+    return {"r": r, "value": f(r), "weight_factor": weight}, summary
 
 
 def _parse_vector(text: str | None, default: list[float], name: str) -> list[float]:
@@ -341,14 +329,14 @@ def _cmd_deform(args, params) -> tuple[dict, str]:
     levels = list(range(args.n_max + 1))
     fixed = solve_deformed_spectrum(harmonic_base(params), levels, params)
     closed = energy_closed_form(levels, params)
-    diff = abs(fixed - closed)
+    diff = [abs(a - b) for a, b in zip(fixed, closed)]
     columns = {
         "n": [float(n) for n in levels],
         "energy_fixed_point": fixed,
         "energy_closed_form": closed,
         "abs_diff": diff,
     }
-    summary = f"deform: {len(levels)} levels, max |fixed-point - closed| = {diff.max():.3e}"
+    summary = f"deform: {len(levels)} levels, max |fixed-point - closed| = {max(diff):.3e}"
     return columns, summary
 
 

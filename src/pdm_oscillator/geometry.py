@@ -8,13 +8,15 @@ Each curve is one closed form for one radius, in Python floats and the
 math module, so importing this module loads no numpy. A curve takes a
 radius, a list or tuple of radii, or a numpy array of them, and returns a
 float, a list, or an array of the array's shape (_elementwise); numpy is
-imported for an array only.
+imported for an array only. ModelParams is a validated namedtuple rather
+than a dataclass: the dataclasses module imports inspect, which would cost
+every command that loads no numpy about a tenth of its cold start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 
@@ -32,31 +34,27 @@ __all__ = [
 _EFFECTIVE_MINIMUM_DIGITS = 40
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Physical configuration shared by every module.
+class ModelParams(namedtuple("ModelParams", "lam omega hbar dim")):
+    """Physical configuration shared by every module, immutable.
 
     lam   : deformation strength (1/length^2), >= 0
     omega : oscillator frequency, >= 0
     hbar  : quantum of action, > 0
-    dim   : spatial dimension N, >= 1
+    dim   : spatial dimension N, >= 1, stored as an int
     """
 
-    lam: float
-    omega: float = 1.0
-    hbar: float = 1.0
-    dim: int = 3
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.lam) or self.lam < 0:
-            raise DomainError(f"lam must be finite and >= 0, got {self.lam}")
-        if not math.isfinite(self.omega) or self.omega < 0:
-            raise DomainError(f"omega must be finite and >= 0, got {self.omega}")
-        if not math.isfinite(self.hbar) or self.hbar <= 0:
-            raise DomainError(f"hbar must be finite and > 0, got {self.hbar}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise DomainError(f"dim must be an integer >= 1, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+    def __new__(cls, lam: float, omega: float = 1.0, hbar: float = 1.0, dim: int = 3):
+        if not math.isfinite(lam) or lam < 0:
+            raise DomainError(f"lam must be finite and >= 0, got {lam}")
+        if not math.isfinite(omega) or omega < 0:
+            raise DomainError(f"omega must be finite and >= 0, got {omega}")
+        if not math.isfinite(hbar) or hbar <= 0:
+            raise DomainError(f"hbar must be finite and > 0, got {hbar}")
+        if int(dim) != dim or dim < 1:
+            raise DomainError(f"dim must be an integer >= 1, got {dim}")
+        return super().__new__(cls, lam, omega, hbar, int(dim))
 
 
 def _elementwise(formula, x):
@@ -72,6 +70,30 @@ def _elementwise(formula, x):
     x = np.asarray(x)
     out = np.array([formula(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
     return out if out.ndim else float(out)
+
+
+def _grid(start: float, stop: float, points: int) -> list[float]:
+    """`points` samples from start to stop, as a list, by numpy.linspace's
+    rule: start + i*step with step = (stop - start)/(points - 1), or
+    start + (i/(points - 1))*(stop - start) where that step underflows to 0,
+    and the last sample stop itself."""
+    if points == 1:
+        return [start]
+    div = points - 1
+    step = (stop - start) / div
+    if step == 0:
+        grid = [i / div * (stop - start) + start for i in range(points)]
+    else:
+        grid = [i * step + start for i in range(points)]
+    grid[-1] = stop
+    return grid
+
+
+def _power(x: float, m: int) -> float:
+    """x^m for an integer m >= 0, as the product of m factors: it overflows
+    to inf where a float ** raises OverflowError, and its bits do not depend
+    on the libm's or numpy's pow."""
+    return math.prod([x] * m, start=1.0)
 
 
 def _check_cn(c_n: float) -> None:

@@ -1,4 +1,11 @@
-"""One recurrence for the Hermite and Laguerre functions and their Gauss rule."""
+"""One recurrence for the Hermite and Laguerre functions and their Gauss rule.
+
+The recurrence (_orthonormal) and the Laguerre functions take a float,
+through Python floats and math, or an array, through numpy, by the same
+steps; the Hermite functions and the Gauss rules work on arrays. numpy is
+imported where an array is worked on, so a Laguerre function of floats
+loads none.
+"""
 
 from __future__ import annotations
 
@@ -6,35 +13,45 @@ import functools
 import math
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = ["hermite_function", "laguerre", "integrate"]
 
 
+@functools.lru_cache(maxsize=8)
 def _jacobi(n: int, alpha: float | None):
-    """Jacobi coefficients b_j, a_j (j <= n+1) and log mu_0: Hermite (alpha None),
-    w = exp(-x^2): b_j = 0, a_j = sqrt(j/2); Laguerre, w = x^alpha exp(-x):
-    b_j = 2j+alpha+1, a_j = sqrt(j(j+alpha)). mu_0 is the integral of w."""
+    """Jacobi coefficients b_j, a_j (j <= n+1), as tuples, and log mu_0: Hermite
+    (alpha None), w = exp(-x^2): b_j = 0, a_j = sqrt(j/2); Laguerre,
+    w = x^alpha exp(-x): b_j = 2j+alpha+1, a_j = sqrt(j(j+alpha)). mu_0 is
+    the integral of w. Cached, as a state sampled point by point asks for
+    the same coefficients at every point."""
     if alpha is None:
-        return [0.0] * (n + 2), [math.sqrt(j / 2) for j in range(n + 2)], 0.5 * math.log(math.pi)
+        a = tuple(math.sqrt(j / 2) for j in range(n + 2))
+        return (0.0,) * (n + 2), a, 0.5 * math.log(math.pi)
     if alpha <= -1:
         raise DomainError(f"Laguerre parameter must exceed -1, got {alpha}")
-    b = [2 * j + alpha + 1.0 for j in range(n + 2)]
-    return b, [math.sqrt(j * (j + alpha)) for j in range(n + 2)], math.lgamma(alpha + 1.0)
+    b = tuple(2 * j + alpha + 1.0 for j in range(n + 2))
+    return b, tuple(math.sqrt(j * (j + alpha)) for j in range(n + 2)), math.lgamma(alpha + 1.0)
 
 
-def _orthonormal(n: int, x: np.ndarray, alpha: float | None):
+def _orthonormal(n: int, x, alpha: float | None):
     """p_{n-1}(x) and p_n(x), from a_{j+1} p_{j+1} = (x - b_j) p_j - a_j p_{j-1},
     as two mantissas below 2^500 in magnitude and one log scale, p_j = mantissa_j
-    exp(scale), so that nothing overflows or underflows."""
+    exp(scale), so that nothing overflows or underflows. x is a float or an
+    array; the in-place steps rebind a float and fill an array."""
     b, a, log_mu0 = _jacobi(n, alpha)
-    # p_0 is held as 2^-1 * 2^1, so that the first step, x / a_1, cannot overflow
-    prev, cur, exponent = 0.0, np.full(x.shape, 0.5), 1
+    # p_0 is held as 2^-1 * 2^1, so that the first step, x / a_1, cannot overflow;
     # a step grows max(|p_j|, |p_{j-1}|) by at most g = (|x| + b_n + a_1) / a_1,
-    # so rescaling every 500 / log2(2g) steps keeps both below 2^500
-    x_max = max(np.fmax.reduce(x, None, initial=0.0), -np.fmin.reduce(x, None, initial=0.0))
+    # so rescaling every 500 / log2(2g) steps keeps both below 2^500. NaN is
+    # left out of the largest |x|.
+    if isinstance(x, float):
+        cur, x_max = 0.5, max(0.0, x, -x)
+    else:
+        import numpy as np
+
+        cur = np.full(x.shape, 0.5)
+        x_max = max(np.fmax.reduce(x, None, initial=0.0), -np.fmin.reduce(x, None, initial=0.0))
+    prev, exponent = 0.0, 1
     every = max(1, int(500 / (1.0 + math.log2(x_max + b[n] + a[1]) - math.log2(a[1]))))
     for j in range(1, n + 1):
         nxt = x - b[j - 1]  # in place from here on: large arrays cost more to allocate than to fill
@@ -49,15 +66,24 @@ def _orthonormal(n: int, x: np.ndarray, alpha: float | None):
 
 
 def _rescale(prev, cur, exponent):
-    """Both mantissas over the power of two 2^s that brings the larger below 1; exponent + s."""
-    shift = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1]
-    return np.ldexp(prev, -shift), np.ldexp(cur, -shift), exponent + shift
+    """Both mantissas over the power of two 2^s that brings the larger below 1;
+    exponent + s. Floats go through math, arrays through numpy."""
+    if isinstance(cur, float):
+        frexp, ldexp, maximum = math.frexp, math.ldexp, max
+    else:
+        import numpy as np
+
+        frexp, ldexp, maximum = np.frexp, np.ldexp, np.maximum
+    shift = frexp(maximum(abs(prev), abs(cur)))[1]
+    return ldexp(prev, -shift), ldexp(cur, -shift), exponent + shift
 
 
 def hermite_function(n: int, x):
     """Orthonormal Hermite function H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)),
     orthonormal on R with the flat measure dx. Finite at every x and for every
     n, since the Gaussian is kept in the recurrence's log scale."""
+    import numpy as np
+
     if n < 0 or int(n) != n:
         raise DomainError(f"Hermite order must be an integer >= 0, got {n}")
     x = np.asarray(x, dtype=float)
@@ -67,29 +93,38 @@ def hermite_function(n: int, x):
 
 
 def laguerre(k: int, alpha: float, x):
-    """Generalized Laguerre polynomial L_k^(alpha)(x) for alpha > -1."""
+    """Generalized Laguerre polynomial L_k^(alpha)(x) for alpha > -1, of a
+    number (a float) or an array."""
     return _laguerre(k, alpha, x, 0.0)
 
 
 def _laguerre(k: int, alpha: float, x, log_factor):
     """L_k^(alpha)(x) exp(log_factor), finite wherever the product is, also
-    where L_k alone overflows: L_k^(alpha) = (-1)^k sqrt(Gamma(k+alpha+1)/k!) p_k."""
+    where L_k alone overflows: L_k^(alpha) = (-1)^k sqrt(Gamma(k+alpha+1)/k!) p_k.
+    A number x, with a float log_factor, goes through math and gives a float;
+    an array through numpy, with log_factor a float or an array like it."""
     if k < 0 or int(k) != k:
         raise DomainError(f"Laguerre order must be an integer >= 0, got {k}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if isinstance(x, (int, float)):
+        x, exp, negative = float(x), math.exp, x < 0
+    else:
+        import numpy as np
+
+        x = np.asarray(x, dtype=float)
+        exp, negative = np.exp, np.any(x < 0)
+    if negative:
         raise DomainError("Laguerre argument must be >= 0")
     log_norm = 0.5 * (math.lgamma(k + alpha + 1.0) - math.lgamma(k + 1.0))
     _, p, scale = _orthonormal(int(k), x, alpha)
-    out = (-1) ** k * p * np.exp(scale + log_norm + log_factor)
-    return out if out.ndim else float(out)
+    out = (-1) ** k * p * exp(scale + log_norm + log_factor)
+    return out if isinstance(out, float) or out.ndim else float(out)
 
 
 _RULE_CACHE_SIZE = 64
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _rule(m: int, alpha: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _rule(m: int, alpha: float | None) -> tuple:
     """The m-point Gauss rule's nodes and weights, w divided out, read-only.
 
     With alpha None the weight is w = exp(-x^2) on the real line
@@ -99,6 +134,8 @@ def _rule(m: int, alpha: float | None) -> tuple[np.ndarray, np.ndarray]:
     step. The weights are 1/(a_m p_m' p_{m-1} w) by Christoffel-Darboux,
     formed in the log scale, so they stay finite. Built once per (m, alpha).
     """
+    import numpy as np
+
     b, a, _ = _jacobi(m, alpha)
 
     def newton_step_and_weights(x):
@@ -117,7 +154,7 @@ def _rule(m: int, alpha: float | None) -> tuple[np.ndarray, np.ndarray]:
     return x, weights
 
 
-def integrate(f: Callable, degree: int, alpha: float | None = None) -> float | np.ndarray:
+def integrate(f: Callable, degree: int, alpha: float | None = None):
     """Gauss rule for the integral of f, exact when f is a polynomial of at
     most `degree` times the rule's weight.
 
@@ -128,6 +165,8 @@ def integrate(f: Callable, degree: int, alpha: float | None = None) -> float | n
     per node, for a float, or a stacked (k, m) array of k integrands, for an
     array of their k integrals, each equal to its own scalar integral.
     """
+    import numpy as np
+
     if degree < 0 or int(degree) != degree:
         raise DomainError(f"polynomial degree must be an integer >= 0, got {degree}")
     x, weights = _rule(int(degree) // 2 + 1, alpha)

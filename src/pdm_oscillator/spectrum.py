@@ -12,11 +12,14 @@ columns in artifact order, and its to_csv and to_json write every CLI
 artifact but verify-all's. There is one bisection, _bisect, and one
 fixed-point solver, _fixed_point, which bisects every level in physical
 units. energy_implicit is the fixed point of the harmonic base, and both it
-and solve_deformed_spectrum take a scalar or an array of levels;
+and solve_deformed_spectrum take a scalar, a list or an array of levels;
 _fixed_point also takes omega and lam as columns, so that the levels of
-many models take one call. In units of hbar*omega the equation has one
+many models take one call. Like _omega_of_gap, the bisection and its
+checks pick their primitives by input type: a list of levels goes through
+Python floats and math, so the CLI's deform loads no numpy, and an array
+through numpy, imported where it runs; both take the same midpoints and
+give the same bits. In units of hbar*omega the equation has one
 parameter, g = lam*hbar/omega (_dimensionless), on which the oracle works.
-The solvers import numpy where they run.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 from typing import Callable
 
 from .errors import _MAX_TABLE_LEVELS, BracketingError, ConvergenceError, DomainError
-from .geometry import ModelParams, _elementwise
+from .geometry import ModelParams, _elementwise, _grid
 
 __all__ = [
     "harmonic_base",
@@ -120,29 +123,45 @@ def _check_spectrum(params: ModelParams) -> None:
 
 
 def _bisect(g, lo, hi):
-    """Root of g in each bracket [lo, hi] (arrays or scalars) by bisection.
+    """Root of g in each bracket [lo, hi] by bisection, all brackets in lockstep.
 
-    g is vectorized, and g(lo) and g(hi) have opposite signs. Each halving
-    keeps the end where g has the sign of g(lo); once no float lies strictly
-    inside any bracket, the midpoint is returned. A bracket as wide as its
-    root collapses in about 55 halvings, but one around a root at 0 never
-    does; ConvergenceError is raised if _BISECT_ITERATIONS halvings do not
-    get there.
+    The brackets are floats or arrays that broadcast, and g is vectorized
+    through numpy; or hi is a list, lo a float or a list, and g maps a list
+    of floats to a list, in Python floats. g(lo) and g(hi) have opposite
+    signs. Each halving keeps the end where g has the sign of g(lo); once no
+    float lies strictly inside any bracket, the midpoints are returned, a
+    list for list brackets. Both kinds take the same midpoints, so they
+    return the same bits. A bracket as wide as its root collapses in about
+    55 halvings, but one around a root at 0 never does; ConvergenceError is
+    raised if _BISECT_ITERATIONS halvings do not get there.
     """
-    import numpy as np
+    if isinstance(hi, list):
+        lo = lo if isinstance(lo, list) else [lo] * len(hi)
+        each, every, largest = (lambda f, *columns: list(map(f, *columns))), all, max
+        sign = lambda v: (v > 0) - (v < 0)
+        where = lambda keep, a, b: a if keep else b
+    else:
+        import numpy as np
 
-    lo, hi = (np.array(b, dtype=float) for b in np.broadcast_arrays(lo, hi))
-    sign_lo = np.sign(g(lo))
+        lo, hi = (np.array(b, dtype=float) for b in np.broadcast_arrays(lo, hi))
+        each, every, largest = (lambda f, *columns: f(*columns)), np.all, np.max
+        sign, where = np.sign, np.where
+
+    def halve(lo, hi):
+        return lo + 0.5 * (hi - lo)
+
+    sign_lo = each(sign, g(lo))
     for _ in range(_BISECT_ITERATIONS):
-        mid = lo + 0.5 * (hi - lo)
-        if np.all((mid == lo) | (mid == hi)):
-            return mid if mid.ndim else float(mid)
-        keep_hi = np.sign(g(mid)) == sign_lo
-        lo = np.where(keep_hi, mid, lo)
-        hi = np.where(keep_hi, hi, mid)
+        mid = each(halve, lo, hi)
+        if every(each(lambda m, a, b: (m == a) | (m == b), mid, lo, hi)):
+            return mid if isinstance(mid, list) or mid.ndim else float(mid)
+        keep_hi = each(lambda v, s: sign(v) == s, g(mid), sign_lo)
+        lo, hi = each(where, keep_hi, mid, lo), each(where, keep_hi, hi, mid)
+    width = largest(each(lambda a, b: b - a, lo, hi))
+    residual = largest(each(abs, g(each(halve, lo, hi))))
     raise ConvergenceError(
         f"bisection not converged after {_BISECT_ITERATIONS} halvings: bracket width "
-        f"{np.max(hi - lo):.3e}, residual {np.max(np.abs(g(lo + 0.5 * (hi - lo)))):.3e}"
+        f"{width:.3e}, residual {residual:.3e}"
     )
 
 
@@ -162,12 +181,20 @@ def _level(n) -> int:
     return int(n)
 
 
-def _check_levels(n):
-    """Level indices n, a number or an array, each checked by _level, as an
+def _over_levels(solve, n):
+    """solve(levels) of level indices n, each checked by _level: a number
+    gives a float, from solve([n]); a list or tuple a list, one solve per
+    flat list; and an array an array of its shape, from solve on its flat
     integer array."""
-    import numpy as np
-
-    return np.asarray(_elementwise(_level, n), dtype=int)
+    levels = _elementwise(_level, n)
+    if isinstance(levels, list):
+        if any(isinstance(k, list) for k in levels):
+            return [_over_levels(solve, row) for row in levels]
+        return solve(levels)
+    if not hasattr(levels, "shape"):  # a number, or a 0-d array's float
+        return solve([int(levels)])[0]
+    out = solve(levels.astype(int).ravel())
+    return out.reshape(levels.shape)
 
 
 def _closed_form_ratio(n, params: ModelParams) -> tuple[float, float]:
@@ -225,20 +252,32 @@ def threshold_gap(n, params: ModelParams):
     return _elementwise(gap, n)
 
 
+def _defect(base, threshold, omega, lam):
+    """g(E, n) = base(Omega(E), n) - E, whose root in E on [0, threshold] is
+    the fixed point of level n: floats through math, arrays through numpy
+    (_omega_of_gap)."""
+    return lambda e, n: base(_omega_of_gap(threshold - e, omega, lam), n) - e
+
+
 def _fixed_point(base, n, omega, lam):
     """Fixed point E = base(Omega(E), n) of each level n, by one bisection.
 
-    omega and lam > 0 are floats, or columns that broadcast against n, one
-    row per model. g(E) = base(Omega(E), n) - E decreases in E for a base
-    increasing in frequency, and Omega <= omega, so base(omega, n) bounds
-    the root from above, as does the threshold omega^2/(2*lam): the bracket
-    is [0, top], top the smaller.
+    n is a list of levels, with floats omega and lam > 0, and gives a list,
+    each level's floats through Python arithmetic; or an array, with omega
+    and lam floats or columns that broadcast against it, one row per model,
+    and gives an array. g(E) = base(Omega(E), n) - E decreases in E for a
+    base increasing in frequency, and Omega <= omega, so base(omega, n)
+    bounds the root from above, as does the threshold omega^2/(2*lam): the
+    bracket is [0, top], top the smaller.
     """
+    threshold = omega / (2.0 * lam) * omega
+    g = _defect(base, threshold, omega, lam)
+    if isinstance(n, list):
+        top = [min(base(omega, k), threshold) for k in n]
+        return _bisect(lambda e: list(map(g, e, n)), 0.0, top)
     import numpy as np
 
-    threshold = omega / (2.0 * lam) * omega
-    top = np.minimum(base(omega, n), threshold)
-    return _bisect(lambda e: base(_omega_of_gap(threshold - e, omega, lam), n) - e, 0.0, top)
+    return _bisect(lambda e: g(e, n), 0.0, np.minimum(base(omega, n), threshold))
 
 
 def _scale(params: ModelParams, g: float) -> str:
@@ -274,14 +313,14 @@ def energy_implicit(n, params: ModelParams):
     _fixed_point, f(E) = hbar*Omega(E)*(n + N/2) - E has f(0) > 0 >= f(top)
     and E_n >= top/2 in every regime, so the bracket is in units of the
     level and collapses in about 55 halvings whatever lam, omega and hbar
-    are. Scalar or array n. For lam = 0, E = hbar*omega*(n + N/2) directly.
+    are. A number n gives a float, a list a list, an array an array. For
+    lam = 0, E = hbar*omega*(n + N/2) directly.
     """
     _check_spectrum(params)
-    n = _check_levels(n)
+    base = harmonic_base(params)
     if params.lam == 0:
-        out = params.hbar * params.omega * (n + params.dim / 2.0)
-        return out if out.ndim else float(out)
-    return _fixed_point(harmonic_base(params), n, params.omega, params.lam)
+        return _elementwise(lambda k: base(params.omega, _level(k)), n)
+    return _over_levels(lambda levels: _fixed_point(base, levels, params.omega, params.lam), n)
 
 
 def degeneracy(n: int, dim: int) -> int:
@@ -318,47 +357,88 @@ def harmonic_base(params: ModelParams) -> Callable:
     return lambda w, n: params.hbar * w * (n + params.dim / 2.0)
 
 
+def _steps_against(rows, sign: float) -> bool:
+    """Whether a step between neighbouring samples of some row moves against
+    `sign` (+1 rising, -1 falling) by 1e-12 of the row's largest |value| or
+    more: rows a list of lists, through Python floats, or an array with one
+    row per level, through numpy, by the same comparisons."""
+    if isinstance(rows, list):
+        for row in rows:
+            floor = -1e-12 * (max(map(abs, row)) + 1e-300)
+            if any(sign * (b - a) <= floor for a, b in zip(row, row[1:])):
+                return True
+        return False
+    import numpy as np
+
+    scale = np.max(np.abs(rows), axis=-1, keepdims=True) + 1e-300
+    return bool(np.any(sign * np.diff(rows) <= -1e-12 * scale))
+
+
+def _check_bracket(base, levels, params: ModelParams) -> None:
+    """BracketingError unless, at every level, the base is finite and
+    increasing in frequency on 33 samples of [0, omega], and
+    g(E) = base(Omega(E), n) - E has g(0) > 0 >= g(top) and decreases on 33
+    samples of the bracket [0, top] of _fixed_point.
+
+    A list of levels is sampled point by point in Python floats, on
+    numpy.linspace's points (geometry._grid); an array in one numpy call per
+    sample. Both are checked by the same comparisons, so they reach the same
+    verdict.
+    """
+    omega, threshold = params.omega, continuum_threshold(params)
+    g = _defect(base, threshold, omega, params.lam)
+    if isinstance(levels, list):
+        vals = [[base(w, k) for w in _grid(0.0, omega, _BASE_SAMPLES)] for k in levels]
+        top = [min(base(omega, k), threshold) for k in levels]
+        gvals = [[g(e, k) for e in _grid(0.0, t, _BASE_SAMPLES)] for k, t in zip(levels, top)]
+        finite = all(math.isfinite(v) for row in vals for v in row)
+        ends = [(row[0], row[-1]) for row in gvals]
+    else:
+        import numpy as np
+
+        column = levels[:, None]
+        vals = base(np.linspace(0.0, omega, _BASE_SAMPLES), column)
+        top = np.minimum(base(omega, levels), threshold)
+        gvals = g(np.linspace(np.zeros(len(levels)), top, _BASE_SAMPLES, axis=-1), column)
+        finite = np.all(np.isfinite(vals))
+        ends = zip(gvals[:, 0].tolist(), gvals[:, -1].tolist())
+
+    if not finite:
+        raise BracketingError("base spectrum returned non-finite energies")
+    if _steps_against(vals, 1.0):
+        raise BracketingError("base spectrum is not increasing in frequency on the sample")
+    for k, (first, last) in zip(levels, ends):
+        if not (first > 0 and last <= 0):
+            raise BracketingError(
+                f"no sign change at n={k}: g(0)={first:.3e}, g(top)={last:.3e}"
+            )
+    if _steps_against(gvals, -1.0):
+        raise BracketingError("fixed-point map is not decreasing on the bracket")
+
+
 def solve_deformed_spectrum(base: Callable, n, params: ModelParams):
     """Deformed energies of levels n for an arbitrary solvable base spectrum.
 
-    The base spectrum is a callable base(frequency, n) -> energy that
+    The base spectrum is a callable base(frequency, n) -> energy of one
+    float frequency and level, and, for an array of levels, one that
     broadcasts over arrays of frequency and n, as numpy arithmetic does.
     The fixed point of E = base(Omega(E), n) at each level, by one
     bisection (see _fixed_point), is well defined only when the base is
-    finite, continuous and strictly increasing in the frequency; scalar n
-    gives a float, array n an array. One (levels, 33) sample of the base
-    on [0, omega] and one of g(E) = base(Omega(E), n) - E on the bracket
-    [0, top] come first: BracketingError is raised if, at any level, the
-    base is not finite and increasing in frequency, g(0) > 0 >= g(top)
-    fails, or g is not decreasing.
+    finite, continuous and strictly increasing in the frequency; a number n
+    gives a float, a list a list, an array an array, and all three the same
+    bits. One sample of the base on [0, omega] and one of
+    g(E) = base(Omega(E), n) - E on the bracket [0, top] per level come
+    first (_check_bracket).
     """
-    import numpy as np
-
     if params.lam <= 0:
         raise DomainError("deformation fixed point requires lam > 0")
     _check_spectrum(params)
-    n = _check_levels(n)
-    levels = np.atleast_1d(n)
-    vals = base(np.linspace(0.0, params.omega, _BASE_SAMPLES), levels[:, None])
-    if not np.all(np.isfinite(vals)):
-        raise BracketingError("base spectrum returned non-finite energies")
-    scale = np.max(np.abs(vals), axis=-1, keepdims=True) + 1e-300
-    if np.any(np.diff(vals) <= -1e-12 * scale):
-        raise BracketingError("base spectrum is not increasing in frequency on the sample")
 
-    top = np.minimum(base(params.omega, levels), continuum_threshold(params))
-    e = np.linspace(np.zeros(len(levels)), top, _BASE_SAMPLES, axis=-1)
-    gvals = base(_omega_eff(e, params), levels[:, None]) - e
-    bad = np.flatnonzero(~((gvals[:, 0] > 0) & (gvals[:, -1] <= 0)))
-    if bad.size:
-        i = bad[0]
-        raise BracketingError(
-            f"no sign change at n={levels[i]}: g(0)={gvals[i, 0]:.3e}, g(top)={gvals[i, -1]:.3e}"
-        )
-    scale = np.max(np.abs(gvals), axis=-1, keepdims=True) + 1e-300
-    if np.any(np.diff(gvals) >= 1e-12 * scale):
-        raise BracketingError("fixed-point map is not decreasing on the bracket")
-    return _fixed_point(base, n, params.omega, params.lam)
+    def solve(levels):
+        _check_bracket(base, levels, params)
+        return _fixed_point(base, levels, params.omega, params.lam)
+
+    return _over_levels(solve, n)
 
 
 def _values(column) -> list:

@@ -12,19 +12,24 @@ is self-adjoint; the measure for the radial family is
 never reads them: it integrates the product of two states, a polynomial
 times a Gaussian, with an exact Gauss rule, so a Gram matrix of normalized
 states is an independent check on the closed forms.
+
+A radial eigenfunction takes a radius, a list of radii or an array: a
+radius goes through Python floats and math, a list radius by radius, and an
+array through numpy. So building, normalizing and sampling one radial state
+on a list, as the CLI's `wavefunction` command does, loads no numpy. The
+two eigenfunction records are validated namedtuples rather than dataclasses
+for the same reason: the dataclasses module imports inspect, a tenth of a
+cold start that loads no numpy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import sys
-from dataclasses import dataclass
-
-import numpy as np
+from collections import namedtuple
 
 from .errors import DomainError
-from .geometry import ModelParams
+from .geometry import ModelParams, _elementwise, _power
 from .specfun import _laguerre, hermite_function, integrate
 from .spectrum import continuum_threshold, energy_closed_form
 
@@ -80,24 +85,24 @@ def _check_bound(f) -> None:
         raise DomainError(f"the Gaussian width beta must be > 0, got {f.beta}")
 
 
-@dataclass(frozen=True)
-class CartesianEigenfunction:
+class CartesianEigenfunction(
+    namedtuple("CartesianEigenfunction", "n_tuple params energy beta norm_constant")
+):
     """Product eigenfunction prod_i h_{n_i}(beta q_i) of level n = sum(n_tuple).
 
     h_n(x) = H_n(x) exp(-x^2/2) / sqrt(2^n n! sqrt(pi)) is the orthonormal
     Hermite function, and energy and beta are those of level n.
     norm_constant multiplies the raw product; call `normalize` to fix it so
-    the weighted norm is 1.
+    the weighted norm is 1. Immutable.
     """
 
-    n_tuple: tuple[int, ...]
-    params: ModelParams
-    energy: float
-    beta: float
-    norm_constant: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n_tuple: tuple[int, ...], params: ModelParams, energy: float,
+                beta: float, norm_constant: float = 1.0):
+        self = super().__new__(cls, n_tuple, params, energy, beta, norm_constant)
         _check_bound(self)
+        return self
 
     @classmethod
     def from_occupations(cls, n_tuple, params: ModelParams) -> "CartesianEigenfunction":
@@ -108,7 +113,9 @@ class CartesianEigenfunction:
             raise DomainError("occupation numbers must be >= 0")
         return cls(n_tuple, params, *_level(sum(n_tuple), params))
 
-    def _positions(self, q) -> np.ndarray:
+    def _positions(self, q):
+        import numpy as np
+
         q = np.asarray(q, dtype=float)
         dim = self.params.dim
         if q.ndim and q.shape[-1] == dim:
@@ -118,11 +125,13 @@ class CartesianEigenfunction:
         raise DomainError(f"expected points with last axis of size {dim}")
 
     def __call__(self, q):
+        import numpy as np
+
         q = self._positions(q)
         out = np.asarray(math.prod(self.factors([q[..., i] for i in range(self.params.dim)])))
         return out if out.ndim else float(out)
 
-    def factors(self, coords) -> list[np.ndarray]:
+    def factors(self, coords) -> list:
         """The N factors h_{n_i}(beta coords[i]), norm_constant on the first.
 
         The state is their product, taken in factor order. coords[i] holds
@@ -134,23 +143,22 @@ class CartesianEigenfunction:
         return [self.norm_constant * first, *rest]
 
 
-@dataclass(frozen=True)
-class RadialEigenfunction:
+class RadialEigenfunction(
+    namedtuple("RadialEigenfunction", "k l params energy beta norm_constant")
+):
     """Radial eigenfunction r^l exp(-beta^2 r^2/2) L_k^(l+(N-2)/2)(beta^2 r^2).
 
     Of level n = 2k + l, whose energy and beta it carries. Behaves as r^l
-    at the origin and has exactly k nodes on (0, inf).
+    at the origin and has exactly k nodes on (0, inf). Immutable.
     """
 
-    k: int
-    l: int
-    params: ModelParams
-    energy: float
-    beta: float
-    norm_constant: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, k: int, l: int, params: ModelParams, energy: float, beta: float,
+                norm_constant: float = 1.0):
+        self = super().__new__(cls, k, l, params, energy, beta, norm_constant)
         _check_bound(self)
+        return self
 
     @classmethod
     def from_quantum_numbers(cls, k: int, l: int, params: ModelParams) -> "RadialEigenfunction":
@@ -164,12 +172,26 @@ class RadialEigenfunction:
         return self.l + (self.params.dim - 2) / 2.0
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if np.any(r < 0):
+        """The state at a radius (a float), at each radius of a list (a list)
+        or of an array (an array of its shape). A radius takes r^l as a
+        product of l factors, an array as numpy's power."""
+        if isinstance(r, (list, tuple)):
+            return _elementwise(self, r)
+        if isinstance(r, (int, float)):
+            r, negative, power = float(r), r < 0, _power
+        else:
+            import numpy as np
+
+            r = np.asarray(r, dtype=float)
+            negative, power = np.any(r < 0), lambda r, l: r**l
+        if negative:
             raise DomainError("radius must be >= 0")
-        x = (self.beta * r) ** 2
-        out = self.norm_constant * r**self.l * _laguerre(self.k, self.laguerre_parameter, x, -x / 2)
-        return out if out.ndim else float(out)
+        y = self.beta * r
+        x = y * y
+        out = self.norm_constant * power(r, self.l) * _laguerre(
+            self.k, self.laguerre_parameter, x, -x / 2
+        )
+        return out if isinstance(out, float) or out.ndim else float(out)
 
 
 def _combined_width(beta_f: float, beta_g: float) -> float:
@@ -201,6 +223,8 @@ def weighted_inner_product(f, g, params: ModelParams) -> float:
         s = _combined_width(f.beta, g.beta)
 
         def integrand(x):
+            import numpy as np
+
             # x = s^2 r^2, and dr/dx = 1 / (2 s^2 r)
             r = np.sqrt(x) / s
             return (f(r) / s) * (g(r) / s) * (1.0 + lam * r * r) * r ** (params.dim - 2) / 2.0
@@ -215,6 +239,8 @@ def weighted_inner_product(f, g, params: ModelParams) -> float:
     for n_f, n_g in zip(f.n_tuple, g.n_tuple):
         # x = s q; the rule exact for the q_i^2 integrand serves both
         def pair(x, n_f=n_f, n_g=n_g):
+            import numpy as np
+
             h = hermite_function(n_f, beta_f / s * x) * hermite_function(n_g, beta_g / s * x) / s
             return np.stack([h, (x / s) ** 2 * h])
 
@@ -259,4 +285,4 @@ def normalize(f):
     if f.norm_constant == 0 or not math.isfinite(f.norm_constant):
         raise DomainError("cannot normalize a function with vanishing or non-finite norm")
     scale = math.exp(-0.5 * _log_norm_squared(f))
-    return dataclasses.replace(f, norm_constant=math.copysign(scale, f.norm_constant))
+    return f._replace(norm_constant=math.copysign(scale, f.norm_constant))

@@ -493,11 +493,14 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-    # every command but verify-all and wavefunction, whose np.exp values
-    # differ between numpy's SIMD targets
+    # every command but verify-all, whose eigenfunction-residual check takes
+    # np.exp of arrays, whose values differ between numpy's SIMD targets;
+    # wavefunction takes math.exp and forms its powers as products
     DISPATCH_COMMANDS = [
         ["spectrum", "--n-max", "20"],
         ["deform", "--n-max", "5"],
+        ["wavefunction"],
+        ["wavefunction", "--k", "2", "--l", "3", "--dim", "4"],
         ["effective-potential", "--grid-points", "101"],
         ["classical", "--t-end", "5", "--samples", "11"],
         ["oracle", "--l", "1", "--k", "1", "--grid-points", "400"],
@@ -1019,12 +1022,14 @@ print(*sorted(m for m in sys.modules if m.startswith("pdm_oscillator")))
         loaded = self.fresh(script).split()
         assert loaded == ["pdm_oscillator", *(f"pdm_oscillator.{m}" for m in ("cli", "errors", "geometry"))]
 
-    # the closed-form commands evaluate their formulas on lists, without numpy
+    # the closed-form commands, deform's fixed point and wavefunction's radial
+    # state evaluate their formulas on lists, without numpy; a command that
+    # loads no numpy loads no dataclasses or inspect either
     @pytest.mark.parametrize(
         "argv, layers, numpy",
         [
             (["spectrum", "--n-max", "3"], ["geometry", "spectrum"], False),
-            (["deform", "--n-max", "3"], ["geometry", "spectrum"], True),
+            (["deform", "--n-max", "3"], ["geometry", "spectrum"], False),
             (["geometry", "--grid-points", "5"], ["geometry", "spectrum"], False),
             (["geometry", "--quantity", "metric", "--grid-points", "5"],
              ["geometry", "spectrum"], False),
@@ -1032,7 +1037,7 @@ print(*sorted(m for m in sys.modules if m.startswith("pdm_oscillator")))
              ["geometry", "spectrum"], False),
             (["effective-potential", "--grid-points", "5"], ["geometry", "spectrum"], False),
             (["wavefunction", "--grid-points", "5"],
-             ["geometry", "specfun", "spectrum", "wavefunctions"], True),
+             ["geometry", "specfun", "spectrum", "wavefunctions"], False),
             (["classical", "--t-end", "1", "--samples", "3"],
              ["classical", "geometry", "spectrum"], True),
             (["oracle", "--l", "0", "--k", "0"], ["geometry", "oracle", "spectrum"], True),
@@ -1050,8 +1055,10 @@ code = pdm_oscillator.cli.run(sys.argv[1:])
 loaded = sorted(m for m in sys.modules if m.startswith("pdm_oscillator."))
 has_json = "json" in sys.modules
 has_numpy = "numpy" in sys.modules
+records = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
 import json
-print(json.dumps({"code": code, "loaded": loaded, "json": has_json, "numpy": has_numpy}))
+print(json.dumps({"code": code, "loaded": loaded, "json": has_json, "numpy": has_numpy,
+                  "records": records}))
 """
         stdout = self.fresh(script, *argv, "--format", fmt, "--out", tmp_path / f"x.{fmt}")
         result = json.loads(stdout.splitlines()[-1])
@@ -1060,9 +1067,12 @@ print(json.dumps({"code": code, "loaded": loaded, "json": has_json, "numpy": has
         assert result["loaded"] == sorted(f"pdm_oscillator.{m}" for m in want)
         assert result["json"] == (fmt == "json")
         assert result["numpy"] == numpy
+        if not numpy:
+            assert result["records"] == []
 
     def test_ruled_flag_loads_no_other_layer(self):
-        # the parser checks each ruled flag before any command imports a layer
+        # the parser checks each ruled flag before any command imports a layer,
+        # so numpy, dataclasses and inspect stay unloaded too
         script = """
 import contextlib, io, json, sys
 import pdm_oscillator.cli
@@ -1071,7 +1081,10 @@ loaded = {}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stderr(io.StringIO()):
         assert pdm_oscillator.cli.run(argv) == 1
-    loaded[" ".join(argv)] = sorted(m for m in sys.modules if m.startswith("pdm_oscillator"))
+    loaded[" ".join(argv)] = sorted(
+        m for m in sys.modules
+        if m.startswith("pdm_oscillator") or m in ("numpy", "dataclasses", "inspect")
+    )
 print(json.dumps(loaded))
 """
         loaded = json.loads(self.fresh(script, json.dumps([argv for argv, _ in RULED])))
@@ -1097,7 +1110,7 @@ print(json.dumps(loaded))
     )
     def test_bad_flag_fails_before_numpy_loads(self, argv, flag):
         # a bad flag is one error line that names it, printed before any
-        # layer that needs numpy is imported
+        # layer that needs numpy is imported, and without dataclasses or inspect
         script = """
 import contextlib, io, json, sys
 import pdm_oscillator.cli
@@ -1105,10 +1118,11 @@ import pdm_oscillator.cli
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
     code = pdm_oscillator.cli.run(sys.argv[1:])
-print(json.dumps({"code": code, "stderr": err.getvalue(), "numpy": "numpy" in sys.modules}))
+loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+print(json.dumps({"code": code, "stderr": err.getvalue(), "loaded": loaded}))
 """
         result = json.loads(self.fresh(script, *argv).splitlines()[-1])
         lines = result["stderr"].strip().splitlines()
         assert result["code"] == 1 and len(lines) == 1, result
         assert lines[0].startswith(f"error: {flag} ")
-        assert result["numpy"] is False
+        assert result["loaded"] == []

@@ -293,7 +293,7 @@ class TestScaleCovariance:
         def energies(q):
             try:
                 values = [energy_closed_form(levels, q), threshold_gap(levels, q),
-                          energy_implicit(levels, q).tolist()]
+                          energy_implicit(levels, q)]
             except DomainError:
                 return None
             return values if all(in_range(v) for v in values) else None
@@ -596,3 +596,51 @@ class TestColumnWriter:
             SpectrumTable(n=np.arange(2), x=[1.5]).to_csv()
         with pytest.raises(ValueError):
             SpectrumTable(n=np.arange(2), x=[1.5]).to_json_rows()
+
+
+class TestFloatAndArrayPaths:
+    # a list or a number of levels goes through Python floats and math, an
+    # array through numpy; both take the same midpoints and reach the same
+    # verdict on the bracket
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=log_uniform(1e-100, 1e100),
+        omega=log_uniform(1e-100, 1e100),
+        hbar=log_uniform(1e-100, 1e100),
+        dim=st.integers(1, 8),
+        n=st.lists(st.integers(0, 10**5), min_size=1, max_size=5),
+    )
+    def test_list_and_array_levels_agree_bit_for_bit(self, lam, omega, hbar, dim, n):
+        p = ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim)
+        base = harmonic_base(p)
+        try:
+            arrayed = solve_deformed_spectrum(base, np.array(n), p)
+        except DomainError:
+            with pytest.raises(DomainError):
+                solve_deformed_spectrum(base, n, p)
+            return
+        listed = solve_deformed_spectrum(base, n, p)
+        assert isinstance(listed, list) and isinstance(arrayed, np.ndarray)
+        assert np.array_equal(np.array(listed).view(np.uint64), arrayed.view(np.uint64))
+        single = solve_deformed_spectrum(base, n[0], p)
+        assert isinstance(single, float) and single.hex() == listed[0].hex()
+        assert energy_implicit(n, p) == listed
+        # a base falling in frequency, and one below 0, fail on both paths
+        # with the same message and the same g values in it
+        for bad in (lambda w, k: base(p.omega, k) - 0.5 * base(w, k),
+                    lambda w, k: 0.0 * w - base(p.omega, k)):
+            messages = []
+            for levels in (n, np.array(n)):
+                with pytest.raises(BracketingError) as caught:
+                    solve_deformed_spectrum(bad, levels, p)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1]
+
+    def test_nested_lists_give_nested_lists(self):
+        # a list of lists is solved row by row, as the closed form maps it
+        p = ModelParams(lam=0.1)
+        levels = [[0, 1], [2, 3, 4]]
+        assert energy_implicit(levels, p) == [energy_implicit(row, p) for row in levels]
+        assert solve_deformed_spectrum(harmonic_base(p), levels, p) == [
+            energy_implicit(row, p) for row in levels
+        ]

@@ -542,3 +542,52 @@ class TestOneRulePerPair:
         rule_sizes = sum((a + b) // 2 + 2 for a, b in zip(n_f, n_g))
         difference = abs(weighted_inner_product(f, g, p) - two_rule_product(f, g, p))
         assert difference <= 4 * rule_sizes * EPS
+
+
+def ulps_apart(a: float, b: float) -> float:
+    """|a - b| in units of the last place of the larger magnitude."""
+    return 0.0 if a == b else abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+class TestFloatAndArrayPaths:
+    # a float or a list goes through Python floats and math, an array through
+    # numpy: the recurrence takes the same steps, and only exp, math's or
+    # numpy's, may differ in its last place. The recurrence rescales on a
+    # schedule set by the largest |x| of its argument, so a float is compared
+    # with the array of that one point; in the radial states below (k <= 8,
+    # beta r <= 12) no rescale is due. r^l for l <= 2 is exact in both (numpy
+    # squares for ** 2); numpy's pow of l >= 3 is its own libm's
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(0, 300),
+        alpha=st.integers(-1, 13).map(lambda twice: twice / 2.0),
+        x=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=10),
+    )
+    def test_laguerre_of_a_float_matches_the_array(self, k, alpha, x):
+        for v in x:
+            got = specfun._laguerre(k, alpha, v, -v / 2)
+            want = specfun._laguerre(k, alpha, np.array([v]), np.array([-v / 2]))
+            assert isinstance(got, float) and ulps_apart(got, float(want[0])) <= 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lam=st.just(0.0) | log_uniform(1e-100, 1e100),
+        omega=log_uniform(1e-100, 1e100),
+        hbar=log_uniform(1e-100, 1e100),
+        dim=st.integers(1, 8),
+        k=st.integers(0, 8),
+        l=st.integers(0, 2),
+        t=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=20),
+    )
+    def test_radial_state_of_a_list_matches_the_array(self, lam, omega, hbar, dim, k, l, t):
+        try:
+            p = ModelParams(lam=lam, omega=omega, hbar=hbar, dim=dim)
+            f = RadialEigenfunction.from_quantum_numbers(k, l, p)
+        except DomainError:
+            return
+        r = [v / f.beta for v in t]
+        arrayed = f(np.array(r))
+        listed = f(r)
+        assert isinstance(listed, list)
+        for got, one, want in zip(listed, map(f, r), arrayed.tolist()):
+            assert got == one and ulps_apart(got, want) <= 2
