@@ -17,8 +17,9 @@ The package needs numpy alone, and not everywhere: the geometry, the
 spectrum, the eigenfunctions and the CLI load none when imported, and
 take lists as well as arrays, so the CLI's `spectrum`, `geometry`,
 `effective-potential`, `deform` and `wavefunction` commands, and every
-command that stops at a bad flag, run without it; only `classical`,
-`oracle` and `verify-all` load numpy. The records those five commands
+command that stops at a bad flag, run without it, `deform` and
+`wavefunction` up to the sizes where numpy is faster, import included;
+only `classical`, `oracle` and `verify-all` always load numpy. The records those five commands
 build (`ModelParams` and the two eigenfunctions) are validated namedtuples,
 not dataclasses, because the dataclasses module imports inspect, a tenth
 of a numpy-free cold start. No CLI command loads scipy. The oracle binds two LAPACK routines from the library that numpy's

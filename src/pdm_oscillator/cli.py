@@ -19,9 +19,12 @@ it runs inside its own function: `spectrum` and `deform` the spectrum, and
 what it imports. `spectrum`, `geometry` and `effective-potential` evaluate
 closed forms on lists, `deform` bisects its fixed point on a list of
 levels and `wavefunction` samples its radial state on a list of radii, so
-these five never load numpy, nor the dataclasses module and its inspect
+these five load neither numpy nor the dataclasses module and its inspect
 (their records are namedtuples); only `classical`, `oracle` and
-`verify-all` load numpy. `json` is imported only for a JSON artifact.
+`verify-all` always load numpy. Past _LIST_LEVELS levels, or _LIST_STEPS
+Laguerre steps, `deform` and `wavefunction` hand their list to numpy, as
+the work in Python floats then costs more than numpy's import. `json` is
+imported only for a JSON artifact.
 """
 
 from __future__ import annotations
@@ -53,6 +56,17 @@ from .geometry import (
 )
 
 __all__ = ["run", "main"]
+
+# Up to this many levels, `deform` bisects its levels in Python floats, in
+# less time than numpy takes to import; past it numpy bisects them all at
+# once. Both give the same bits.
+_LIST_LEVELS = 1000
+# `wavefunction` samples radius by radius in Python floats in the time of
+# about k + 32 Laguerre steps per radius; past this many steps numpy's
+# sampling of the whole grid, import included, is faster. The two agree
+# within a few ulp where the recurrence rescales on the same schedule, and
+# within its own rounding where not (specfun._orthonormal).
+_LIST_STEPS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -246,7 +260,13 @@ def _cmd_wavefunction(args, params) -> tuple[dict, str]:
         f"wavefunction: k={args.k} l={args.l}, E={_fmt(f.energy)}, "
         f"beta={_fmt(f.beta)}, {args.grid_points} samples"
     )
-    return {"r": r, "value": f(r), "weight_factor": weight}, summary
+    if args.grid_points * (args.k + 32) <= _LIST_STEPS:
+        value = f(r)
+    else:
+        import numpy as np
+
+        value = f(np.array(r)).tolist()
+    return {"r": r, "value": value, "weight_factor": weight}, summary
 
 
 def _parse_vector(text: str | None, default: list[float], name: str) -> list[float]:
@@ -327,7 +347,12 @@ def _cmd_deform(args, params) -> tuple[dict, str]:
     from .spectrum import energy_closed_form, harmonic_base, solve_deformed_spectrum
 
     levels = list(range(args.n_max + 1))
-    fixed = solve_deformed_spectrum(harmonic_base(params), levels, params)
+    if len(levels) <= _LIST_LEVELS:
+        fixed = solve_deformed_spectrum(harmonic_base(params), levels, params)
+    else:
+        import numpy as np
+
+        fixed = solve_deformed_spectrum(harmonic_base(params), np.array(levels), params).tolist()
     closed = energy_closed_form(levels, params)
     diff = [abs(a - b) for a, b in zip(fixed, closed)]
     columns = {

@@ -90,10 +90,17 @@ def _grid(start: float, stop: float, points: int) -> list[float]:
 
 
 def _power(x: float, m: int) -> float:
-    """x^m for an integer m >= 0, as the product of m factors: it overflows
-    to inf where a float ** raises OverflowError, and its bits do not depend
-    on the libm's or numpy's pow."""
-    return math.prod([x] * m, start=1.0)
+    """x^m for an integer m >= 0 by repeated squaring, in about 2 log2(m)
+    products: it overflows to inf where a float ** raises OverflowError,
+    and its bits do not depend on the libm's or numpy's pow."""
+    out = 1.0
+    while m:
+        if m & 1:
+            out *= x
+        m >>= 1
+        if m:
+            x *= x
+    return out
 
 
 def _check_cn(c_n: float) -> None:

@@ -92,6 +92,14 @@ def hermite_function(n: int, x):
     return out if out.ndim else float(out)
 
 
+def _exp(v: float) -> float:
+    """math.exp, but inf where it overflows, as numpy's exp gives."""
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 def laguerre(k: int, alpha: float, x):
     """Generalized Laguerre polynomial L_k^(alpha)(x) for alpha > -1, of a
     number (a float) or an array."""
@@ -102,11 +110,12 @@ def _laguerre(k: int, alpha: float, x, log_factor):
     """L_k^(alpha)(x) exp(log_factor), finite wherever the product is, also
     where L_k alone overflows: L_k^(alpha) = (-1)^k sqrt(Gamma(k+alpha+1)/k!) p_k.
     A number x, with a float log_factor, goes through math and gives a float;
-    an array through numpy, with log_factor a float or an array like it."""
+    an array through numpy, with log_factor a float or an array like it.
+    Where the product overflows, both give a signed inf."""
     if k < 0 or int(k) != k:
         raise DomainError(f"Laguerre order must be an integer >= 0, got {k}")
     if isinstance(x, (int, float)):
-        x, exp, negative = float(x), math.exp, x < 0
+        x, exp, negative = float(x), _exp, x < 0
     else:
         import numpy as np
 

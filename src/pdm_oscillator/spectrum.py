@@ -16,10 +16,11 @@ and solve_deformed_spectrum take a scalar, a list or an array of levels;
 _fixed_point also takes omega and lam as columns, so that the levels of
 many models take one call. Like _omega_of_gap, the bisection and its
 checks pick their primitives by input type: a list of levels goes through
-Python floats and math, so the CLI's deform loads no numpy, and an array
-through numpy, imported where it runs; both take the same midpoints and
-give the same bits. In units of hbar*omega the equation has one
-parameter, g = lam*hbar/omega (_dimensionless), on which the oracle works.
+Python floats and math, so the CLI's deform of up to 1000 levels loads no
+numpy, and an array through numpy, imported where it runs; both take the
+same midpoints and give the same bits. In units of hbar*omega the equation
+has one parameter, g = lam*hbar/omega (_dimensionless), on which the oracle
+works.
 """
 
 from __future__ import annotations
@@ -127,41 +128,45 @@ def _bisect(g, lo, hi):
 
     The brackets are floats or arrays that broadcast, and g is vectorized
     through numpy; or hi is a list, lo a float or a list, and g maps a list
-    of floats to a list, in Python floats. g(lo) and g(hi) have opposite
-    signs. Each halving keeps the end where g has the sign of g(lo); once no
-    float lies strictly inside any bracket, the midpoints are returned, a
-    list for list brackets. Both kinds take the same midpoints, so they
-    return the same bits. A bracket as wide as its root collapses in about
-    55 halvings, but one around a root at 0 never does; ConvergenceError is
-    raised if _BISECT_ITERATIONS halvings do not get there.
+    of floats to a list of numbers, Python floats or numpy scalars. One loop
+    runs on either kind's column steps, numpy's ufuncs or comprehensions.
+    g(lo) and g(hi) have opposite signs. Each halving keeps the end where g
+    has the sign of g(lo); once no float lies strictly inside any bracket,
+    the midpoints are returned, a list for list brackets. Both kinds take
+    the same midpoints, so they return the same bits. A bracket as wide as
+    its root collapses in about 55 halvings, but one around a root at 0
+    never does; ConvergenceError is raised if _BISECT_ITERATIONS halvings
+    do not get there.
     """
     if isinstance(hi, list):
         lo = lo if isinstance(lo, list) else [lo] * len(hi)
-        each, every, largest = (lambda f, *columns: list(map(f, *columns))), all, max
-        sign = lambda v: (v > 0) - (v < 0)
-        where = lambda keep, a, b: a if keep else b
+        halve = lambda lo, hi: [a + 0.5 * (b - a) for a, b in zip(lo, hi)]
+        settled = lambda mid, lo, hi: all(m == a or m == b for m, a, b in zip(mid, lo, hi))
+        # as floats: the bools of a base's numpy scalars do not subtract
+        signs = lambda v: [float(x > 0) - float(x < 0) for x in v]
+        equal = lambda a, b: [x == y for x, y in zip(a, b)]
+        where = lambda keep, a, b: [x if k else y for k, x, y in zip(keep, a, b)]
+        largest = lambda v: max(map(abs, v))
     else:
         import numpy as np
 
         lo, hi = (np.array(b, dtype=float) for b in np.broadcast_arrays(lo, hi))
-        each, every, largest = (lambda f, *columns: f(*columns)), np.all, np.max
-        sign, where = np.sign, np.where
+        halve = lambda lo, hi: lo + 0.5 * (hi - lo)
+        settled = lambda mid, lo, hi: np.all((mid == lo) | (mid == hi))
+        signs, equal, where = np.sign, np.equal, np.where
+        largest = lambda v: np.max(np.abs(v))
 
-    def halve(lo, hi):
-        return lo + 0.5 * (hi - lo)
-
-    sign_lo = each(sign, g(lo))
+    sign_lo = signs(g(lo))
     for _ in range(_BISECT_ITERATIONS):
-        mid = each(halve, lo, hi)
-        if every(each(lambda m, a, b: (m == a) | (m == b), mid, lo, hi)):
+        mid = halve(lo, hi)
+        if settled(mid, lo, hi):
             return mid if isinstance(mid, list) or mid.ndim else float(mid)
-        keep_hi = each(lambda v, s: sign(v) == s, g(mid), sign_lo)
-        lo, hi = each(where, keep_hi, mid, lo), each(where, keep_hi, hi, mid)
-    width = largest(each(lambda a, b: b - a, lo, hi))
-    residual = largest(each(abs, g(each(halve, lo, hi))))
+        keep_hi = equal(signs(g(mid)), sign_lo)
+        lo, hi = where(keep_hi, mid, lo), where(keep_hi, hi, mid)
+    widths = [b - a for a, b in zip(lo, hi)] if isinstance(lo, list) else hi - lo
     raise ConvergenceError(
         f"bisection not converged after {_BISECT_ITERATIONS} halvings: bracket width "
-        f"{width:.3e}, residual {residual:.3e}"
+        f"{largest(widths):.3e}, residual {largest(g(halve(lo, hi))):.3e}"
     )
 
 
@@ -197,15 +202,23 @@ def _over_levels(solve, n):
     return out.reshape(levels.shape)
 
 
-def _closed_form_ratio(n, params: ModelParams) -> tuple[float, float]:
-    """nu = n + N/2 and omega/(hypot(hbar*lam*nu, omega) + hbar*lam*nu), free
-    of cancellation, for one level n and a model that _check_spectrum
-    accepts: the closed-form level is hbar*nu*ratio*omega and its gap below
-    the threshold threshold*ratio^2. math.hypot rounds correctly, so the
-    ratio does not depend on the platform's libm."""
-    nu = _level(n) + params.dim / 2.0
-    a = params.hbar * params.lam * nu
-    return nu, params.omega / (math.hypot(a, params.omega) + a)
+def _closed_form_ratio(params: ModelParams) -> Callable:
+    """The map of one level n to nu = n + N/2 and
+    omega/(hypot(hbar*lam*nu, omega) + hbar*lam*nu), free of cancellation,
+    for a model that _check_spectrum accepts: the closed-form level is
+    hbar*nu*ratio*omega and its gap below the threshold threshold*ratio^2.
+    math.hypot rounds correctly, so the ratio does not depend on the
+    platform's libm. The model's fields are read once, not per level: a
+    namedtuple's field costs more to read than a local."""
+    lam, omega, hbar, dim = params
+    half_dim = dim / 2.0
+
+    def ratio(n):
+        nu = _level(n) + half_dim
+        a = hbar * lam * nu
+        return nu, omega / (math.hypot(a, omega) + a)
+
+    return ratio
 
 
 def energy_closed_form(n, params: ModelParams):
@@ -225,10 +238,11 @@ def energy_closed_form(n, params: ModelParams):
     """
     _check_spectrum(params)
     threshold = continuum_threshold(params)
+    ratio_of, hbar, omega = _closed_form_ratio(params), params.hbar, params.omega
 
     def level(n):
-        nu, ratio = _closed_form_ratio(n, params)
-        return min(params.hbar * nu * ratio * params.omega, threshold)
+        nu, ratio = ratio_of(n)
+        return min(hbar * nu * ratio * omega, threshold)
 
     return _elementwise(level, n)
 
@@ -244,9 +258,10 @@ def threshold_gap(n, params: ModelParams):
     """
     _check_spectrum(params)
     threshold = continuum_threshold(params)
+    ratio_of = _closed_form_ratio(params)
 
     def gap(n):
-        _, ratio = _closed_form_ratio(n, params)
+        _, ratio = ratio_of(n)
         return threshold * ratio * ratio
 
     return _elementwise(gap, n)
@@ -262,8 +277,9 @@ def _defect(base, threshold, omega, lam):
 def _fixed_point(base, n, omega, lam):
     """Fixed point E = base(Omega(E), n) of each level n, by one bisection.
 
-    n is a list of levels, with floats omega and lam > 0, and gives a list,
-    each level's floats through Python arithmetic; or an array, with omega
+    n is a list of levels, with floats omega and lam > 0, and gives a list
+    of Python floats, the base called on one float and level at a time,
+    also where it returns numpy scalars; or an array, with omega
     and lam floats or columns that broadcast against it, one row per model,
     and gives an array. g(E) = base(Omega(E), n) - E decreases in E for a
     base increasing in frequency, and Omega <= omega, so base(omega, n)
@@ -273,7 +289,7 @@ def _fixed_point(base, n, omega, lam):
     threshold = omega / (2.0 * lam) * omega
     g = _defect(base, threshold, omega, lam)
     if isinstance(n, list):
-        top = [min(base(omega, k), threshold) for k in n]
+        top = [float(min(base(omega, k), threshold)) for k in n]
         return _bisect(lambda e: list(map(g, e, n)), 0.0, top)
     import numpy as np
 
@@ -354,7 +370,8 @@ def angular_multiplicity(l: int, dim: int) -> int:
 
 def harmonic_base(params: ModelParams) -> Callable:
     """Isotropic-oscillator base spectrum base(w, n) = hbar*w*(n + N/2)."""
-    return lambda w, n: params.hbar * w * (n + params.dim / 2.0)
+    hbar, half_dim = params.hbar, params.dim / 2.0
+    return lambda w, n: hbar * w * (n + half_dim)
 
 
 def _steps_against(rows, sign: float) -> bool:
@@ -486,10 +503,11 @@ def spectrum_table(n_max: int, params: ModelParams) -> SpectrumTable:
     levels = _table_levels(n_max)
     energy = energy_closed_form(levels, params)
     gap = threshold_gap(levels, params)
+    lam, omega, hbar, dim = params
 
     def residual(n, e, g):
-        omega_eff = params.omega if params.lam == 0 else _omega_of_gap(g, params.omega, params.lam)
-        return abs(e - params.hbar * omega_eff * (n + params.dim / 2.0))
+        omega_eff = omega if lam == 0 else _omega_of_gap(g, omega, lam)
+        return abs(e - hbar * omega_eff * (n + dim / 2.0))
 
     return SpectrumTable(
         n=levels,

@@ -16,10 +16,10 @@ states is an independent check on the closed forms.
 A radial eigenfunction takes a radius, a list of radii or an array: a
 radius goes through Python floats and math, a list radius by radius, and an
 array through numpy. So building, normalizing and sampling one radial state
-on a list, as the CLI's `wavefunction` command does, loads no numpy. The
-two eigenfunction records are validated namedtuples rather than dataclasses
-for the same reason: the dataclasses module imports inspect, a tenth of a
-cold start that loads no numpy.
+on a list, as the CLI's `wavefunction` command does up to 10^6 Laguerre
+steps, loads no numpy. The two eigenfunction records are validated
+namedtuples rather than dataclasses for the same reason: the dataclasses
+module imports inspect, a tenth of a cold start that loads no numpy.
 """
 
 from __future__ import annotations

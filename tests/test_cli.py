@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pdm_oscillator.cli as cli
-from pdm_oscillator import classical, oracle, verify
+from pdm_oscillator import ModelParams, RadialEigenfunction, classical, normalize, oracle, verify
 from pdm_oscillator.spectrum import SpectrumTable
 from pdm_oscillator.verify import CheckResult
 
@@ -185,6 +185,26 @@ class TestWavefunctionCommand:
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
+    @pytest.mark.parametrize("grid", [7575, 7576])
+    def test_long_grids_are_sampled_through_numpy(self, tmp_path, grid):
+        # at k = 100 a grid of 7576 points is (k + 32) * 7576 Laguerre steps,
+        # past cli._LIST_STEPS, and the state is sampled as one array; 7575
+        # points are sampled radius by radius. The recurrence rescales on a
+        # schedule set by the largest argument, a radius's own or the grid's,
+        # so the log scale handed to exp rounds differently: the two paths
+        # differ by up to 46 ulp here, where both are 3e-14 from mpmath's value
+        out = tmp_path / "wf.csv"
+        assert cli.run(["wavefunction", "--k", "100", "--grid-points", str(grid),
+                        "--out", str(out)]) == 0
+        rows = read_csv(out)
+        f = normalize(RadialEigenfunction.from_quantum_numbers(100, 0, ModelParams(lam=0.02)))
+        r = [float(row["r"]) for row in rows]
+        listed, arrayed = f(r), f(np.array(r)).tolist()
+        through_numpy = grid * (100 + 32) > cli._LIST_STEPS
+        assert through_numpy == (grid == 7576)
+        assert [float(row["value"]) for row in rows] == (arrayed if through_numpy else listed)
+        np.testing.assert_array_max_ulp(np.array(listed), np.array(arrayed), 64)
+
     def test_flat_weight_where_r_squared_overflows(self, tmp_path):
         # at lam = 0 and N = 1 the weight factor (1 + lam r^2) r^(N-1) is 1 on
         # the whole box, r_max = 10/beta = 1e162, though r^2 overflows there
@@ -287,6 +307,17 @@ class TestDeformCommand:
         assert code == 0
         rows = read_csv(out)
         assert all(float(r["abs_diff"]) < 1e-10 for r in rows)
+
+    def test_levels_past_the_list_size_keep_their_bytes(self, tmp_path):
+        # past cli._LIST_LEVELS levels numpy bisects them all at once; the
+        # rows both tables have are the same bytes
+        lines = []
+        for n_max in (cli._LIST_LEVELS - 1, cli._LIST_LEVELS):
+            out = tmp_path / f"deform{n_max}.csv"
+            assert cli.run(["deform", "--n-max", str(n_max), "--out", str(out)]) == 0
+            lines.append(out.read_text().splitlines())
+        assert len(lines[1]) == cli._LIST_LEVELS + 2
+        assert lines[1][:-1] == lines[0]
 
     def test_huge_scale_fits_in_double(self, tmp_path):
         # omega^2 = 1e320 overflows, but every level is about 1e160
@@ -710,6 +741,16 @@ class TestErrorPaths:
         assert "hbar=1e+100, omega=1e-08" in lines[0]
         assert not out.exists()
 
+    def test_huge_dim_weight_is_one_error_line(self, tmp_path, capsys):
+        # r^(N-1) at N = 10^12 overflows past r = 1; the weight is a product of
+        # squares, so reaching inf takes about 80 of them per radius
+        out = tmp_path / "x.csv"
+        argv = ["wavefunction", "--lambda", "0", "--dim", "1000000000000", "--out", str(out)]
+        assert cli.run(argv) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "weight factor (1 + lam r^2) r^(N-1) overflows" in lines[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1023,8 +1064,9 @@ print(*sorted(m for m in sys.modules if m.startswith("pdm_oscillator")))
         assert loaded == ["pdm_oscillator", *(f"pdm_oscillator.{m}" for m in ("cli", "errors", "geometry"))]
 
     # the closed-form commands, deform's fixed point and wavefunction's radial
-    # state evaluate their formulas on lists, without numpy; a command that
-    # loads no numpy loads no dataclasses or inspect either
+    # state evaluate their formulas on lists, without numpy, up to the sizes
+    # where numpy is faster, import included; a command that loads no numpy
+    # loads no dataclasses or inspect either
     @pytest.mark.parametrize(
         "argv, layers, numpy",
         [
@@ -1038,12 +1080,16 @@ print(*sorted(m for m in sys.modules if m.startswith("pdm_oscillator")))
             (["effective-potential", "--grid-points", "5"], ["geometry", "spectrum"], False),
             (["wavefunction", "--grid-points", "5"],
              ["geometry", "specfun", "spectrum", "wavefunctions"], False),
+            (["deform", "--n-max", "1000"], ["geometry", "spectrum"], True),
+            (["wavefunction", "--k", "1000"],
+             ["geometry", "specfun", "spectrum", "wavefunctions"], True),
             (["classical", "--t-end", "1", "--samples", "3"],
              ["classical", "geometry", "spectrum"], True),
             (["oracle", "--l", "0", "--k", "0"], ["geometry", "oracle", "spectrum"], True),
         ],
         ids=["spectrum", "deform", "geometry", "geometry-metric", "geometry-curvature",
-             "effective-potential", "wavefunction", "classical", "oracle"],
+             "effective-potential", "wavefunction", "deform-past-the-list-size",
+             "wavefunction-past-the-list-steps", "classical", "oracle"],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_command_loads_only_its_layer(self, tmp_path, argv, layers, numpy, fmt):

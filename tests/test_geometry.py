@@ -14,6 +14,7 @@ from pdm_oscillator import (
     potential,
     scalar_curvature,
 )
+from pdm_oscillator.geometry import _power
 
 P3 = ModelParams(lam=0.02, omega=1.0, hbar=1.0, dim=3)
 
@@ -42,6 +43,16 @@ class TestModelParams:
     def test_immutable(self):
         with pytest.raises(Exception):
             P3.lam = 0.5
+
+
+class TestPower:
+    def test_integer_powers_overflow_to_inf(self):
+        # geometry._power squares its way to x^m: exact where the products
+        # are, inf or 0 where they leave the doubles, and about 80 products
+        # for m = 10^12
+        assert _power(3.0, 5) == 243.0 and _power(-2.0, 3) == -8.0 and _power(0.0, 0) == 1.0
+        assert _power(1e200, 2) == math.inf and _power(-1e200, 3) == -math.inf
+        assert _power(1.5, 10**12) == math.inf and _power(0.5, 10**12) == 0.0
 
 
 class TestMetricFactor:

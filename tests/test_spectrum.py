@@ -636,6 +636,20 @@ class TestFloatAndArrayPaths:
                 messages.append(str(caught.value))
             assert messages[0] == messages[1]
 
+    def test_base_of_numpy_scalars_on_numbers_and_lists(self):
+        # a base written with numpy gives numpy scalars on one float and
+        # level; a number and a list of levels still give Python floats, with
+        # the array path's bits
+        p = ModelParams(lam=0.1)
+        base = lambda w, n: np.sqrt(w) * (n + 1.5)
+        levels = [0, 1, 5, 40]
+        arrayed = solve_deformed_spectrum(base, np.array(levels), p).tolist()
+        listed = solve_deformed_spectrum(base, levels, p)
+        single = solve_deformed_spectrum(base, 5, p)
+        assert all(type(v) is float for v in [*listed, single])
+        assert [v.hex() for v in listed] == [v.hex() for v in arrayed]
+        assert single.hex() == arrayed[2].hex()
+
     def test_nested_lists_give_nested_lists(self):
         # a list of lists is solved row by row, as the closed form maps it
         p = ModelParams(lam=0.1)

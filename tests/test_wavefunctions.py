@@ -569,6 +569,17 @@ class TestFloatAndArrayPaths:
             want = specfun._laguerre(k, alpha, np.array([v]), np.array([-v / 2]))
             assert isinstance(got, float) and ulps_apart(got, float(want[0])) <= 2
 
+    @pytest.mark.parametrize(
+        "k, alpha, x", [(600, 600.0, 0.0), (601, 600.0, 0.0), (600, 0.5, 1e300), (601, 0.5, 1e300)]
+    )
+    def test_laguerre_of_a_float_overflows_to_the_arrays_inf(self, k, alpha, x):
+        # L_600^(600)(0) is about 1e360 and L_601^(1/2)(1e300) about -1e178000:
+        # a float gives the signed inf the array path gives, not OverflowError
+        got = specfun.laguerre(k, alpha, x)
+        with np.errstate(over="ignore"):
+            want = float(specfun.laguerre(k, alpha, np.array([x]))[0])
+        assert math.isinf(got) and got == want
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         lam=st.just(0.0) | log_uniform(1e-100, 1e100),
